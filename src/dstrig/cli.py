@@ -14,6 +14,7 @@ one is needed, 6 sampling budget exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -370,9 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Building the parser costs more than a small command; main() reuses one.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DocumentError, OSError, ValueError) as exc:

@@ -27,11 +27,12 @@ from .errors import (
     NonConvergentError,
 )
 from .geodesics import DeSitterPoint, SegmentKind
-from .minkowski import mink_inner
+from .minkowski import NULL_EPS, UNIT_EPS, mink_inner
 from .triangles import (
     DeSitterTriangle,
     ProperName,
     _AREA_TYPES,
+    _NAME_TABLE,
     _others,
     build_triangle,
     classify_triangle,
@@ -73,7 +74,8 @@ class GeneratorConfig:
 
 
 def _rows_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return -(a[:, 0] * b[:, 0]) + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+    # mink_inner over the last axis, in mink_inner's operation order.
+    return -(a[..., 0] * b[..., 0]) + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def _edge_rows(seg, s: np.ndarray) -> np.ndarray:
@@ -181,6 +183,71 @@ def _chart_point(u: float, psi: float) -> DeSitterPoint:
     ]))
 
 
+# Sampler attempts are drawn and prefiltered this many at a time.
+_BLOCK = 64
+# math.sinh and math.cosh overflow just above this rapidity.
+_MATH_RAPIDITY_LIMIT = 710.0
+# Margin above 2*pi for an arccos edge sum to count as surely
+# non-contractible; it absorbs np.arccos's last-bit differences from
+# math.acos.
+_CONTRACTIBLE_MARGIN = 1e-6
+# Each proper name's (space-like, time-like, light-like) edge counts
+# packed base 4; the sampler's prefilter sums per-edge codes 1, 4, 16.
+_EDGE_CODES = {name: i + 4 * j + 16 * k for (i, j, k), name in _NAME_TABLE.items()}
+
+
+def _attempt_blocks(rng: np.random.Generator, u_max: float, max_attempts: int):
+    """Yield the sampler's attempts as (us, psis) blocks of shape (m, 3).
+
+    Row i of a block is row i of rng.random((m, 6)) under numpy's own
+    uniform maps, so it equals the pair rng.uniform(-u_max, u_max, 3),
+    rng.uniform(0, 2*pi, 3) drawn for that attempt alone.  The blocks
+    hold max_attempts rows in all.
+    """
+    rng.uniform(-u_max, u_max, 0)  # numpy's range check; draws nothing
+    done = 0
+    while done < max_attempts:
+        m = min(_BLOCK, max_attempts - done)
+        r = rng.random((m, 6))
+        yield -u_max + (u_max - -u_max) * r[:, :3], 2.0 * math.pi * r[:, 3:]
+        done += m
+
+
+# Overflow at huge rapidity only yields non-finite rows, which stay True.
+@np.errstate(over="ignore", invalid="ignore")
+def _maybe_accepted(us: np.ndarray, psis: np.ndarray, target: ProperName) -> np.ndarray:
+    """Mask of a block's attempts that random_triangle's test may accept.
+
+    False only where that test surely rejects: a name other than the
+    target, or (spatiolateral) an edge-length sum clearly above 2*pi.
+    Attempts whose points would raise (off the quadric, non-finite)
+    stay True, so the scalar body raises as before.  Coordinates come
+    from the math calls _chart_point makes and inner products keep
+    mink_inner's operation order, so each band decision here is the
+    scalar one.  Coincident or antipodal vertices are left to the
+    scalar body: it rejects them whatever their name.
+    """
+    u = np.where(np.abs(us) <= _MATH_RAPIDITY_LIMIT, us, np.nan).ravel().tolist()
+    psi = psis.ravel().tolist()
+    ch = np.array(list(map(math.cosh, u)))
+    pts = np.stack([
+        np.array(list(map(math.sinh, u))),
+        ch * np.array(list(map(math.cos, psi))),
+        ch * np.array(list(map(math.sin, psi))),
+    ], axis=-1).reshape(-1, 3, 3)
+    on_quadric = (np.abs(_rows_inner(pts, pts) - 1.0) <= UNIT_EPS).all(axis=1)
+    # Edge j joins vertices j+1 and j+2.
+    c = _rows_inner(pts[:, [1, 2, 0]], pts[:, [2, 0, 1]])
+    null = np.abs(c - 1.0) <= NULL_EPS
+    hyp = (c > 1.0) & ~null
+    ell = (c > -1.0 + NULL_EPS) & ~hyp & ~null
+    named = (ell + 4 * hyp + 16 * null).sum(axis=1) == _EDGE_CODES[target]
+    if target is ProperName.SPATIOLATERAL:
+        total = np.arccos(np.clip(c, -1.0, 1.0)).sum(axis=1)
+        named &= ~(total > 2.0 * math.pi + _CONTRACTIBLE_MARGIN)
+    return ~on_quadric | named
+
+
 def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
     """Rejection-sample a triangle of the requested type.
 
@@ -188,23 +255,30 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
     with u uniform on [-u_max, u_max] and psi uniform on [0, 2*pi).  A
     draw is kept when it classifies as the target (for three space-like
     edges: contractible as well).  Identical seeds give identical output.
+
+    Seed stream: attempt i is row i of rng.random((m, 6)) from
+    default_rng(seed), drawn in blocks of m rows, mapped by
+    u = -u_max + (u_max - -u_max) * r[:3] and psi = 2*pi * r[3:]; these
+    are the values rng.uniform(-u_max, u_max, 3), rng.uniform(0, 2*pi, 3)
+    give for each attempt in turn.  A vectorised prefilter only skips
+    sure rejects; every other attempt, in order, goes through the
+    scalar classify-and-test body, which alone accepts or raises.
     """
     if cfg.target not in _AREA_TYPES:
         raise ValueError(f"unsupported generation target: {cfg.target!r}")
     rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.max_attempts):
-        us = rng.uniform(-cfg.u_max, cfg.u_max, 3)
-        psis = rng.uniform(0.0, 2.0 * math.pi, 3)
-        pts = tuple(_chart_point(u, p) for u, p in zip(us, psis))
-        try:
-            kind = classify_triangle(*pts)
-        except GeometryError:
-            continue
-        if kind.proper_name is not cfg.target:
-            continue
-        if cfg.target is ProperName.SPATIOLATERAL and kind.contractible is not True:
-            continue
-        return build_triangle(*pts)
+    for us, psis in _attempt_blocks(rng, cfg.u_max, cfg.max_attempts):
+        for i in np.flatnonzero(_maybe_accepted(us, psis, cfg.target)):
+            pts = tuple(_chart_point(u, p) for u, p in zip(us[i], psis[i]))
+            try:
+                kind = classify_triangle(*pts)
+            except GeometryError:
+                continue
+            if kind.proper_name is not cfg.target:
+                continue
+            if cfg.target is ProperName.SPATIOLATERAL and kind.contractible is not True:
+                continue
+            return build_triangle(*pts)
     raise ExhaustedAttemptsError(
         f"no {cfg.target.value} triangle in {cfg.max_attempts} attempts")
 
@@ -213,14 +287,13 @@ def random_buildable_triangle(seed: int, u_max: float = 2.0,
                               max_attempts: int = 20000) -> DeSitterTriangle:
     """Any triangle of the four null-free types, seeded like random_triangle."""
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
-        us = rng.uniform(-u_max, u_max, 3)
-        psis = rng.uniform(0.0, 2.0 * math.pi, 3)
-        pts = tuple(_chart_point(u, p) for u, p in zip(us, psis))
-        try:
-            return build_triangle(*pts)
-        except GeometryError:
-            continue
+    for us, psis in _attempt_blocks(rng, u_max, max_attempts):
+        for row_us, row_psis in zip(us, psis):
+            pts = tuple(_chart_point(u, p) for u, p in zip(row_us, row_psis))
+            try:
+                return build_triangle(*pts)
+            except GeometryError:
+                continue
     raise ExhaustedAttemptsError(f"no buildable triangle in {max_attempts} attempts")
 
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from dstrig.cli import main
+from dstrig.cli import build_parser, main
 from dstrig.oracle import GeneratorConfig, random_triangle
 from dstrig.triangles import ProperName, distinguished_vertex
 
@@ -148,6 +148,15 @@ class TestRandomCommand:
         _, first, _ = run_cli(capsys, monkeypatch, *args)
         _, second, _ = run_cli(capsys, monkeypatch, *args)
         assert first == second
+
+    def test_options_do_not_leak_between_calls(self, capsys, monkeypatch):
+        # main() reuses one parser; build_parser() still makes a new one.
+        assert build_parser() is not build_parser()
+        args = ("random", "--type", "spatiolateral", "--seed", "0")
+        run_cli(capsys, monkeypatch, *args, "--format", "csv")
+        code, out, _ = run_cli(capsys, monkeypatch, *args)
+        assert code == 0
+        assert json.loads(out)["metadata"]["seed"] == 0
 
     def test_matches_library_generator(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, monkeypatch, "random", "--type",

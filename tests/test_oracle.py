@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import FROZEN_AREAS
-from dstrig.errors import ExhaustedAttemptsError
+from dstrig.errors import ExhaustedAttemptsError, GeometryError
 from dstrig.geodesics import DeSitterPoint, classify_segment, geodesic_point
 from dstrig.oracle import (
+    _BLOCK,
     GeneratorConfig,
+    _attempt_blocks,
+    _chart_point,
+    _maybe_accepted,
     integrate_area,
     random_buildable_triangle,
     random_triangle,
@@ -23,6 +27,60 @@ from dstrig.triangles import (
 
 TARGETS = (ProperName.SPATIOLATERAL, ProperName.TEMPOLATERAL,
            ProperName.CHOROSCELES, ProperName.CHRONOSCELES)
+
+
+def _scalar_class(pts):
+    try:
+        return classify_triangle(*pts)
+    except GeometryError:
+        return None
+
+
+def _accepts(kind, target):
+    """The sampler's test on a scalar classification (None: it raised)."""
+    if kind is None or kind.proper_name is not target:
+        return False
+    return target is not ProperName.SPATIOLATERAL or kind.contractible is True
+
+
+def _per_attempt_draws(seed, u_max, max_attempts):
+    # The seed stream drawn one attempt at a time, as the sampler did
+    # before it drew blocks.
+    rng = np.random.default_rng(seed)
+    for _ in range(max_attempts):
+        us = rng.uniform(-u_max, u_max, 3)
+        psis = rng.uniform(0.0, 2.0 * math.pi, 3)
+        yield tuple(_chart_point(u, p) for u, p in zip(us, psis))
+
+
+def _reference_random_triangle(cfg):
+    """(attempt number, triangle) from the one-attempt-at-a-time sampler."""
+    draws = _per_attempt_draws(cfg.seed, cfg.u_max, cfg.max_attempts)
+    for attempt, pts in enumerate(draws, start=1):
+        if _accepts(_scalar_class(pts), cfg.target):
+            return attempt, build_triangle(*pts)
+    raise ExhaustedAttemptsError(
+        f"no {cfg.target.value} triangle in {cfg.max_attempts} attempts")
+
+
+def _reference_buildable(seed, u_max):
+    for pts in _per_attempt_draws(seed, u_max, 20000):
+        try:
+            return build_triangle(*pts)
+        except GeometryError:
+            continue
+    raise ExhaustedAttemptsError("no buildable triangle in 20000 attempts")
+
+
+def _outcome(fn, *args):
+    """Vertex bytes of the returned triangle, or the exception type and text."""
+    try:
+        tri = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(tri, tuple):
+        tri = tri[1]
+    return "ok", [p.v.tobytes() for p in tri.points]
 
 
 class TestIntegrateArea:
@@ -133,6 +191,65 @@ class TestRandomTriangle:
     def test_buildable_variant(self):
         tri = random_buildable_triangle(5)
         assert triangle_name(tri) in TARGETS
+
+
+class TestBlockSampler:
+    """The block sampler against the one-attempt-at-a-time loop it replaced."""
+
+    @pytest.mark.parametrize("u_max", (2.0, 6.0, 8.0))
+    @pytest.mark.parametrize("target", TARGETS, ids=lambda t: t.value)
+    def test_matches_per_attempt_loop(self, target, u_max):
+        for seed in range(16):
+            cfg = GeneratorConfig(seed=seed, target=target, u_max=u_max)
+            assert _outcome(random_triangle, cfg) \
+                == _outcome(_reference_random_triangle, cfg), seed
+
+    @pytest.mark.parametrize("max_attempts", (1, 7))
+    def test_small_budgets(self, max_attempts):
+        for target in TARGETS:
+            for seed in range(8):
+                cfg = GeneratorConfig(seed=seed, target=target, u_max=6.0,
+                                      max_attempts=max_attempts)
+                assert _outcome(random_triangle, cfg) \
+                    == _outcome(_reference_random_triangle, cfg)
+
+    def test_budget_boundary_beyond_one_block(self):
+        # Find an acceptance past the first block, then give the sampler
+        # exactly that many attempts and one fewer.
+        for seed in range(64):
+            cfg = GeneratorConfig(seed=seed, target=ProperName.SPATIOLATERAL, u_max=6.0)
+            k, _ = _reference_random_triangle(cfg)
+            if k > _BLOCK + 1:
+                break
+        else:
+            pytest.fail("no seed accepted past the first block")
+        for budget in (k, k - 1):
+            cfg = GeneratorConfig(seed=seed, target=ProperName.SPATIOLATERAL,
+                                  u_max=6.0, max_attempts=budget)
+            assert _outcome(random_triangle, cfg) \
+                == _outcome(_reference_random_triangle, cfg)
+        assert _outcome(random_triangle, cfg)[0] is ExhaustedAttemptsError
+
+    @pytest.mark.parametrize("u_max", (2.0, 8.0))
+    def test_buildable_matches_per_attempt_loop(self, u_max):
+        for seed in range(24):
+            assert _outcome(random_buildable_triangle, seed, u_max) \
+                == _outcome(_reference_buildable, seed, u_max), seed
+
+    @pytest.mark.parametrize("u_max", (2.0, 6.0))
+    def test_prefilter_skips_only_rejects(self, u_max):
+        # 10000 draws, each classified once by the scalar body.
+        blocks = list(_attempt_blocks(np.random.default_rng(7), u_max, 10000))
+        us = np.concatenate([b[0] for b in blocks])
+        psis = np.concatenate([b[1] for b in blocks])
+        kinds = [_scalar_class([_chart_point(u, p) for u, p in zip(row_us, row_psis)])
+                 for row_us, row_psis in zip(us, psis)]
+        for target in TARGETS:
+            kept = _maybe_accepted(us, psis, target)
+            accepted = np.array([_accepts(kind, target) for kind in kinds])
+            assert accepted.any(), target
+            assert not np.any(accepted & ~kept), target
+            assert kept.mean() < 0.5, target
 
 
 class TestVerifyType:
