@@ -69,6 +69,7 @@ class AreaResult:
     real_area: float
     formula_used: GirardFormula
     distinguished_vertex: int
+    angles: AngleSet
 
 
 def _require_area_type(tri: DeSitterTriangle) -> ProperName:
@@ -92,14 +93,17 @@ def interior_angles(tri: DeSitterTriangle) -> AngleSet:
     return AngleSet(tuple(thetas), tuple(phis))
 
 
+def _angle_sum(angles: AngleSet) -> complex:
+    return sum(p.value for p in angles.phi) - math.pi
+
+
 def complex_area(tri: DeSitterTriangle) -> complex:
     """Angle sum minus pi; purely imaginary, imaginary part is the area."""
     name = _require_area_type(tri)
     if name is ProperName.SPATIOLATERAL and not is_contractible(tri):
         raise NonContractibleError(
             "a non-contractible triangle does not enclose an area patch")
-    angles = interior_angles(tri)
-    return sum(p.value for p in angles.phi) - math.pi
+    return _angle_sum(interior_angles(tri))
 
 
 def girard_area(tri: DeSitterTriangle) -> AreaResult:
@@ -117,12 +121,12 @@ def girard_area(tri: DeSitterTriangle) -> AreaResult:
         area = t1 + t2 + t3
     else:
         area = -t1 + t2 + t3
-    nabla = complex_area(tri)
+    nabla = _angle_sum(angles)
     if abs(nabla.real) > AREA_SHAPE_TOL or nabla.imag <= 0.0 \
             or abs(nabla.imag - area) > AREA_SHAPE_TOL:
         raise GeometryError(
             f"angle sum {nabla!r} inconsistent with signed area {area!r}")
-    return AreaResult(nabla, area, _FORMULA_BY_NAME[name], d)
+    return AreaResult(nabla, area, _FORMULA_BY_NAME[name], d, angles)
 
 
 def _acosh_at_least_one(x: float) -> float:
@@ -130,14 +134,19 @@ def _acosh_at_least_one(x: float) -> float:
     return math.acosh(max(x, 1.0))
 
 
+def _apex_products(tri: DeSitterTriangle) -> tuple[float, float, float]:
+    # Tangent products at the distinguished vertex d, then at k and l.
+    d = distinguished_vertex(tri)
+    k, l = _others(d)
+    return (mink_inner(tri.tangents[d, k], tri.tangents[d, l]),
+            mink_inner(tri.tangents[k, d], tri.tangents[k, l]),
+            mink_inner(tri.tangents[l, d], tri.tangents[l, k]))
+
+
 def girard_area_from_products(tri: DeSitterTriangle) -> float:
     """Area straight from tangent inner products, skipping angle extraction."""
     name = _require_area_type(tri)
-    d = distinguished_vertex(tri)
-    k, l = _others(d)
-    g1 = mink_inner(tri.tangents[d, k], tri.tangents[d, l])
-    g2 = mink_inner(tri.tangents[k, d], tri.tangents[k, l])
-    g3 = mink_inner(tri.tangents[l, d], tri.tangents[l, k])
+    g1, g2, g3 = _apex_products(tri)
     if name is ProperName.SPATIOLATERAL:
         return -_acosh_at_least_one(-g1) + _acosh_at_least_one(g2) + _acosh_at_least_one(g3)
     if name is ProperName.TEMPOLATERAL:

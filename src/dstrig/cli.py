@@ -6,9 +6,11 @@ Triangle documents are JSON objects:
 
 classify and area accept one document or one per line; random emits one
 document per line so its output pipes straight back in.  Exit codes:
-0 success, 2 invalid input or usage, 3 degenerate triangle, 4 area of a
-non-contractible triangle, 5 null or impossible edge where a traceable
-one is needed, 6 sampling budget exhausted.
+0 success, 1 verification failed or another geometry error, 2 invalid
+input or usage, 3 degenerate triangle, 4 area of a non-contractible
+triangle, 5 null or impossible edge where a traceable one is needed,
+6 sampling budget exhausted.  Codes 1 and 3-6 are the raised error's
+exit_code.
 """
 
 from __future__ import annotations
@@ -20,28 +22,16 @@ import sys
 
 import numpy as np
 
-from .areas import complex_area, girard_area, interior_angles
-from .errors import (
-    BoundaryCaseError,
-    CoincidentPointsError,
-    DegenerateFanError,
-    DegenerateTriangleError,
-    ExhaustedAttemptsError,
-    GeometryError,
-    ImpossibleEdgeError,
-    NonContractibleError,
-    NonConvergentError,
-    NotUnitError,
-    NullEdgeError,
-    UnsupportedKindError,
-    UnsupportedTriangleTypeError,
-)
-from .geodesics import DeSitterPoint, SegmentKind, classify_segment, geodesic_point
+from .areas import girard_area
+from .errors import GeometryError, NotUnitError, UnsupportedKindError
+from .geodesics import DeSitterPoint, SegmentKind, geodesic_point
 from .minkowski import mink_inner
 from .oracle import GeneratorConfig, integrate_area, random_triangle, verify_type
 from .triangles import (
     ProperName,
     TriangleKind,
+    _assemble,
+    _others,
     build_triangle,
     classify_triangle,
     polar_triangle,
@@ -53,10 +43,6 @@ SIGNATURE = "-++"
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_DEGENERATE = 3
-EXIT_NON_CONTRACTIBLE = 4
-EXIT_UNTRACEABLE = 5
-EXIT_EXHAUSTED = 6
 
 _TARGETS = {
     "spatiolateral": ProperName.SPATIOLATERAL,
@@ -146,15 +132,13 @@ def _triangle_document(points, metadata: dict | None = None) -> dict:
     return doc
 
 
-def _edge_report(points) -> list[dict]:
+def _edge_report(edges) -> list[dict]:
     report = []
-    for j in range(3):
-        k, l = (j + 1) % 3, (j + 2) % 3
-        seg = classify_segment(points[k], points[l])
+    for j, seg in enumerate(edges):
         entry = {
             "opposite_vertex": j,
-            "endpoints": [k, l],
-            "inner_product": mink_inner(points[k].v, points[l].v),
+            "endpoints": list(_others(j)),
+            "inner_product": mink_inner(seg.a.v, seg.b.v),
             "kind": seg.kind.value,
         }
         if seg.kind in (SegmentKind.ELLIPSE_PART, SegmentKind.HYPERBOLA_PART):
@@ -171,11 +155,11 @@ def _classify_report(points) -> dict:
         "edge_counts": list(kind.edge_counts),
         "proper_name": kind.proper_name.value,
         "contractible": kind.contractible,
-        "edges": _edge_report(points),
+        "edges": _edge_report(kind.edges),
     }
     if kind.kind is TriangleKind.PROPER_DE_SITTER \
             and kind.proper_name in _TARGETS.values():
-        tri = build_triangle(*points)
+        tri = _assemble(points, kind)
         polar = polar_triangle(tri)
         report["polar_triangle"] = {
             "vertices": [[float(x) for x in v] for v in polar.vertices],
@@ -201,8 +185,7 @@ def cmd_area(args) -> int:
         points = _document_points(doc)
         tri = build_triangle(*points)
         res = girard_area(tri)
-        angles = interior_angles(tri)
-        nabla = complex_area(tri)
+        angles, nabla = res.angles, res.complex_area
         report = {
             "schema": SCHEMA,
             "proper_name": triangle_name(tri).value,
@@ -276,8 +259,7 @@ def cmd_plot(args) -> int:
     if len(docs) != 1:
         raise DocumentError("plot expects exactly one document")
     points = _document_points(docs[0])
-    classify_triangle(*points)  # surfaces degenerate input first
-    segs = [classify_segment(points[(j + 1) % 3], points[(j + 2) % 3]) for j in range(3)]
+    segs = classify_triangle(*points).edges
     for seg in segs:
         if seg.kind not in _EDGE_STYLE:
             raise UnsupportedKindError(f"cannot trace a {seg.kind.value} edge")
@@ -384,22 +366,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DocumentError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DegenerateTriangleError, CoincidentPointsError, BoundaryCaseError) as exc:
+    except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except NonContractibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NON_CONTRACTIBLE
-    except (NullEdgeError, ImpossibleEdgeError, UnsupportedKindError,
-            UnsupportedTriangleTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNTRACEABLE
-    except ExhaustedAttemptsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
-    except (NonConvergentError, DegenerateFanError, GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 def entry() -> None:

@@ -2,7 +2,12 @@
 
 
 class GeometryError(Exception):
-    """Base class for every failure raised by this package."""
+    """Base class for every failure raised by this package.
+
+    exit_code is the status the dstrig command exits with on this error.
+    """
+
+    exit_code = 1
 
 
 class ZeroVectorError(GeometryError):
@@ -36,6 +41,8 @@ class NotSpaceLikePositionError(GeometryError):
 class CoincidentPointsError(GeometryError):
     """Two quadric points coincide (or are antipodal) within tolerance."""
 
+    exit_code = 3
+
 
 class NullTangentError(GeometryError):
     """The direction from one point toward another is null."""
@@ -44,17 +51,25 @@ class NullTangentError(GeometryError):
 class UnsupportedKindError(GeometryError):
     """The segment kind does not support the requested operation."""
 
+    exit_code = 5
+
 
 class DegenerateTriangleError(GeometryError):
     """Triangle vertices are coincident or lie on a single geodesic."""
+
+    exit_code = 3
 
 
 class ImpossibleEdgeError(GeometryError):
     """A vertex pair admits no connecting geodesic (<p,q> < -1)."""
 
+    exit_code = 5
+
 
 class NullEdgeError(GeometryError):
     """An edge is a null line; no triangle object is built for these."""
+
+    exit_code = 5
 
 
 class NotSpatiolateralError(GeometryError):
@@ -63,6 +78,8 @@ class NotSpatiolateralError(GeometryError):
 
 class BoundaryCaseError(GeometryError):
     """Edge-length sum sits inside the tolerance band at 2*pi."""
+
+    exit_code = 3
 
 
 class NoPolarTriangleError(GeometryError):
@@ -76,9 +93,13 @@ class NotApplicableError(GeometryError):
 class NonContractibleError(GeometryError):
     """A non-contractible three-space-like-edge triangle bounds no area."""
 
+    exit_code = 4
+
 
 class UnsupportedTriangleTypeError(GeometryError):
     """Area machinery covers only the four null-free triangle types."""
+
+    exit_code = 5
 
 
 class NonConvergentError(GeometryError):
@@ -91,3 +112,5 @@ class DegenerateFanError(GeometryError):
 
 class ExhaustedAttemptsError(GeometryError):
     """Rejection sampling hit the attempt budget without a match."""
+
+    exit_code = 6

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .areas import complex_area, girard_area, girard_area_from_products
+from .areas import _apex_products, girard_area, girard_area_from_products
 from .errors import (
     DegenerateFanError,
     ExhaustedAttemptsError,
@@ -27,13 +27,13 @@ from .errors import (
     NonConvergentError,
 )
 from .geodesics import DeSitterPoint, SegmentKind
-from .minkowski import NULL_EPS, UNIT_EPS, mink_inner
+from .minkowski import NULL_EPS, UNIT_EPS
 from .triangles import (
     DeSitterTriangle,
     ProperName,
     _AREA_TYPES,
     _NAME_TABLE,
-    _others,
+    _assemble,
     build_triangle,
     classify_triangle,
     distinguished_vertex,
@@ -59,6 +59,18 @@ class OracleResult:
     refinements: int
 
 
+# math.sinh and math.cosh overflow just above this rapidity.
+_MATH_RAPIDITY_LIMIT = 710.0
+
+
+def _check_u_max(u_max: float) -> None:
+    # Negated comparisons: nan fails the first test and inf the second.
+    if not u_max > 0:
+        raise ValueError(f"u_max must be positive, got {u_max!r}")
+    if not u_max <= _MATH_RAPIDITY_LIMIT:
+        raise ValueError(f"u_max must be at most {_MATH_RAPIDITY_LIMIT}, got {u_max!r}")
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     seed: int
@@ -67,8 +79,7 @@ class GeneratorConfig:
     max_attempts: int = 20000
 
     def __post_init__(self):
-        if not self.u_max > 0:
-            raise ValueError(f"u_max must be positive, got {self.u_max!r}")
+        _check_u_max(self.u_max)
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts!r}")
 
@@ -185,8 +196,6 @@ def _chart_point(u: float, psi: float) -> DeSitterPoint:
 
 # Sampler attempts are drawn and prefiltered this many at a time.
 _BLOCK = 64
-# math.sinh and math.cosh overflow just above this rapidity.
-_MATH_RAPIDITY_LIMIT = 710.0
 # Margin above 2*pi for an arccos edge sum to count as surely
 # non-contractible; it absorbs np.arccos's last-bit differences from
 # math.acos.
@@ -204,7 +213,6 @@ def _attempt_blocks(rng: np.random.Generator, u_max: float, max_attempts: int):
     rng.uniform(0, 2*pi, 3) drawn for that attempt alone.  The blocks
     hold max_attempts rows in all.
     """
-    rng.uniform(-u_max, u_max, 0)  # numpy's range check; draws nothing
     done = 0
     while done < max_attempts:
         m = min(_BLOCK, max_attempts - done)
@@ -227,7 +235,7 @@ def _maybe_accepted(us: np.ndarray, psis: np.ndarray, target: ProperName) -> np.
     scalar one.  Coincident or antipodal vertices are left to the
     scalar body: it rejects them whatever their name.
     """
-    u = np.where(np.abs(us) <= _MATH_RAPIDITY_LIMIT, us, np.nan).ravel().tolist()
+    u = us.ravel().tolist()
     psi = psis.ravel().tolist()
     ch = np.array(list(map(math.cosh, u)))
     pts = np.stack([
@@ -278,7 +286,7 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
                 continue
             if cfg.target is ProperName.SPATIOLATERAL and kind.contractible is not True:
                 continue
-            return build_triangle(*pts)
+            return _assemble(pts, kind)
     raise ExhaustedAttemptsError(
         f"no {cfg.target.value} triangle in {cfg.max_attempts} attempts")
 
@@ -286,6 +294,7 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
 def random_buildable_triangle(seed: int, u_max: float = 2.0,
                               max_attempts: int = 20000) -> DeSitterTriangle:
     """Any triangle of the four null-free types, seeded like random_triangle."""
+    _check_u_max(u_max)
     rng = np.random.default_rng(seed)
     for us, psis in _attempt_blocks(rng, u_max, max_attempts):
         for row_us, row_psis in zip(us, psis):
@@ -298,11 +307,7 @@ def random_buildable_triangle(seed: int, u_max: float = 2.0,
 
 
 def _structure_ok(tri: DeSitterTriangle, name: ProperName) -> tuple[bool, str]:
-    d = distinguished_vertex(tri)
-    k, l = _others(d)
-    g1 = mink_inner(tri.tangents[d, k], tri.tangents[d, l])
-    g2 = mink_inner(tri.tangents[k, d], tri.tangents[k, l])
-    g3 = mink_inner(tri.tangents[l, d], tri.tangents[l, k])
+    g1, g2, g3 = _apex_products(tri)
     if name is ProperName.SPATIOLATERAL:
         ok = g1 < -1.0 and g2 > 1.0 and g3 > 1.0
         return ok, f"product pattern {g1:.6g}, {g2:.6g}, {g3:.6g}"
@@ -358,7 +363,7 @@ def verify_type(target: ProperName, trials: int, seed: int,
 
         res = girard_area(tri)
         prod = girard_area_from_products(tri)
-        nabla = complex_area(tri)
+        nabla = res.complex_area
 
         resid = tangent_normal_residual(tri)
         worst["tangent_normal_residual"] = max(worst["tangent_normal_residual"], resid)

@@ -33,7 +33,7 @@ from .errors import (
     NotSpatiolateralError,
     NullEdgeError,
 )
-from .geodesics import DeSitterPoint, GeodesicSegment, SegmentKind, classify_segment, tangent_toward
+from .geodesics import DeSitterPoint, GeodesicSegment, SegmentKind, _proportional, classify_segment, tangent_toward
 from .minkowski import NULL_EPS, ZERO_EPS, CausalType, causal_type, lorentz_cross, lorentz_normalize, mink_inner
 
 # Near-orthogonal tangent/normal products leave a pairwise sign
@@ -93,6 +93,7 @@ class TriangleClass:
     edge_counts: tuple[int, int, int]
     proper_name: ProperName
     contractible: bool | None
+    edges: tuple[GeodesicSegment, GeodesicSegment, GeodesicSegment]
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,20 +117,9 @@ def _others(j: int) -> tuple[int, int]:
 def _check_distinct(points) -> None:
     for i in range(3):
         for j in range(i + 1, 3):
-            d_same = float(np.max(np.abs(points[i].v - points[j].v)))
-            d_anti = float(np.max(np.abs(points[i].v + points[j].v)))
-            if d_same < ZERO_EPS or d_anti < ZERO_EPS:
-                rel = "coincident" if d_same < d_anti else "antipodal"
-                raise DegenerateTriangleError(
-                    f"vertices {i + 1} and {j + 1} are {rel}")
-
-
-def _edge_segments(points) -> tuple[GeodesicSegment, ...]:
-    segs = []
-    for j in range(3):
-        k, l = _others(j)
-        segs.append(classify_segment(points[k], points[l]))
-    return tuple(segs)
+            how = _proportional(points[i], points[j])
+            if how is not None:
+                raise DegenerateTriangleError(f"vertices {i + 1} and {j + 1} are {how}")
 
 
 def _solve_normal_signs(raw: list[np.ndarray], tangents: np.ndarray) -> list[float]:
@@ -168,16 +158,17 @@ def build_triangle(p1: DeSitterPoint, p2: DeSitterPoint, p3: DeSitterPoint) -> D
     and collinear vertex triples are rejected.
     """
     points = (p1, p2, p3)
-    _check_distinct(points)
-    edges = _edge_segments(points)
-    for j, seg in enumerate(edges):
+    return _assemble(points, classify_triangle(*points))
+
+
+def _assemble(points, cls: TriangleClass) -> DeSitterTriangle:
+    # Tangents and normals for a vertex triple that classify_triangle
+    # has already checked for coincident, antipodal and collinear vertices.
+    for j, seg in enumerate(cls.edges):
         if seg.kind is SegmentKind.IMPOSSIBLE:
             raise ImpossibleEdgeError(f"edge opposite vertex {j + 1} admits no geodesic")
         if seg.kind is SegmentKind.NULL_LINE:
             raise NullEdgeError(f"edge opposite vertex {j + 1} is a null line")
-    det = float(np.linalg.det(np.stack([p.v for p in points])))
-    if abs(det) < ZERO_EPS:
-        raise DegenerateTriangleError("vertices lie on a single geodesic")
 
     tangents = np.zeros((3, 3, 3))
     for j in range(3):
@@ -204,7 +195,7 @@ def build_triangle(p1: DeSitterPoint, p2: DeSitterPoint, p3: DeSitterPoint) -> D
 
     tangents.setflags(write=False)
     normals.setflags(write=False)
-    return DeSitterTriangle(points, edges, tangents, normals)
+    return DeSitterTriangle(points, cls.edges, tangents, normals)
 
 
 def _counts(edges) -> tuple[int, int, int]:
@@ -232,17 +223,17 @@ def classify_triangle(p1: DeSitterPoint, p2: DeSitterPoint, p3: DeSitterPoint) -
     """
     points = (p1, p2, p3)
     _check_distinct(points)
-    edges = _edge_segments(points)
+    edges = tuple(classify_segment(points[k], points[l]) for k, l in map(_others, range(3)))
     i, j, k = _counts(edges)
     if any(e.kind is SegmentKind.IMPOSSIBLE for e in edges):
-        return TriangleClass(TriangleKind.IMPOSSIBLE, (i, j, k), ProperName.NONE, None)
+        return TriangleClass(TriangleKind.IMPOSSIBLE, (i, j, k), ProperName.NONE, None, edges)
     if k == 0:
         det = float(np.linalg.det(np.stack([p.v for p in points])))
         if abs(det) < ZERO_EPS:
             raise DegenerateTriangleError("vertices lie on a single geodesic")
     name = _NAME_TABLE[(i, j, k)]
     contractible = _contractibility(edges) if name is ProperName.SPATIOLATERAL else None
-    return TriangleClass(TriangleKind.PROPER_DE_SITTER, (i, j, k), name, contractible)
+    return TriangleClass(TriangleKind.PROPER_DE_SITTER, (i, j, k), name, contractible, edges)
 
 
 def triangle_name(tri: DeSitterTriangle) -> ProperName:

@@ -27,6 +27,14 @@ from dstrig.triangles import (
 seeds = st.integers(0, 10_000)
 
 
+def _assert_single_pass(tri, res):
+    # girard_area's angles and angle sum are the public functions' values.
+    angles = interior_angles(tri)
+    assert res.angles.theta == angles.theta
+    assert res.angles.phi == angles.phi
+    assert res.complex_area == complex_area(tri)
+
+
 class TestInteriorAngles:
     def test_branch_patterns(self, spatiolateral_points, tempolateral_points,
                              chorosceles_points, chronosceles_points):
@@ -119,6 +127,7 @@ class TestGirardArea:
             assert res.formula_used is formula
             assert res.distinguished_vertex == distinguished_vertex(tri)
             assert res.complex_area.imag == pytest.approx(res.real_area, abs=1e-12)
+            _assert_single_pass(tri, res)
 
     def test_signed_angle_sums(self, spatiolateral_points, tempolateral_points):
         # three space-like edges: area = -theta_d + theta_k + theta_l
@@ -178,5 +187,6 @@ class TestProductForm:
         if (triangle_name(tri) is ProperName.SPATIOLATERAL
                 and not is_contractible(tri)):
             return
-        assert girard_area_from_products(tri) == pytest.approx(
-            girard_area(tri).real_area, abs=1e-9)
+        res = girard_area(tri)
+        _assert_single_pass(tri, res)
+        assert girard_area_from_products(tri) == pytest.approx(res.real_area, abs=1e-9)

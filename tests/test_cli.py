@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+import dstrig.cli
+from dstrig import errors
 from dstrig.cli import build_parser, main
 from dstrig.oracle import GeneratorConfig, random_triangle
 from dstrig.triangles import ProperName, distinguished_vertex
@@ -128,6 +130,15 @@ class TestAreaCommand:
                              stdin=doc)
         assert code == 5
 
+    def test_impossible_edge_exit_5(self, capsys, monkeypatch):
+        doc = json.dumps({"schema": 1, "vertices": [
+            [0, 1, 0], [math.sinh(1), -math.cosh(1), 0], [0, 0, 1]]})
+        code, out, err = run_cli(capsys, monkeypatch, "area", "--input", "-",
+                                 stdin=doc)
+        assert code == 5
+        assert out == ""
+        assert err == "error: edge opposite vertex 3 admits no geodesic\n"
+
 
 class TestRandomCommand:
     def test_roundtrip(self, capsys, monkeypatch):
@@ -176,6 +187,15 @@ class TestRandomCommand:
         assert header.startswith("name,seed,type,p1_x0")
         assert row.startswith("spatiolateral-0,0,spatiolateral,")
 
+    @pytest.mark.parametrize("u_max", ["inf", "1e3", "nan", "0"])
+    def test_out_of_range_u_max_exit_2(self, capsys, monkeypatch, u_max):
+        code, out, err = run_cli(capsys, monkeypatch, "random", "--type",
+                                 "chorosceles", "--seed", "0", "--u-max", u_max)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: u_max must be ")
+        assert err.count("\n") == 1
+
     def test_exhausted_exit_6(self, capsys, monkeypatch):
         code, _, err = run_cli(capsys, monkeypatch, "random", "--type",
                                "spatiolateral", "--seed", "1",
@@ -203,6 +223,54 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--type", "all", "--trials", "0"])
         assert exc.value.code == 2
+
+
+# Exit status of every GeometryError subclass, as the module docstring lists it.
+EXIT_CODES = {
+    "GeometryError": 1,
+    "ZeroVectorError": 1,
+    "NotUnitError": 1,
+    "NullInputError": 1,
+    "NotTimeLikeError": 1,
+    "NullSpanError": 1,
+    "DegeneratePairError": 1,
+    "NotSpaceLikePositionError": 1,
+    "CoincidentPointsError": 3,
+    "NullTangentError": 1,
+    "UnsupportedKindError": 5,
+    "DegenerateTriangleError": 3,
+    "ImpossibleEdgeError": 5,
+    "NullEdgeError": 5,
+    "NotSpatiolateralError": 1,
+    "BoundaryCaseError": 3,
+    "NoPolarTriangleError": 1,
+    "NotApplicableError": 1,
+    "NonContractibleError": 4,
+    "UnsupportedTriangleTypeError": 5,
+    "NonConvergentError": 1,
+    "DegenerateFanError": 1,
+    "ExhaustedAttemptsError": 6,
+}
+
+
+class TestExitCodes:
+    def test_table_covers_every_error(self):
+        found = {name for name, obj in vars(errors).items()
+                 if isinstance(obj, type) and issubclass(obj, errors.GeometryError)}
+        assert found == set(EXIT_CODES)
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_main_exits_with_error_code(self, capsys, monkeypatch, name):
+        exc_type = getattr(errors, name)
+
+        def fail(path):
+            raise exc_type("boom")
+
+        monkeypatch.setattr(dstrig.cli, "_read_text", fail)
+        code, out, err = run_cli(capsys, monkeypatch, "classify", "--input", "-")
+        assert exc_type.exit_code == EXIT_CODES[name]
+        assert code == EXIT_CODES[name]
+        assert (out, err) == ("", "error: boom\n")
 
 
 class TestPlotCommand:

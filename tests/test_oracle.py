@@ -155,6 +155,13 @@ class TestGeneratorConfig:
             GeneratorConfig(seed=0, target=ProperName.SPATIOLATERAL,
                             max_attempts=0)
 
+    @pytest.mark.parametrize("u_max", [math.inf, math.nan, 1e3, 710.5, -1.0])
+    def test_u_max_out_of_range(self, u_max):
+        with pytest.raises(ValueError, match="^u_max must be "):
+            GeneratorConfig(seed=0, target=ProperName.SPATIOLATERAL, u_max=u_max)
+        with pytest.raises(ValueError, match="^u_max must be "):
+            random_buildable_triangle(0, u_max=u_max)
+
     def test_null_target_rejected(self):
         with pytest.raises(ValueError):
             random_triangle(GeneratorConfig(seed=0, target=ProperName.LUCILATERAL))

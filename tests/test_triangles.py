@@ -18,7 +18,7 @@ from dstrig.errors import (
     NotSpatiolateralError,
     NullEdgeError,
 )
-from dstrig.geodesics import DeSitterPoint, SegmentKind
+from dstrig.geodesics import DeSitterPoint, SegmentKind, classify_segment
 from dstrig.minkowski import CausalType, causal_type, mink_inner, random_lorentz, vec3
 from dstrig.oracle import random_buildable_triangle
 from dstrig.triangles import (
@@ -40,6 +40,14 @@ seeds = st.integers(0, 10_000)
 
 def _p(x0, x1, x2):
     return DeSitterPoint(vec3(x0, x1, x2))
+
+
+def _assert_edges_are_segments(cls, pts):
+    # The classification's edges are what classify_segment gives each pair.
+    for j, seg in enumerate(cls.edges):
+        ref = classify_segment(pts[(j + 1) % 3], pts[(j + 2) % 3])
+        assert (seg.a, seg.b, seg.kind, seg.separation) \
+            == (ref.a, ref.b, ref.kind, ref.separation)
 
 
 class TestBuild:
@@ -76,28 +84,37 @@ class TestBuild:
 
     def test_coincident_rejected(self, spatiolateral_points):
         p1, p2, _ = spatiolateral_points
-        with pytest.raises(DegenerateTriangleError):
+        with pytest.raises(DegenerateTriangleError, match="^vertices 1 and 3 are coincident$"):
             build_triangle(p1, p2, DeSitterPoint(p1.v.copy()))
 
     def test_antipodal_rejected(self, spatiolateral_points):
         p1, p2, _ = spatiolateral_points
-        with pytest.raises(DegenerateTriangleError):
+        with pytest.raises(DegenerateTriangleError, match="^vertices 1 and 3 are antipodal$"):
             build_triangle(p1, p2, DeSitterPoint(-p1.v))
 
     def test_collinear_rejected(self):
         # three points on the x0 = 0 equator lie on one geodesic
-        with pytest.raises(DegenerateTriangleError):
+        with pytest.raises(DegenerateTriangleError,
+                           match="^vertices lie on a single geodesic$"):
             build_triangle(chart_point(0, 0.1), chart_point(0, 1.0),
                            chart_point(0, 2.0))
 
     def test_impossible_edge_rejected(self):
         p3 = _p(math.sqrt(3), -2, 0)  # product with (0,1,0) is -2
-        with pytest.raises(ImpossibleEdgeError):
+        with pytest.raises(ImpossibleEdgeError,
+                           match="^edge opposite vertex 1 admits no geodesic$"):
             build_triangle(_p(0, 1, 0), chart_point(0.3, 0.4), p3)
+        # edges are checked in order: edges 1 and 2 impossible, edge 3 null
+        with pytest.raises(ImpossibleEdgeError,
+                           match="^edge opposite vertex 1 admits no geodesic$"):
+            build_triangle(_p(0, 1, 0), _p(1, 1, 1), _p(math.sinh(1), -math.cosh(1), 0))
 
     def test_null_edge_rejected(self):
-        with pytest.raises(NullEdgeError):
+        with pytest.raises(NullEdgeError, match="^edge opposite vertex 3 is a null line$"):
             build_triangle(_p(0, 1, 0), _p(1, 1, 1), chart_point(0.3, 2.0))
+        # edge 1 null, edges 2 and 3 impossible
+        with pytest.raises(NullEdgeError, match="^edge opposite vertex 1 is a null line$"):
+            build_triangle(_p(math.sinh(1), -math.cosh(1), 0), _p(0, 1, 0), _p(1, 1, 1))
 
 
 class TestIdentity:
@@ -135,6 +152,7 @@ class TestClassify:
             assert cls.edge_counts == counts
             assert cls.proper_name is name
             assert cls.contractible is contractible
+            _assert_edges_are_segments(cls, pts)
 
     def test_null_edge_families(self):
         # hand-built triples covering every named type with a light-like edge
@@ -160,12 +178,14 @@ class TestClassify:
             assert cls.edge_counts == counts, name
             assert cls.proper_name is name
             assert cls.contractible is None
+            _assert_edges_are_segments(cls, pts)
 
     def test_impossible(self):
-        cls = classify_triangle(_p(0, 1, 0), chart_point(0.3, 0.4),
-                                _p(math.sqrt(3), -2, 0))
+        pts = (_p(0, 1, 0), chart_point(0.3, 0.4), _p(math.sqrt(3), -2, 0))
+        cls = classify_triangle(*pts)
         assert cls.kind is TriangleKind.IMPOSSIBLE
         assert cls.proper_name is ProperName.NONE
+        _assert_edges_are_segments(cls, pts)
 
     def test_counts_sum_to_three(self, chorosceles_points):
         cls = classify_triangle(*chorosceles_points)
@@ -177,6 +197,7 @@ class TestClassify:
         tri = random_buildable_triangle(seed)
         base = classify_triangle(*tri.points)
         shuffled = classify_triangle(*(tri.points[i] for i in perm))
+        _assert_edges_are_segments(shuffled, [tri.points[i] for i in perm])
         assert shuffled.proper_name is base.proper_name
         assert shuffled.edge_counts == base.edge_counts
         assert shuffled.contractible == base.contractible
