@@ -40,7 +40,8 @@ class DeSitterPoint:
     def __post_init__(self):
         v = as_vec3(self.v).copy()
         q = mink_inner(v, v)
-        if abs(q - 1.0) > UNIT_EPS:
+        # Negated so that a nan <v,v> (overflow of a huge vertex) fails too.
+        if not abs(q - 1.0) <= UNIT_EPS:
             raise NotUnitError(f"point off the quadric: <v,v> = {q!r}")
         v.setflags(write=False)
         object.__setattr__(self, "v", v)

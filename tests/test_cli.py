@@ -1,7 +1,10 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +83,16 @@ class TestClassifyCommand:
                                stdin=doc)
         assert code == 2
         assert "row 2" in err
+
+    def test_overflowing_vertex_is_off_quadric(self, capsys, monkeypatch):
+        doc = json.dumps({"schema": 1, "vertices": [[1e200, 1e200, 1e200],
+                                                    [0, 1, 0], [0, 0, 1]]})
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(capsys, monkeypatch, "classify", "--input", "-",
+                                     stdin=doc)
+        assert code == 2
+        assert out == ""
+        assert "row 1 is off the quadric" in err
 
     def test_coincident_exit_3(self, capsys, monkeypatch):
         doc = json.dumps({"schema": 1,
@@ -300,3 +313,15 @@ class TestPlotCommand:
                                "--out", "-", stdin=chorosceles_doc)
         assert code == 0
         assert out.startswith("<svg")
+
+
+class TestModuleEntry:
+    def test_python_m_dstrig_from_checkout(self, chorosceles_doc):
+        # Only the source tree on the path, as in a fresh checkout.
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dstrig", "classify", "--input", "-"],
+            input=chorosceles_doc, capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["proper_name"] == "chorosceles"

@@ -41,6 +41,12 @@ class TestDeSitterPoint:
         with pytest.raises(NotUnitError):
             DeSitterPoint(vec3(1, 0, 0))
 
+    def test_rejects_overflowing_norm(self):
+        # <v,v> overflows to nan, which must not pass as 1.
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NotUnitError, match="nan"):
+            DeSitterPoint(vec3(1e200, 1e200, 1e200))
+
     def test_array_is_read_only(self):
         p = DeSitterPoint(vec3(0, 1, 0))
         with pytest.raises(ValueError):
