@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import GeometryError, NonContractibleError, UnsupportedTriangleTypeError
-from .minkowski import PseudoAngle, mink_inner, pseudo_angle, real_angle
+from .minkowski import PseudoAngle, _checked_angle, _span_theta, mink_inner
 from .triangles import (
     DeSitterTriangle,
     ProperName,
@@ -47,11 +47,12 @@ class GirardFormula(Enum):
     CHRONOSCELES = "Thm10"
 
 
-_FORMULA_BY_NAME = {
-    ProperName.SPATIOLATERAL: GirardFormula.SPATIOLATERAL,
-    ProperName.TEMPOLATERAL: GirardFormula.TEMPOLATERAL,
-    ProperName.CHOROSCELES: GirardFormula.CHOROSCELES,
-    ProperName.CHRONOSCELES: GirardFormula.CHRONOSCELES,
+# Each type's rule and the signs of t1, t2, t3 in its signed angle sum.
+_FORMULAS = {
+    ProperName.SPATIOLATERAL: (GirardFormula.SPATIOLATERAL, (-1.0, 1.0, 1.0)),
+    ProperName.TEMPOLATERAL: (GirardFormula.TEMPOLATERAL, (1.0, -1.0, -1.0)),
+    ProperName.CHOROSCELES: (GirardFormula.CHOROSCELES, (1.0, 1.0, 1.0)),
+    ProperName.CHRONOSCELES: (GirardFormula.CHRONOSCELES, (-1.0, 1.0, 1.0)),
 }
 
 
@@ -86,10 +87,9 @@ def interior_angles(tri: DeSitterTriangle) -> AngleSet:
     phis = []
     for j in range(3):
         k, l = _others(j)
-        u = tri.tangents[j, k]
-        v = tri.tangents[j, l]
-        phis.append(pseudo_angle(u, v))
-        thetas.append(real_angle(u, v))
+        phi, g = _checked_angle(tri.tangents[j, k], tri.tangents[j, l], "pseudo angle")
+        phis.append(phi)
+        thetas.append(_span_theta(phi, g))
     return AngleSet(tuple(thetas), tuple(phis))
 
 
@@ -112,21 +112,14 @@ def girard_area(tri: DeSitterTriangle) -> AreaResult:
     d = distinguished_vertex(tri)
     k, l = _others(d)
     angles = interior_angles(tri)
-    t1, t2, t3 = angles.theta[d], angles.theta[k], angles.theta[l]
-    if name is ProperName.SPATIOLATERAL:
-        area = -t1 + t2 + t3
-    elif name is ProperName.TEMPOLATERAL:
-        area = t1 - t2 - t3
-    elif name is ProperName.CHOROSCELES:
-        area = t1 + t2 + t3
-    else:
-        area = -t1 + t2 + t3
+    formula, (s1, s2, s3) = _FORMULAS[name]
+    area = s1 * angles.theta[d] + s2 * angles.theta[k] + s3 * angles.theta[l]
     nabla = _angle_sum(angles)
     if abs(nabla.real) > AREA_SHAPE_TOL or nabla.imag <= 0.0 \
             or abs(nabla.imag - area) > AREA_SHAPE_TOL:
         raise GeometryError(
             f"angle sum {nabla!r} inconsistent with signed area {area!r}")
-    return AreaResult(nabla, area, _FORMULA_BY_NAME[name], d, angles)
+    return AreaResult(nabla, area, formula, d, angles)
 
 
 def _acosh_at_least_one(x: float) -> float:

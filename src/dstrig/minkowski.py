@@ -104,7 +104,9 @@ def as_vec3(value) -> np.ndarray:
 
 def mink_inner(u, v) -> float:
     """Bilinear form -u0*v0 + u1*v1 + u2*v2."""
-    return float(-u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
+    # In Python floats, an overflow gives inf or nan without a numpy warning.
+    return (-float(u[0]) * float(v[0]) + float(u[1]) * float(v[1])
+            + float(u[2]) * float(v[2]))
 
 
 def causal_type(u) -> CausalType:
@@ -138,7 +140,8 @@ def lorentz_normalize(u) -> np.ndarray:
 
 
 def _require_unit(u, q, label: str) -> None:
-    if abs(abs(q) - 1.0) > UNIT_EPS:
+    # Negated so that a nan <v,v> (overflow of a huge vector) fails too.
+    if not abs(abs(q) - 1.0) <= UNIT_EPS:
         raise NotUnitError(f"{label} has <v,v> = {q!r}, expected magnitude 1")
 
 
@@ -150,39 +153,61 @@ def same_time_cone(u, v) -> bool:
     return mink_inner(u, v) < 0.0
 
 
+def _checked_angle(u, v, what: str) -> tuple[PseudoAngle, float]:
+    """The complex angle between unit non-null vectors, and <u,v>.
+
+    The one front end of pseudo_angle, real_angle and interior_angles:
+    it checks both vectors and holds the six-branch table.  what names
+    the caller in the null-input message.
+    """
+    for w in (u, v):
+        if max(abs(w[0]), abs(w[1]), abs(w[2])) < ZERO_EPS:
+            raise ZeroVectorError("causal type of the zero vector is undefined")
+    qu = mink_inner(u, u)
+    qv = mink_inner(v, v)
+    # A nan <v,v> is not null: the unit check rejects it.
+    if abs(qu) <= NULL_EPS or abs(qv) <= NULL_EPS:
+        raise NullInputError(f"{what} requires non-null vectors")
+    _require_unit(u, qu, "u")
+    _require_unit(v, qv, "v")
+    g = mink_inner(u, v)
+
+    if qu > 0.0 and qv > 0.0:
+        if g > 1.0:
+            value, branch = complex(0.0, math.acosh(g)), AngleBranch.PURE_IMAG
+        elif g < -1.0:
+            value, branch = complex(math.pi, -math.acosh(-g)), AngleBranch.PI_MINUS_IMAG
+        else:
+            value, branch = complex(math.acos(g), 0.0), AngleBranch.REAL_SECTOR
+    elif qu < 0.0 and qv < 0.0:
+        if g < 0.0:
+            value, branch = complex(0.0, -math.acosh(max(-g, 1.0))), AngleBranch.NEG_IMAG
+        else:
+            value, branch = complex(math.pi, math.acosh(max(g, 1.0))), AngleBranch.PI_PLUS_IMAG
+    else:
+        value, branch = complex(math.pi / 2.0, math.asinh(g)), AngleBranch.HALF_PI_PLUS_IMAG
+    return PseudoAngle(value, branch), g
+
+
+def _span_theta(phi: PseudoAngle, g: float) -> float:
+    """phi.theta, once the plane the pair spans is known not to be null."""
+    # A mixed pair always spans a time-like plane.
+    if phi.branch is not AngleBranch.HALF_PI_PLUS_IMAG:
+        if abs(abs(g) - 1.0) <= NULL_EPS:
+            raise NullSpanError(f"span is null within tolerance: <u,v> = {g!r}")
+        if abs(g) < 1.0 and phi.branch is not AngleBranch.REAL_SECTOR:
+            # Unit time-like pairs always satisfy abs(<u,v>) >= 1.
+            raise NullSpanError(f"time-like pair with <u,v> = {g!r}")
+    return phi.theta
+
+
 def pseudo_angle(u, v) -> PseudoAngle:
     """Complex angle between unit non-null vectors, branch tracked.
 
     Defined through cos(angle) = <u,v> / (pseudo_norm(u) * pseudo_norm(v));
     the branch resolves which complex arc cosine is meant.
     """
-    qu = mink_inner(u, u)
-    qv = mink_inner(v, v)
-    tu = causal_type(u)
-    tv = causal_type(v)
-    if CausalType.NULL in (tu, tv):
-        raise NullInputError("pseudo angle requires non-null vectors")
-    _require_unit(u, qu, "u")
-    _require_unit(v, qv, "v")
-    g = mink_inner(u, v)
-
-    if tu is CausalType.SPACE_LIKE and tv is CausalType.SPACE_LIKE:
-        if g > 1.0:
-            return PseudoAngle(complex(0.0, math.acosh(g)), AngleBranch.PURE_IMAG)
-        if g < -1.0:
-            return PseudoAngle(complex(math.pi, -math.acosh(-g)),
-                               AngleBranch.PI_MINUS_IMAG)
-        return PseudoAngle(complex(math.acos(g), 0.0), AngleBranch.REAL_SECTOR)
-
-    if tu is CausalType.TIME_LIKE and tv is CausalType.TIME_LIKE:
-        if g < 0.0:
-            t = math.acosh(max(-g, 1.0))
-            return PseudoAngle(complex(0.0, -t), AngleBranch.NEG_IMAG)
-        t = math.acosh(max(g, 1.0))
-        return PseudoAngle(complex(math.pi, t), AngleBranch.PI_PLUS_IMAG)
-
-    return PseudoAngle(complex(math.pi / 2.0, math.asinh(g)),
-                       AngleBranch.HALF_PI_PLUS_IMAG)
+    return _checked_angle(u, v, "pseudo angle")[0]
 
 
 def real_angle(u, v) -> float:
@@ -191,27 +216,7 @@ def real_angle(u, v) -> float:
     Circular arc cosine when the spanned plane is space-like, hyperbolic
     functions when it is time-like.  Signed only in the mixed case.
     """
-    qu = mink_inner(u, u)
-    qv = mink_inner(v, v)
-    tu = causal_type(u)
-    tv = causal_type(v)
-    if CausalType.NULL in (tu, tv):
-        raise NullInputError("real angle requires non-null vectors")
-    _require_unit(u, qu, "u")
-    _require_unit(v, qv, "v")
-    g = mink_inner(u, v)
-
-    if tu is not tv:
-        # Mixed pair: the span is always time-like and never degenerate.
-        return math.asinh(g)
-    if abs(abs(g) - 1.0) <= NULL_EPS:
-        raise NullSpanError(f"span is null within tolerance: <u,v> = {g!r}")
-    if abs(g) < 1.0:
-        if tu is CausalType.TIME_LIKE:
-            # Unit time-like pairs always satisfy abs(<u,v>) >= 1.
-            raise NullSpanError(f"time-like pair with <u,v> = {g!r}")
-        return math.acos(g)
-    return math.acosh(abs(g))
+    return _span_theta(*_checked_angle(u, v, "real angle"))
 
 
 def lorentz_cross(u, v) -> np.ndarray:

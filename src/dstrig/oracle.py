@@ -41,7 +41,6 @@ from .triangles import (
     _AREA_TYPES,
     _NAME_TABLE,
     _assemble,
-    build_triangle,
     classify_triangle,
     distinguished_vertex,
     tangent_normal_residual,
@@ -70,29 +69,22 @@ class OracleResult:
 _MATH_RAPIDITY_LIMIT = 710.0
 
 
-def _check_u_max(u_max: float) -> None:
-    # Negated comparisons: nan fails the first test and inf the second.
-    if not u_max > 0:
-        raise ValueError(f"u_max must be positive, got {u_max!r}")
-    if not u_max <= _MATH_RAPIDITY_LIMIT:
-        raise ValueError(f"u_max must be at most {_MATH_RAPIDITY_LIMIT}, got {u_max!r}")
-
-
-def _check_max_attempts(max_attempts: int) -> None:
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts!r}")
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     seed: int
-    target: ProperName
+    target: ProperName | None  # None: any of the four null-free types
     u_max: float = 2.0
     max_attempts: int = 20000
 
     def __post_init__(self):
-        _check_u_max(self.u_max)
-        _check_max_attempts(self.max_attempts)
+        # Negated comparisons: nan fails the first test and inf the second.
+        if not self.u_max > 0:
+            raise ValueError(f"u_max must be positive, got {self.u_max!r}")
+        if not self.u_max <= _MATH_RAPIDITY_LIMIT:
+            raise ValueError(
+                f"u_max must be at most {_MATH_RAPIDITY_LIMIT}, got {self.u_max!r}")
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts!r}")
 
 
 def _rows_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -251,11 +243,13 @@ def _attempt_blocks(rng: np.random.Generator, u_max: float, max_attempts: int):
 
 # Overflow at huge rapidity only yields non-finite rows, which stay True.
 @np.errstate(over="ignore", invalid="ignore")
-def _maybe_accepted(us: np.ndarray, psis: np.ndarray, target: ProperName) -> np.ndarray:
+def _maybe_accepted(us: np.ndarray, psis: np.ndarray,
+                    target: ProperName | None) -> np.ndarray:
     """Mask of a block's attempts that random_triangle's test may accept.
 
     False only where that test surely rejects: a name other than the
-    target, or (spatiolateral) an edge-length sum clearly above 2*pi.
+    target (None: other than the four null-free types), or
+    (spatiolateral) an edge-length sum clearly above 2*pi.
     Attempts whose points would raise (off the quadric, non-finite)
     stay True, so the scalar body raises as before.  Coordinates come
     from the math calls _chart_point makes and inner products keep
@@ -277,11 +271,19 @@ def _maybe_accepted(us: np.ndarray, psis: np.ndarray, target: ProperName) -> np.
     null = np.abs(c - 1.0) <= NULL_EPS
     hyp = (c > 1.0) & ~null
     ell = (c > -1.0 + NULL_EPS) & ~hyp & ~null
-    named = (ell + 4 * hyp + 16 * null).sum(axis=1) == _EDGE_CODES[target]
+    codes = [_EDGE_CODES[name] for name in (_AREA_TYPES if target is None else (target,))]
+    named = ((ell + 4 * hyp + 16 * null).sum(axis=1)[:, None] == codes).any(axis=1)
     if target is ProperName.SPATIOLATERAL:
         total = np.arccos(np.clip(c, -1.0, 1.0)).sum(axis=1)
         named &= ~(total > 2.0 * math.pi + _CONTRACTIBLE_MARGIN)
     return ~on_quadric | named
+
+
+def _accepts(kind, target: ProperName | None) -> bool:
+    if target is None:
+        return kind.proper_name in _AREA_TYPES
+    return kind.proper_name is target and (
+        target is not ProperName.SPATIOLATERAL or kind.contractible is True)
 
 
 def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
@@ -290,7 +292,9 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
     Vertices come from the chart (sinh u, cosh u cos psi, cosh u sin psi)
     with u uniform on [-u_max, u_max] and psi uniform on [0, 2*pi).  A
     draw is kept when it classifies as the target (for three space-like
-    edges: contractible as well).  Identical seeds give identical output.
+    edges: contractible as well).  target None keeps the first draw of
+    any of the four null-free types, contractible or not, from the same
+    seed stream.  Identical seeds give identical output.
 
     Seed stream: attempt i is row i of rng.random((m, 6)) from
     default_rng(seed), drawn in blocks of m rows, mapped by
@@ -300,7 +304,7 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
     sure rejects; every other attempt, in order, goes through the
     scalar classify-and-test body, which alone accepts or raises.
     """
-    if cfg.target not in _AREA_TYPES:
+    if cfg.target is not None and cfg.target not in _AREA_TYPES:
         raise ValueError(f"unsupported generation target: {cfg.target!r}")
     rng = np.random.default_rng(cfg.seed)
     for us, psis in _attempt_blocks(rng, cfg.u_max, cfg.max_attempts):
@@ -310,29 +314,16 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
                 kind = classify_triangle(*pts)
             except GeometryError:
                 continue
-            if kind.proper_name is not cfg.target:
-                continue
-            if cfg.target is ProperName.SPATIOLATERAL and kind.contractible is not True:
-                continue
-            return _assemble(pts, kind)
-    raise ExhaustedAttemptsError(
-        f"no {cfg.target.value} triangle in {cfg.max_attempts} attempts")
+            if _accepts(kind, cfg.target):
+                return _assemble(pts, kind)
+    what = "buildable" if cfg.target is None else cfg.target.value
+    raise ExhaustedAttemptsError(f"no {what} triangle in {cfg.max_attempts} attempts")
 
 
 def random_buildable_triangle(seed: int, u_max: float = 2.0,
                               max_attempts: int = 20000) -> DeSitterTriangle:
-    """Any triangle of the four null-free types, seeded like random_triangle."""
-    _check_u_max(u_max)
-    _check_max_attempts(max_attempts)
-    rng = np.random.default_rng(seed)
-    for us, psis in _attempt_blocks(rng, u_max, max_attempts):
-        for row_us, row_psis in zip(us, psis):
-            pts = tuple(_chart_point(u, p) for u, p in zip(row_us, row_psis))
-            try:
-                return build_triangle(*pts)
-            except GeometryError:
-                continue
-    raise ExhaustedAttemptsError(f"no buildable triangle in {max_attempts} attempts")
+    """Any triangle of the four null-free types: random_triangle, target None."""
+    return random_triangle(GeneratorConfig(seed, None, u_max, max_attempts))
 
 
 def _structure_ok(tri: DeSitterTriangle, name: ProperName) -> tuple[bool, str]:

@@ -87,12 +87,11 @@ class TestClassifyCommand:
     def test_overflowing_vertex_is_off_quadric(self, capsys, monkeypatch):
         doc = json.dumps({"schema": 1, "vertices": [[1e200, 1e200, 1e200],
                                                     [0, 1, 0], [0, 0, 1]]})
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run_cli(capsys, monkeypatch, "classify", "--input", "-",
-                                     stdin=doc)
+        code, out, err = run_cli(capsys, monkeypatch, "classify", "--input", "-",
+                                 stdin=doc)
         assert code == 2
         assert out == ""
-        assert "row 1 is off the quadric" in err
+        assert err == "error: vertex row 1 is off the quadric: <v,v> = nan\n"
 
     def test_coincident_exit_3(self, capsys, monkeypatch):
         doc = json.dumps({"schema": 1,

@@ -40,6 +40,56 @@ def nonnull_vectors(min_q=1e-3):
     return vectors.filter(lambda v: abs(mink_inner(v, v)) > min_q)
 
 
+def _reference_real_angle(u, v):
+    """real_angle as it was before it shared pseudo_angle's front end."""
+    qu = mink_inner(u, u)
+    qv = mink_inner(v, v)
+    tu = causal_type(u)
+    tv = causal_type(v)
+    if CausalType.NULL in (tu, tv):
+        raise NullInputError("real angle requires non-null vectors")
+    for label, q in (("u", qu), ("v", qv)):
+        if abs(abs(q) - 1.0) > 1e-9:
+            raise NotUnitError(f"{label} has <v,v> = {q!r}, expected magnitude 1")
+    g = mink_inner(u, v)
+    if tu is not tv:
+        return math.asinh(g)
+    if abs(abs(g) - 1.0) <= 1e-9:
+        raise NullSpanError(f"span is null within tolerance: <u,v> = {g!r}")
+    if abs(g) < 1.0:
+        if tu is CausalType.TIME_LIKE:
+            raise NullSpanError(f"time-like pair with <u,v> = {g!r}")
+        return math.acos(g)
+    return math.acosh(abs(g))
+
+
+def _outcome(fn, u, v):
+    """The result's bits, or the exception type and message."""
+    try:
+        return "ok", float.hex(fn(u, v))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _band_pairs():
+    # Pairs whose <u,v> is exactly g, at and around the null span bands.
+    pairs = []
+    for g in (1.0, -1.0, 1.0 + 2e-9, 1.0 - 2e-9, -1.0 + 2e-9, -1.0 - 2e-9,
+              1.0 + 5e-10, -1.0 - 5e-10, 0.999999, -0.999999, 1.000001, -1.000001):
+        # space-like pair: u = e1, v = (1, g, sqrt(2 - g^2)) has <v,v> ~ 1
+        pairs.append((vec3(0, 1, 0), vec3(1, g, math.sqrt(2.0 - g * g))))
+        # time-like pair: u = e0, v = (-g, 0, 0); unit only near |g| = 1
+        pairs.append((vec3(1, 0, 0), vec3(-g, 0, 0)))
+        # mixed pair: u = e1, v = (sqrt(1 + g^2), g, 0)
+        pairs.append((vec3(0, 1, 0), vec3(math.sqrt(1.0 + g * g), g, 0)))
+    # time-like pairs with |<u,v>| < 1: off the unit band or inside the
+    # null band, never a real angle
+    for c in (1.0 - 4e-10, 1.0 - 2e-9, 0.5):
+        pairs.append((vec3(1, 0, 0), vec3(c, 0, 0)))
+        pairs.append((vec3(-1, 0, 0), vec3(c, 0, 0)))
+    return pairs
+
+
 class TestInner:
     def test_signature(self):
         assert mink_inner(vec3(1, 0, 0), vec3(1, 0, 0)) == -1.0
@@ -163,6 +213,23 @@ class TestPseudoAngle:
         with pytest.raises(NotUnitError):
             pseudo_angle(vec3(0, 2, 0), vec3(0, 1, 0))
 
+    @pytest.mark.parametrize("fn", (pseudo_angle, real_angle))
+    def test_overflowing_norm_is_not_unit(self, fn):
+        # <u,u> overflows to nan, which is off the unit band, not null.
+        big, unit = vec3(1e200, 1e200, 1e200), vec3(0, 1, 0)
+        with pytest.raises(NotUnitError, match=r"^u has <v,v> = nan, expected magnitude 1$"):
+            fn(big, unit)
+        with pytest.raises(NotUnitError, match=r"^v has <v,v> = nan, expected magnitude 1$"):
+            fn(unit, big)
+
+    @pytest.mark.parametrize("fn", (pseudo_angle, real_angle))
+    def test_null_input_message(self, fn):
+        name = fn.__name__.replace("_", " ")
+        with pytest.raises(NullInputError, match=f"^{name} requires non-null vectors$"):
+            fn(vec3(1, 1, 0), vec3(0, 1, 0))
+        with pytest.raises(ZeroVectorError):
+            fn(vec3(0, 1, 0), vec3(0, 0, 0))
+
     @given(u=nonnull_vectors(), v=nonnull_vectors())
     @settings(max_examples=200)
     def test_cosine_identity(self, u, v):
@@ -204,6 +271,31 @@ class TestRealAngle:
         u = vec3(0, 1, 0)
         with pytest.raises(NullSpanError):
             real_angle(u, u)
+
+
+class TestRealAngleReference:
+    """real_angle against its own branch ladder as it stood before."""
+
+    @given(u=nonnull_vectors(), v=nonnull_vectors())
+    @settings(max_examples=300)
+    def test_unit_pairs_bit_identical(self, u, v):
+        u, v = lorentz_normalize(u), lorentz_normalize(v)
+        assert _outcome(real_angle, u, v) == _outcome(_reference_real_angle, u, v)
+
+    @given(u=vectors, v=vectors)
+    @settings(max_examples=200)
+    def test_raw_pairs_same_outcome(self, u, v):
+        # Mostly off the unit band: the checks must fire in the same order.
+        assert _outcome(real_angle, u, v) == _outcome(_reference_real_angle, u, v)
+
+    def test_band_pairs(self):
+        outcomes = set()
+        for u, v in _band_pairs():
+            for a, b in ((u, v), (v, u)):
+                got = _outcome(real_angle, a, b)
+                assert got == _outcome(_reference_real_angle, a, b), (a, b)
+                outcomes.add(got[0])
+        assert {"ok", NullSpanError, NotUnitError} <= outcomes
 
 
 class TestLorentzCross:

@@ -399,6 +399,44 @@ class TestBlockSampler:
             assert kept.mean() < 0.5, target
 
 
+class TestAnyTarget:
+    """target None: the first draw of any null-free type, as buildable."""
+
+    @staticmethod
+    def _reference(seed, u_max, max_attempts):
+        for pts in _per_attempt_draws(seed, u_max, max_attempts):
+            try:
+                return build_triangle(*pts)
+            except GeometryError:
+                continue
+        raise ExhaustedAttemptsError(f"no buildable triangle in {max_attempts} attempts")
+
+    @pytest.mark.parametrize("max_attempts", (1, 2, 65))
+    def test_matches_per_attempt_loop(self, max_attempts):
+        outcomes = set()
+        for seed in range(24):
+            cfg = GeneratorConfig(seed=seed, target=None, u_max=6.0,
+                                  max_attempts=max_attempts)
+            got = _outcome(random_triangle, cfg)
+            assert got == _outcome(self._reference, seed, 6.0, max_attempts), seed
+            assert got == _outcome(random_buildable_triangle, seed, 6.0, max_attempts)
+            outcomes.add(got[0])
+        assert "ok" in outcomes
+        if max_attempts == 1:
+            assert ExhaustedAttemptsError in outcomes
+
+    def test_prefilter_skips_only_unbuildable(self):
+        blocks = list(_attempt_blocks(np.random.default_rng(11), 6.0, 4000))
+        us = np.concatenate([b[0] for b in blocks])
+        psis = np.concatenate([b[1] for b in blocks])
+        kept = _maybe_accepted(us, psis, None)
+        built = np.array([_outcome(build_triangle, *map(_chart_point, row_us, row_psis))[0]
+                          == "ok" for row_us, row_psis in zip(us, psis)])
+        assert built.any()
+        assert not np.any(built & ~kept)
+        assert kept.mean() < 0.5
+
+
 class TestVerifyType:
     def test_report_shape_and_pass(self):
         rep = verify_type(ProperName.TEMPOLATERAL, trials=3, seed=9)
