@@ -324,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("area", help="closed-form area with optional numeric check")
     p.add_argument("--input", required=True, help="JSON document path, or - for stdin")
     p.add_argument("--oracle", action="store_true", help="also integrate numerically")
-    p.add_argument("--grid", type=_positive_int, default=64, help="oracle base grid")
+    p.add_argument("--grid", type=_positive_int, default=64,
+                   help="oracle resolution n >= 8: n // 8 starting panels per edge")
     p.set_defaults(func=cmd_area)
 
     p = sub.add_parser("random", help="emit seeded random triangle documents")
@@ -340,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", default="all", choices=sorted(_TARGETS) + ["all"])
     p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", type=_positive_int, default=64)
+    p.add_argument("--grid", type=_positive_int, default=64,
+                   help="oracle resolution n >= 8: n // 8 starting panels per edge")
     p.add_argument("--corrupt-normals", action="store_true",
                    help="test hook: perturb normals so identity checks fail")
     p.set_defaults(func=cmd_verify)

@@ -103,11 +103,11 @@ class UnsupportedTriangleTypeError(GeometryError):
 
 
 class NonConvergentError(GeometryError):
-    """The grid refinement loop failed to shrink the error estimate."""
+    """The oracle's panel bisection hit its panel cap before converging."""
 
 
 class DegenerateFanError(GeometryError):
-    """The fan parameterization from the apex broke down."""
+    """The vertices are too near a plane through the origin to integrate."""
 
 
 class ExhaustedAttemptsError(GeometryError):

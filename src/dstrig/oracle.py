@@ -1,22 +1,28 @@
 """Numerical area oracle and seeded triangle generators.
 
-The oracle integrates the induced area element over a geodesic fan: the
-triangle is swept by geodesics from the distinguished vertex (the apex)
-to points of the opposite edge.  The integrand sqrt|det G| uses the
-Minkowski first fundamental form G of the parameterization, with the
-partial derivatives taken by central differences.  A composite midpoint
-rule never samples the patch boundary, so null directions inside the
-fan (where det G passes through zero) only cost convergence order, not
-validity.  Richardson's rule on consecutive grid doublings supplies the
-error estimate; the estimate must shrink between the final two
-doublings or the refinement loop keeps going.
+The oracle integrates by Stokes' theorem.  In the chart
+(sinh u, cosh u cos psi, cosh u sin psi) the metric is
+-du^2 + cosh^2 u dpsi^2, so the area form cosh u du^dpsi is d(x0 dpsi),
+and a triangle that bounds a disk has area |oint x0 dpsi|, with
+dpsi = (x1 dx2 - x2 dx1) / (x1^2 + x2^2) and x1^2 + x2^2 = 1 + x0^2 >= 1.
+The loop follows the three edges, each interpolated from its two
+vertices alone (an ellipse or a hyperbola, chosen by <p,q>), so the
+integral uses no angle, tangent or normal of the closed forms it checks.
 
-integrate_area(tri, n) evaluates the rule at the levels n/2, n and 2n,
-which is 32^2 + 64^2 + 128^2 = 21504 cells at n = 64.  The fan is
-separable: the edge point, its inner product with the apex, its band
-and its angle depend only on the edge parameter s, so each is computed
-once per s value of the stencil (s and s +- h); only the interpolation
-weights along each cevian are evaluated per cell.
+On the edge x(s) = A(s) p + B(s) q the cross term x1 x2' - x2 x1' is
+(A B' - B A') (p1 q2 - p2 q1), and the Wronskian A B' - B A' is the
+constant d / sin d (ellipse) or d / sinh d (hyperbola).  The integrand
+is therefore k x0 / (x1^2 + x2^2) with one constant k per edge, and its
+only cancellation is in x0 = A p0 + B q0.
+
+Each edge starts as n // 8 panels of the 20-node Gauss-Legendre rule.
+A panel is accepted when the sum of its two halves matches it within
+max(1e-12 * S * width, 64 * eps * R): S is the sum of |value| over the
+starting panels of all three edges, width is the panel's share of its
+edge, and R is the halves' integral of the round-off scale
+|k| (|A p0| + |B q0|) / (x1^2 + x2^2).  A rejected panel's halves are
+tested in turn at the next bisection level; all pending panels of a
+level are evaluated together.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .errors import (
     GeometryError,
     NonConvergentError,
 )
-from .geodesics import DeSitterPoint, SegmentKind
+from .geodesics import DeSitterPoint
 from .minkowski import NULL_EPS, UNIT_EPS
 from .triangles import (
     DeSitterTriangle,
@@ -47,12 +53,27 @@ from .triangles import (
     triangle_name,
 )
 
-# Cevian inner products this close to 1 use the straight-line (null)
-# interpolation limit; the formulas are continuous across the switch.
-_CHORD_BAND = 1e-9
-# Below est_error values of this size the Richardson estimate is noise;
-# accept without demanding further monotone decrease.
-_EST_FLOOR = 1e-10
+# The 20-node Gauss-Legendre rule on [0, 1]: leggauss(20) mapped by
+# (x + 1) / 2 and w / 2, written out so that importing the module does
+# not load numpy.polynomial.
+_GL_NODES = np.array([
+    0.003435700407452502, 0.018014036361043095, 0.04388278587433703, 0.08044151408889061,
+    0.1268340467699246, 0.1819731596367425, 0.24456649902458644, 0.3131469556422902,
+    0.38610707442917747, 0.46173673943325133, 0.5382632605667487, 0.6138929255708225,
+    0.6868530443577098, 0.7554335009754136, 0.8180268403632576, 0.8731659532300754,
+    0.9195584859111094, 0.956117214125663, 0.981985963638957, 0.9965642995925474,
+])
+_GL_WEIGHTS = np.array([
+    0.008807003569575447, 0.020300714900193223, 0.031336024167054395, 0.04163837078835236,
+    0.05096505990862035, 0.0590972659807593, 0.06584431922458844, 0.0710480546591912,
+    0.07458649323630212, 0.07637669356536314, 0.07637669356536314, 0.07458649323630212,
+    0.0710480546591912, 0.06584431922458844, 0.0590972659807593, 0.05096505990862035,
+    0.04163837078835236, 0.031336024167054395, 0.020300714900193223, 0.008807003569575447,
+])
+# Most panels one integration may hold.  The stop rule is relative, so
+# only round-off that keeps a panel's halves and whole apart reaches it.
+_MAX_PANELS = 4096
+_EPS = float(np.finfo(float).eps)
 
 _DEFAULT_CHECK_GRID = 64
 
@@ -92,93 +113,54 @@ def _rows_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return -(a[..., 0] * b[..., 0]) + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def _edge_rows(seg, s: np.ndarray) -> np.ndarray:
-    # Points of a fixed ellipse/hyperbola edge at parameters s, shape (k, 3).
-    a, b, d = seg.a.v, seg.b.v, seg.separation
-    if seg.kind is SegmentKind.ELLIPSE_PART:
-        wa = np.sin((1.0 - s) * d) / math.sin(d)
-        wb = np.sin(s * d) / math.sin(d)
-    else:
-        wa = np.sinh((1.0 - s) * d) / math.sinh(d)
-        wb = np.sinh(s * d) / math.sinh(d)
-    return wa[:, None] * a[None, :] + wb[:, None] * b[None, :]
+def _loop_edges(pts: np.ndarray):
+    """Per-edge constants of the loop pts[0] -> pts[1] -> pts[2] -> pts[0].
 
-
-def _cevian_rows(apex: np.ndarray, q: np.ndarray, *ts: np.ndarray) -> list[np.ndarray]:
-    """Points of the geodesics from the apex to the k rows of q.
-
-    Returns one (k, n, 3) array per parameter vector t (shape (n,)) in ts:
-    entry [i, j] is the geodesic to q[i] at parameter t[j].  A row switches
-    between circular and hyperbolic interpolation depending on its
-    inner product with the apex; the near-null band degenerates to the
-    straight chord, the common limit of both.  The inner product, the
-    band and the angle depend on the row alone and are computed once per
-    row; only the interpolation weights are evaluated per (row, t).
+    Edge j runs from p[j] to q[j] as x(s) = S((1-s)d) p/S(d) + S(sd) q/S(d),
+    S = sin on an ellipse (<p,q> < 1) and sinh on a hyperbola, d the edge
+    length.  k is the edge's x1 x2' - x2 x1' = (d/S(d)) (p1 q2 - p2 q1),
+    the same at every s.
     """
-    c = _rows_inner(apex, q)
-    if np.any(c <= -1.0 + _CHORD_BAND):
-        raise DegenerateFanError(
-            "a fan geodesic would need to cross to an antipodal branch")
-    ell = c < 1.0 - _CHORD_BAND
-    hyp = c > 1.0 + _CHORD_BAND
-    mid = ~(ell | hyp)
-    th = np.arccos(np.clip(c[ell], -1.0, 1.0))[:, None]
-    sn = np.sin(th)
-    dh = np.arccosh(c[hyp])[:, None]
-    sh = np.sinh(dh)
-    rows = []
-    for t in ts:
-        wa = np.empty((c.size, t.size))
-        wb = np.empty((c.size, t.size))
-        if th.size:
-            wa[ell] = np.sin((1.0 - t) * th) / sn
-            wb[ell] = np.sin(t * th) / sn
-        if dh.size:
-            wa[hyp] = np.sinh((1.0 - t) * dh) / sh
-            wb[hyp] = np.sinh(t * dh) / sh
-        if np.any(mid):
-            wa[mid] = 1.0 - t
-            wb[mid] = t
-        # Built one coordinate at a time, so each [..., i] slice is contiguous.
-        pts = np.empty((3, c.size, t.size))
-        for i in range(3):
-            pts[i] = wa * apex[i] + wb * q[:, i, None]
-        rows.append(np.moveaxis(pts, 0, -1))
-    return rows
+    p, q = pts, np.roll(pts, -1, axis=0)
+    c = _rows_inner(p, q)
+    ell = c < 1.0
+    d = np.where(ell, np.arccos(np.clip(c, -1.0, 1.0)), np.arccosh(np.maximum(c, 1.0)))
+    sd = np.where(ell, np.sin(d), np.sinh(d))
+    k = (p[:, 1] * q[:, 2] - p[:, 2] * q[:, 1]) * d / sd
+    return p, q, ell, d, sd, k
 
 
-def _fan_area(tri: DeSitterTriangle, apex_index: int, m: int) -> float:
-    # Midpoint rule on an m x m grid over (s, t): s runs along the edge
-    # opposite the apex, t along the cevian from the apex to the edge
-    # point at s.  Edge points and their cevians are evaluated once per s
-    # value (s, s + h, s - h), then broadcast against t into (m, m, 3)
-    # grids whose cell [i, j] is (s_i, t_j).
-    seg = tri.edges[apex_index]
-    apex = tri.points[apex_index].v
-    mids = (np.arange(m) + 0.5) / m
-    h = 1.0 / (4.0 * m)
-    xs = (_cevian_rows(apex, _edge_rows(seg, mids + h), mids)[0]
-          - _cevian_rows(apex, _edge_rows(seg, mids - h), mids)[0])
-    xs /= 2.0 * h
-    xt = np.subtract(*_cevian_rows(apex, _edge_rows(seg, mids), mids + h, mids - h))
-    xt /= 2.0 * h
-    gss = _rows_inner(xs, xs)
-    gst = _rows_inner(xs, xt)
-    gtt = _rows_inner(xt, xt)
-    det = gss * gtt - gst * gst
-    # One pairwise sum over the m*m cells in (s, t) row-major order.
-    return float(np.sum(np.sqrt(np.abs(det)).ravel())) / (m * m)
+def _panels(edges, e: np.ndarray, a: np.ndarray, w: np.ndarray):
+    """Gauss-Legendre integrals over the panels [a, a + w] of edges e.
+
+    Returns the integrals of k x0 / (x1^2 + x2^2) and of its round-off
+    scale |k| (|A p0| + |B q0|) / (x1^2 + x2^2), one per panel.
+    """
+    p, q, ell, d, sd, k = edges
+    s = a[:, None] + w[:, None] * _GL_NODES
+    args = np.stack([(1.0 - s) * d[e, None], s * d[e, None]])
+    ab = np.where(ell[e, None], np.sin(args), np.sinh(args)) / sd[e, None]
+    pe, qe = p[e].T[:, :, None], q[e].T[:, :, None]
+    x0a, x0b = ab[0] * pe[0], ab[1] * qe[0]
+    rho2 = (ab[0] * pe[1] + ab[1] * qe[1]) ** 2 + (ab[0] * pe[2] + ab[1] * qe[2]) ** 2
+    ke = k[e, None]
+    f = ke * (x0a + x0b) / rho2
+    r = np.abs(ke) * (np.abs(x0a) + np.abs(x0b)) / rho2
+    return w * (f @ _GL_WEIGHTS), w * (r @ _GL_WEIGHTS)
 
 
-def integrate_area(tri: DeSitterTriangle, n: int = 64, apex: int | None = None,
-                   max_refinements: int = 3) -> OracleResult:
-    """Numerically integrate the triangle's area over a geodesic fan.
+def integrate_area(tri: DeSitterTriangle, n: int = 64, apex: int | None = None) -> OracleResult:
+    """Area as the boundary integral |oint x0 dpsi|, by adaptive quadrature.
 
-    Runs the midpoint rule at resolutions n/2, n and 2n; the reported
-    area is the finest level and est_error = |A_2m - A_m| / 3 is the
-    Richardson estimate at the final doubling.  If the estimate failed
-    to shrink at that doubling, up to max_refinements further doublings
-    are attempted before giving up.
+    The loop starts at the apex (the distinguished vertex when apex is
+    None, which raises for a triangle that bounds no disk).  Each edge
+    starts as n // 8 panels of the 20-node Gauss-Legendre rule, and a
+    panel is split in two until its halves match it (module docstring).
+    grid is (n, n); refinements is the deepest bisection level (1: every
+    starting panel matched its halves); est_error is the sum of the
+    accepted panels' |halves - whole|, floored at the sum of their
+    round-off floors 64 * eps * R (> 0 whenever det passes).  More than
+    _MAX_PANELS panels raises NonConvergentError.
     """
     if n < 8:
         raise ValueError(f"grid must be at least 8, got {n!r}")
@@ -189,21 +171,34 @@ def integrate_area(tri: DeSitterTriangle, n: int = 64, apex: int | None = None,
     if abs(det) < 1e-9:
         raise DegenerateFanError("apex too close to the opposite edge's plane")
 
-    levels = [n // 2, n, 2 * n]
-    areas = [_fan_area(tri, apex_index, m) for m in levels]
-    ests = [abs(areas[i + 1] - areas[i]) / 3.0 for i in range(len(areas) - 1)]
-    extra = 0
-    while ests[-1] >= ests[-2] and ests[-1] > _EST_FLOOR:
-        if extra >= max_refinements:
+    edges = _loop_edges(np.stack([tri.points[(apex_index + j) % 3].v for j in range(3)]))
+    m = n // 8
+    e = np.repeat(np.arange(3), m)
+    a = np.tile(np.arange(m) / m, 3)
+    w = np.full(3 * m, 1.0 / m)
+    whole = _panels(edges, e, a, w)[0]
+    scale = float(np.sum(np.abs(whole)))
+    kept, est, floor, level = [], 0.0, 0.0, 0
+    while e.size:
+        level += 1
+        if sum(map(len, kept)) + 2 * e.size > _MAX_PANELS:
             raise NonConvergentError(
-                f"error estimate stopped shrinking: {ests!r}")
-        levels.append(2 * levels[-1])
-        areas.append(_fan_area(tri, apex_index, levels[-1]))
-        ests.append(abs(areas[-1] - areas[-2]) / 3.0)
-        extra += 1
-    return OracleResult(area=areas[-1], est_error=ests[-1],
-                        grid=(levels[-1], levels[-1]),
-                        refinements=len(levels) - 1)
+                f"more than {_MAX_PANELS} panels at bisection level {level}")
+        h = w / 2.0
+        vals, scales = _panels(edges, np.tile(e, 2), np.concatenate([a, a + h]),
+                               np.tile(h, 2))
+        halves = vals.reshape(2, -1)
+        gap = np.abs(halves.sum(axis=0) - whole)
+        roundoff = 64.0 * _EPS * scales.reshape(2, -1).sum(axis=0)
+        ok = gap <= np.maximum(1e-12 * scale * w, roundoff)
+        kept.append(halves[:, ok].ravel())
+        est += float(np.sum(gap[ok]))
+        floor += float(np.sum(roundoff[ok]))
+        bad = ~ok
+        e, a, w = np.tile(e[bad], 2), np.concatenate([a[bad], a[bad] + h[bad]]), np.tile(h[bad], 2)
+        whole = halves[:, bad].ravel()
+    return OracleResult(area=abs(math.fsum(np.concatenate(kept))),
+                        est_error=max(est, floor), grid=(n, n), refinements=level)
 
 
 def _chart_point(u: float, psi: float) -> DeSitterPoint:
@@ -347,13 +342,15 @@ def verify_type(target: ProperName, trials: int, seed: int,
                 corrupt_normals: bool = False) -> dict:
     """Generate triangles of one type and check every identity on each.
 
-    Checks per triangle: closed-form area against the fan oracle (within
-    max(1e-3, 3 * est_error)); the tangent/normal product identity (1e-8);
-    the complex angle sum being purely imaginary, positive, and equal to
-    the signed sum (1e-8); the product-form area against the angle-form
-    area (1e-9); and the type-specific structure of the distinguished
-    vertex.  corrupt_normals deliberately perturbs the normals first and
-    is expected to make the identity checks fail.
+    Checks per triangle: closed-form area against the Stokes oracle
+    (within 1e-10 * max(1, area)); the tangent/normal product identity
+    (1e-8); the complex angle sum being purely imaginary, positive, and
+    equal to the signed sum (1e-8); the product-form area against the
+    angle-form area (1e-9); and the type-specific structure of the
+    distinguished vertex.  Each failure entry names its trial's generator
+    seed, which `dstrig random --type T --seed S` replays.
+    corrupt_normals deliberately perturbs the normals first and is
+    expected to make the identity checks fail.
     """
     if target not in _AREA_TYPES:
         raise ValueError(f"unsupported verification target: {target!r}")
@@ -376,6 +373,14 @@ def verify_type(target: ProperName, trials: int, seed: int,
     failures = []
     for i in range(trials):
         cfg = GeneratorConfig(seed=int(trial_seeds[i]), target=target)
+
+        def tally(check: str, ok: bool, detail: str) -> None:
+            if ok:
+                counts[check] += 1
+            else:
+                failures.append({"trial": i, "seed": cfg.seed, "check": check,
+                                 "detail": detail})
+
         tri = random_triangle(cfg)
         if corrupt_normals:
             tri = DeSitterTriangle(tri.points, tri.edges, tri.tangents,
@@ -387,48 +392,29 @@ def verify_type(target: ProperName, trials: int, seed: int,
 
         resid = tangent_normal_residual(tri)
         worst["tangent_normal_residual"] = max(worst["tangent_normal_residual"], resid)
-        if resid <= 1e-8:
-            counts["tangent_normal_identity"] += 1
-        else:
-            failures.append({"trial": i, "check": "tangent_normal_identity",
-                             "detail": f"residual {resid:.3g}"})
+        tally("tangent_normal_identity", resid <= 1e-8, f"residual {resid:.3g}")
 
         shape = abs(nabla.real)
         worst["complex_real_part"] = max(worst["complex_real_part"], shape)
-        if shape <= 1e-8 and nabla.imag > 0 and abs(nabla.imag - res.real_area) <= 1e-8:
-            counts["complex_area_shape"] += 1
-        else:
-            failures.append({"trial": i, "check": "complex_area_shape",
-                             "detail": f"angle sum {nabla!r} vs area {res.real_area!r}"})
+        tally("complex_area_shape",
+              shape <= 1e-8 and nabla.imag > 0 and abs(nabla.imag - res.real_area) <= 1e-8,
+              f"angle sum {nabla!r} vs area {res.real_area!r}")
 
         gap = abs(prod - res.real_area)
         worst["product_formula_gap"] = max(worst["product_formula_gap"], gap)
-        if gap <= 1e-9:
-            counts["product_formula_agreement"] += 1
-        else:
-            failures.append({"trial": i, "check": "product_formula_agreement",
-                             "detail": f"gap {gap:.3g}"})
+        tally("product_formula_agreement", gap <= 1e-9, f"gap {gap:.3g}")
 
-        ok, detail = _structure_ok(tri, target)
-        if ok:
-            counts["type_structure"] += 1
-        else:
-            failures.append({"trial": i, "check": "type_structure", "detail": detail})
+        tally("type_structure", *_structure_ok(tri, target))
 
         try:
             orc = integrate_area(tri, n=grid)
         except (NonConvergentError, DegenerateFanError) as exc:
-            failures.append({"trial": i, "check": "oracle_agreement",
-                             "detail": f"oracle failed: {exc}"})
+            tally("oracle_agreement", False, f"oracle failed: {exc}")
             continue
         disc = abs(res.real_area - orc.area)
         worst["oracle_discrepancy"] = max(worst["oracle_discrepancy"], disc)
-        if disc <= max(1e-3, 3.0 * orc.est_error):
-            counts["oracle_agreement"] += 1
-        else:
-            failures.append({"trial": i, "check": "oracle_agreement",
-                             "detail": f"formula {res.real_area!r} vs oracle {orc.area!r} "
-                                       f"(est {orc.est_error:.3g})"})
+        tally("oracle_agreement", disc <= 1e-10 * max(1.0, res.real_area),
+              f"formula {res.real_area!r} vs oracle {orc.area!r} (est {orc.est_error:.3g})")
     return {
         "target": target.value,
         "trials": trials,

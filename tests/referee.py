@@ -1,0 +1,52 @@
+"""High-precision referee for triangle areas (test-only; needs mpmath).
+
+stokes_area(points) evaluates |oint x0 (x1 dx2 - x2 dx1) / (x1^2 + x2^2)|
+along the three geodesic edges at 40 significant digits, over the exact
+values of the given float vertices.  Each edge is interpolated from
+<p,q> as an ellipse (sin) or a hyperbola (sinh) and the cross term is
+computed from the point and its derivative as written, without the
+constant-Wronskian shortcut that dstrig.oracle takes.  Results are
+cached by vertex values, since several tests referee the same triangles.
+"""
+
+import functools
+
+import mpmath as mp
+
+DPS = 40
+# Subintervals per edge handed to mp.quad; each is integrated to DPS digits.
+PIECES = 16
+
+
+def _edge_integral(p, q):
+    c = -p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+    if c < 1:
+        d, sn, cs = mp.acos(c), mp.sin, mp.cos
+    else:
+        d, sn, cs = mp.acosh(c), mp.sinh, mp.cosh
+    sd = sn(d)
+
+    def integrand(s):
+        a, b = sn((1 - s) * d) / sd, sn(s * d) / sd
+        da, db = -d * cs((1 - s) * d) / sd, d * cs(s * d) / sd
+        x = [a * pi + b * qi for pi, qi in zip(p, q)]
+        y = [da * pi + db * qi for pi, qi in zip(p, q)]
+        return x[0] * (x[1] * y[2] - x[2] * y[1]) / (x[1] ** 2 + x[2] ** 2)
+
+    value, err = mp.quad(integrand, mp.linspace(0, 1, PIECES + 1), error=True)
+    if err > mp.mpf(10) ** (10 - DPS):
+        raise ArithmeticError(f"referee quadrature error {err} too large")
+    return value
+
+
+@functools.lru_cache(maxsize=None)
+def _loop_area(rows: tuple) -> float:
+    with mp.workdps(DPS):
+        v = [[mp.mpf(x) for x in row] for row in rows]
+        total = mp.fsum(_edge_integral(v[j], v[(j + 1) % 3]) for j in range(3))
+        return float(abs(total))
+
+
+def stokes_area(points) -> float:
+    """The area bounded by the loop through the three points, as a float."""
+    return _loop_area(tuple(tuple(float(x) for x in p.v) for p in points))

@@ -12,8 +12,15 @@ import pytest
 import dstrig.cli
 from dstrig import errors
 from dstrig.cli import build_parser, main
+from dstrig.geodesics import DeSitterPoint
 from dstrig.oracle import GeneratorConfig, random_triangle
-from dstrig.triangles import ProperName, distinguished_vertex
+from dstrig.triangles import (
+    DeSitterTriangle,
+    ProperName,
+    build_triangle,
+    distinguished_vertex,
+    tangent_normal_residual,
+)
 
 
 def run_cli(capsys, monkeypatch, *args, stdin=None):
@@ -231,6 +238,28 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(out)["passed"] is False
 
+    def test_corrupt_normals_failures_replay(self, capsys, monkeypatch):
+        # Each failure names its trial's generator seed; `random --seed` on
+        # it prints that trial's vertices, and corrupting the normals of the
+        # replayed triangle gives the reported residual again.
+        _, out, _ = run_cli(capsys, monkeypatch, "verify", "--type", "chorosceles",
+                            "--trials", "2", "--seed", "3", "--corrupt-normals")
+        failures = json.loads(out)["types"]["chorosceles"]["failures"]
+        replays = [f for f in failures if f["check"] == "tangent_normal_identity"]
+        assert [f["trial"] for f in replays] == [0, 1]
+        trial_seeds = np.random.SeedSequence(3).generate_state(2)
+        for f in failures:
+            assert f["seed"] == trial_seeds[f["trial"]]
+        for f in replays:
+            _, doc, _ = run_cli(capsys, monkeypatch, "random", "--type", "chorosceles",
+                                "--seed", str(f["seed"]))
+            vertices = json.loads(doc)["vertices"]
+            trial = random_triangle(GeneratorConfig(f["seed"], ProperName.CHOROSCELES))
+            assert vertices == [[float(x) for x in p.v] for p in trial.points]
+            tri = build_triangle(*(DeSitterPoint(np.array(v)) for v in vertices))
+            tri = DeSitterTriangle(tri.points, tri.edges, tri.tangents, tri.normals + 1e-3)
+            assert f["detail"] == f"residual {tangent_normal_residual(tri):.3g}"
+
     def test_zero_trials_usage_error(self, capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--type", "all", "--trials", "0"])
@@ -324,3 +353,13 @@ class TestModuleEntry:
             env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["proper_name"] == "chorosceles"
+
+    def test_import_skips_numpy_polynomial(self):
+        # The oracle's quadrature rule is written out; loading
+        # numpy.polynomial would add its import time to every CLI process.
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import sys, dstrig.cli; print('numpy.polynomial' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

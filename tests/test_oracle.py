@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 
 from conftest import FROZEN_AREAS
-from dstrig.errors import DegenerateFanError, ExhaustedAttemptsError, GeometryError
-from dstrig.geodesics import DeSitterPoint, SegmentKind, classify_segment, geodesic_point
+from dstrig import oracle
+from dstrig.errors import (
+    ExhaustedAttemptsError,
+    GeometryError,
+    NonContractibleError,
+    NonConvergentError,
+)
+from dstrig.geodesics import geodesic_point
 from dstrig.oracle import (
     _BLOCK,
-    _CHORD_BAND,
     GeneratorConfig,
     _attempt_blocks,
-    _cevian_rows,
     _chart_point,
-    _fan_area,
     _maybe_accepted,
-    _rows_inner,
     integrate_area,
     random_buildable_triangle,
     random_triangle,
@@ -28,6 +30,7 @@ from dstrig.triangles import (
     distinguished_vertex,
     triangle_name,
 )
+from referee import stokes_area
 
 TARGETS = (ProperName.SPATIOLATERAL, ProperName.TEMPOLATERAL,
            ProperName.CHOROSCELES, ProperName.CHRONOSCELES)
@@ -87,64 +90,6 @@ def _outcome(fn, *args):
     return "ok", [p.v.tobytes() for p in tri.points]
 
 
-def _reference_edge_rows(seg, s):
-    a, b, d = seg.a.v, seg.b.v, seg.separation
-    if seg.kind is SegmentKind.ELLIPSE_PART:
-        wa = np.sin((1.0 - s) * d) / math.sin(d)
-        wb = np.sin(s * d) / math.sin(d)
-    else:
-        wa = np.sinh((1.0 - s) * d) / math.sinh(d)
-        wb = np.sinh(s * d) / math.sinh(d)
-    return wa[:, None] * a[None, :] + wb[:, None] * b[None, :]
-
-
-def _reference_cevian_rows(apex, q, t):
-    # One cevian point per row of q, at the row's own parameter t.
-    c = -(apex[0] * q[:, 0]) + apex[1] * q[:, 1] + apex[2] * q[:, 2]
-    if np.any(c <= -1.0 + _CHORD_BAND):
-        raise DegenerateFanError(
-            "a fan geodesic would need to cross to an antipodal branch")
-    wa = np.empty_like(c)
-    wb = np.empty_like(c)
-    ell = c < 1.0 - _CHORD_BAND
-    hyp = c > 1.0 + _CHORD_BAND
-    mid = ~(ell | hyp)
-    if np.any(ell):
-        th = np.arccos(np.clip(c[ell], -1.0, 1.0))
-        sn = np.sin(th)
-        wa[ell] = np.sin((1.0 - t[ell]) * th) / sn
-        wb[ell] = np.sin(t[ell] * th) / sn
-    if np.any(hyp):
-        dh = np.arccosh(c[hyp])
-        sh = np.sinh(dh)
-        wa[hyp] = np.sinh((1.0 - t[hyp]) * dh) / sh
-        wb[hyp] = np.sinh(t[hyp] * dh) / sh
-    if np.any(mid):
-        wa[mid] = 1.0 - t[mid]
-        wb[mid] = t[mid]
-    return wa[:, None] * apex[None, :] + wb[:, None] * q
-
-
-def _reference_fan_area(tri, apex_index, m):
-    """The fan kernel as it was: every term evaluated on all m*m cells."""
-    seg = tri.edges[apex_index]
-    apex = tri.points[apex_index].v
-
-    def surface(s, t):
-        return _reference_cevian_rows(apex, _reference_edge_rows(seg, s), t)
-
-    mids = (np.arange(m) + 0.5) / m
-    s, t = (g.ravel() for g in np.meshgrid(mids, mids, indexing="ij"))
-    h = 1.0 / (4.0 * m)
-    xs = (surface(s + h, t) - surface(s - h, t)) / (2.0 * h)
-    xt = (surface(s, t + h) - surface(s, t - h)) / (2.0 * h)
-    gss = _rows_inner(xs, xs)
-    gst = _rows_inner(xs, xt)
-    gtt = _rows_inner(xt, xt)
-    det = gss * gtt - gst * gst
-    return float(np.sum(np.sqrt(np.abs(det)))) / (m * m)
-
-
 class TestIntegrateArea:
     def test_fixture_areas(self, spatiolateral_points, tempolateral_points,
                            chorosceles_points, chronosceles_points):
@@ -202,80 +147,49 @@ class TestIntegrateArea:
         assert a.est_error == b.est_error
         assert a.grid == b.grid
 
-    def test_error_estimate_shrinks(self, spatiolateral_points):
-        tri = build_triangle(*spatiolateral_points)
-        coarse = integrate_area(tri, n=16)
-        fine = integrate_area(tri, n=64)
-        assert fine.est_error < coarse.est_error
-
-
-class TestSeparableFan:
-    """The per-s fan kernel against the flattened one it replaced."""
-
-    GRIDS = (4, 9, 33, 64)
-
-    def _assert_same_fans(self, tri):
-        raised = 0
-        for apex in range(3):
-            for m in self.GRIDS:
-                try:
-                    want = _reference_fan_area(tri, apex, m)
-                except DegenerateFanError as exc:
-                    with pytest.raises(DegenerateFanError) as got:
-                        _fan_area(tri, apex, m)
-                    assert str(got.value) == str(exc)
-                    raised += 1
-                    continue
-                assert _fan_area(tri, apex, m) == want, (apex, m)
-        return raised
-
-    def test_fixtures_bit_identical(self, spatiolateral_points, tempolateral_points,
-                                    chorosceles_points, chronosceles_points):
+    def test_error_estimate_bounds_referee_gap(self, spatiolateral_points,
+                                               tempolateral_points, chorosceles_points,
+                                               chronosceles_points):
+        # The adaptive estimate at n = 16 and n = 64 covers the oracle's
+        # distance from the referee, and stays at the accuracy it claims.
         for pts in (spatiolateral_points, tempolateral_points,
                     chorosceles_points, chronosceles_points):
-            assert self._assert_same_fans(build_triangle(*pts)) == 0
+            tri = build_triangle(*pts)
+            ref = stokes_area(tri.points)
+            for n in (16, 64):
+                res = integrate_area(tri, n=n)
+                assert abs(res.area - ref) <= res.est_error <= 1e-12 * max(1.0, ref)
 
-    @pytest.mark.parametrize("u_max", (2.0, 6.0, 8.0))
-    def test_random_triangles_bit_identical(self, u_max):
-        built = raised = 0
-        for seed in range(20):
-            try:
-                tri = random_buildable_triangle(seed, u_max=u_max)
-            except GeometryError:
-                continue
-            built += 1
-            raised += self._assert_same_fans(tri)
-        assert built >= 19
-        if u_max < 8.0:
-            # seed 18 (u_max 2) and seed 16 (u_max 6) cross a branch.
-            assert raised > 0
+    def test_matches_referee(self, spatiolateral_points, tempolateral_points,
+                             chorosceles_points, chronosceles_points):
+        # The last two are pool triangles on which the fan oracle missed
+        # by 0.66 and 1.07.
+        tris = [build_triangle(*pts) for pts in (spatiolateral_points, tempolateral_points,
+                                                 chorosceles_points, chronosceles_points)]
+        tris.append(random_triangle(GeneratorConfig(3, ProperName.CHOROSCELES, u_max=6.0)))
+        tris.append(random_triangle(GeneratorConfig(58, ProperName.CHRONOSCELES, u_max=6.0)))
+        for tri in tris:
+            ref = stokes_area(tri.points)
+            assert abs(integrate_area(tri).area - ref) <= 1e-12 * max(1.0, ref)
 
-    def test_rows_match_flattened_cevians(self):
-        # One elliptic, one hyperbolic and one chord-band row (<apex,q> = 1
-        # exactly), each evaluated at every t.
-        apex = np.array([0.0, 1.0, 0.0])
-        q = np.array([[0.0, math.cos(0.7), math.sin(0.7)],
-                      [math.sinh(0.9), math.cosh(0.9), 0.0],
-                      [1.0, 1.0, 1.0]])
-        assert _rows_inner(apex, q)[2] == 1.0
-        t = (np.arange(9) + 0.5) / 9
-        rows = _cevian_rows(apex, q, t, t + 0.01)
-        for got, tt in zip(rows, (t, t + 0.01)):
-            want = _reference_cevian_rows(apex, np.repeat(q, t.size, axis=0),
-                                          np.tile(tt, len(q)))
-            assert got.shape == (len(q), t.size, 3)
-            np.testing.assert_array_equal(got, want.reshape(len(q), t.size, 3))
-        np.testing.assert_array_equal(rows[0][2], np.outer(1.0 - t, apex) + np.outer(t, q[2]))
+    def test_panel_cap_raises(self, monkeypatch):
+        tri = random_triangle(GeneratorConfig(58, ProperName.CHRONOSCELES, u_max=6.0))
+        assert integrate_area(tri).refinements > 1
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 48)
+        with pytest.raises(NonConvergentError, match="more than 48 panels"):
+            integrate_area(tri)
 
-    def test_antipodal_row_raises_like_reference(self):
-        apex = np.array([0.0, 1.0, 0.0])
-        q = np.array([[0.0, math.cos(0.7), math.sin(0.7)], [0.0, -1.0, 0.0]])
-        t = np.array([0.25, 0.75])
-        with pytest.raises(DegenerateFanError) as want:
-            _reference_cevian_rows(apex, np.repeat(q, 2, axis=0), np.tile(t, 2))
-        with pytest.raises(DegenerateFanError) as got:
-            _cevian_rows(apex, q, t)
-        assert str(got.value) == str(want.value)
+    def test_non_contractible_raises(self):
+        tri = random_buildable_triangle(18, u_max=2.0)
+        assert classify_triangle(*tri.points).contractible is False
+        with pytest.raises(NonContractibleError):
+            integrate_area(tri)
+
+    def test_gauss_legendre_constants(self):
+        # The literal rule is leggauss(20) mapped to [0, 1], bit for bit.
+        x, w = np.polynomial.legendre.leggauss(20)
+        np.testing.assert_array_equal(oracle._GL_NODES, (x + 1.0) / 2.0)
+        np.testing.assert_array_equal(oracle._GL_WEIGHTS, w / 2.0)
 
 
 class TestGeneratorConfig:
@@ -459,6 +373,17 @@ class TestVerifyType:
         assert rep["passed"] is False
         assert rep["counts"]["tangent_normal_identity"] == 0
         assert any(f["check"] == "tangent_normal_identity" for f in rep["failures"])
+
+    def test_non_convergent_oracle_fails_agreement(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 1)
+        rep = verify_type(ProperName.CHOROSCELES, trials=2, seed=3)
+        assert rep["passed"] is False
+        assert rep["counts"]["oracle_agreement"] == 0
+        trial_seeds = np.random.SeedSequence(3).generate_state(2)
+        assert [(f["trial"], f["seed"], f["check"]) for f in rep["failures"]] == [
+            (0, trial_seeds[0], "oracle_agreement"), (1, trial_seeds[1], "oracle_agreement")]
+        assert all(f["detail"].startswith("oracle failed: more than 1 panels")
+                   for f in rep["failures"])
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
