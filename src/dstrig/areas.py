@@ -83,11 +83,12 @@ def _require_area_type(tri: DeSitterTriangle) -> ProperName:
 def interior_angles(tri: DeSitterTriangle) -> AngleSet:
     """Real and complex angle at each vertex between the two edge tangents."""
     _require_area_type(tri)
+    tangents = tri.tangents.tolist()
     thetas = []
     phis = []
     for j in range(3):
         k, l = _others(j)
-        phi, g = _checked_angle(tri.tangents[j, k], tri.tangents[j, l], "pseudo angle")
+        phi, g = _checked_angle(tangents[j][k], tangents[j][l], "pseudo angle")
         phis.append(phi)
         thetas.append(_span_theta(phi, g))
     return AngleSet(tuple(thetas), tuple(phis))
@@ -131,9 +132,10 @@ def _apex_products(tri: DeSitterTriangle) -> tuple[float, float, float]:
     # Tangent products at the distinguished vertex d, then at k and l.
     d = distinguished_vertex(tri)
     k, l = _others(d)
-    return (mink_inner(tri.tangents[d, k], tri.tangents[d, l]),
-            mink_inner(tri.tangents[k, d], tri.tangents[k, l]),
-            mink_inner(tri.tangents[l, d], tri.tangents[l, k]))
+    t = tri.tangents.tolist()
+    return (mink_inner(t[d][k], t[d][l]),
+            mink_inner(t[k][d], t[k][l]),
+            mink_inner(t[l][d], t[l][k]))
 
 
 def girard_area_from_products(tri: DeSitterTriangle) -> float:

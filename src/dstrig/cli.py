@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -106,18 +107,23 @@ def _document_points(doc: dict) -> tuple[DeSitterPoint, DeSitterPoint, DeSitterP
         raise DocumentError("vertices must be a list of three rows")
     points = []
     for i, row in enumerate(rows):
+        # JSON true and false parse as bool, a subclass of int.
         if not isinstance(row, list) or len(row) != 3 \
-                or not all(isinstance(x, (int, float)) for x in row):
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                           for x in row):
             raise DocumentError(f"vertex row {i + 1} must hold three numbers")
-        v = np.array(row, dtype=float)
-        if not np.all(np.isfinite(v)):
+        try:
+            v = [float(x) for x in row]
+        except OverflowError:
+            raise DocumentError(
+                f"vertex row {i + 1} has an integer beyond the float range") from None
+        if not all(map(math.isfinite, v)):
             raise DocumentError(f"vertex row {i + 1} has non-finite components")
-        q = mink_inner(v, v)
         try:
             points.append(DeSitterPoint(v))
         except NotUnitError:
-            raise DocumentError(
-                f"vertex row {i + 1} is off the quadric: <v,v> = {q!r}") from None
+            raise DocumentError(f"vertex row {i + 1} is off the quadric: "
+                                f"<v,v> = {mink_inner(v, v)!r}") from None
     return tuple(points)
 
 
@@ -125,7 +131,7 @@ def _triangle_document(points, metadata: dict | None = None) -> dict:
     doc = {
         "schema": SCHEMA,
         "signature": SIGNATURE,
-        "vertices": [[float(x) for x in p.v] for p in points],
+        "vertices": [list(p._x) for p in points],
     }
     if metadata:
         doc["metadata"] = metadata
@@ -138,7 +144,7 @@ def _edge_report(edges) -> list[dict]:
         entry = {
             "opposite_vertex": j,
             "endpoints": list(_others(j)),
-            "inner_product": mink_inner(seg.a.v, seg.b.v),
+            "inner_product": mink_inner(seg.a._x, seg.b._x),
             "kind": seg.kind.value,
         }
         if seg.kind in (SegmentKind.ELLIPSE_PART, SegmentKind.HYPERBOLA_PART):
@@ -162,7 +168,7 @@ def _classify_report(points) -> dict:
         tri = _assemble(points, kind)
         polar = polar_triangle(tri)
         report["polar_triangle"] = {
-            "vertices": [[float(x) for x in v] for v in polar.vertices],
+            "vertices": [v.tolist() for v in polar.vertices],
             "kinds": [k.value for k in polar.kinds],
         }
     return report
@@ -325,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="JSON document path, or - for stdin")
     p.add_argument("--oracle", action="store_true", help="also integrate numerically")
     p.add_argument("--grid", type=_positive_int, default=64,
-                   help="oracle resolution n >= 8: n // 8 starting panels per edge")
+                   help="oracle resolution 8 <= n <= 5463: n // 8 starting panels per edge")
     p.set_defaults(func=cmd_area)
 
     p = sub.add_parser("random", help="emit seeded random triangle documents")
@@ -342,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", type=_positive_int, default=64,
-                   help="oracle resolution n >= 8: n // 8 starting panels per edge")
+                   help="oracle resolution 8 <= n <= 5463: n // 8 starting panels per edge")
     p.add_argument("--corrupt-normals", action="store_true",
                    help="test hook: perturb normals so identity checks fail")
     p.set_defaults(func=cmd_verify)

@@ -9,7 +9,7 @@ connecting geodesic at all below -1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -33,18 +33,25 @@ class SegmentKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class DeSitterPoint:
-    """Position on the quadric; the stored array is read-only."""
+    """Position on the quadric; the stored array is read-only.
+
+    _x holds the same coordinates as Python floats, which the scalar
+    code reads instead of indexing the array.
+    """
 
     v: np.ndarray
+    _x: tuple[float, float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
         v = as_vec3(self.v).copy()
-        q = mink_inner(v, v)
+        x = tuple(v.tolist())
+        q = mink_inner(x, x)
         # Negated so that a nan <v,v> (overflow of a huge vertex) fails too.
         if not abs(q - 1.0) <= UNIT_EPS:
             raise NotUnitError(f"point off the quadric: <v,v> = {q!r}")
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "_x", x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +73,10 @@ def project_to_quadric(v) -> DeSitterPoint:
 
 
 def _proportional(p: DeSitterPoint, q: DeSitterPoint) -> str | None:
-    if float(np.max(np.abs(p.v - q.v))) < ZERO_EPS:
+    (a0, a1, a2), (b0, b1, b2) = p._x, q._x
+    if max(abs(a0 - b0), abs(a1 - b1), abs(a2 - b2)) < ZERO_EPS:
         return "coincident"
-    if float(np.max(np.abs(p.v + q.v))) < ZERO_EPS:
+    if max(abs(a0 + b0), abs(a1 + b1), abs(a2 + b2)) < ZERO_EPS:
         return "antipodal"
     return None
 
@@ -82,12 +90,13 @@ def tangent_toward(p: DeSitterPoint, q: DeSitterPoint) -> np.ndarray:
     how = _proportional(p, q)
     if how is not None:
         raise CoincidentPointsError(f"{how} points admit no tangent direction")
-    c = mink_inner(p.v, q.v)
-    w = q.v - c * p.v
+    c = mink_inner(p._x, q._x)
+    w = [b - c * a for a, b in zip(p._x, q._x)]
     ww = mink_inner(w, w)
     if abs(ww) <= NULL_EPS:
         raise NullTangentError(f"null direction: <p,q> = {c!r}")
-    return w / math.sqrt(abs(ww))
+    r = math.sqrt(abs(ww))
+    return np.array([x / r for x in w])
 
 
 def classify_span(p: DeSitterPoint, q: DeSitterPoint) -> CausalType:
@@ -95,7 +104,7 @@ def classify_span(p: DeSitterPoint, q: DeSitterPoint) -> CausalType:
     how = _proportional(p, q)
     if how is not None:
         raise CoincidentPointsError(f"{how} points span no plane")
-    c = mink_inner(p.v, q.v)
+    c = mink_inner(p._x, q._x)
     if abs(abs(c) - 1.0) <= NULL_EPS:
         return CausalType.NULL
     if abs(c) < 1.0:
@@ -115,7 +124,7 @@ def classify_segment(p: DeSitterPoint, q: DeSitterPoint) -> GeodesicSegment:
     how = _proportional(p, q)
     if how is not None:
         raise CoincidentPointsError(f"{how} points form no segment")
-    c = mink_inner(p.v, q.v)
+    c = mink_inner(p._x, q._x)
     if abs(c - 1.0) <= NULL_EPS:
         return GeodesicSegment(p, q, SegmentKind.NULL_LINE, 0.0)
     if c > 1.0:

@@ -1,10 +1,11 @@
 """Arithmetic in 3D Minkowski space with signature (-,+,+).
 
 The first coordinate x0 is the time coordinate; "future" means x0 > 0.
-Vectors are plain numpy arrays of shape (3,).  Angles between unit
-vectors are complex in general: real for a space-like pair in the same
-sector, otherwise carrying an imaginary hyperbolic part whose branch is
-tracked explicitly.
+Vectors are plain numpy arrays of shape (3,); the scalar work on them
+runs on Python floats, in mink_inner's operation order.  Angles between
+unit vectors are complex in general: real for a space-like pair in the
+same sector, otherwise carrying an imaginary hyperbolic part whose
+branch is tracked explicitly.
 """
 
 from __future__ import annotations
@@ -87,17 +88,14 @@ class PseudoAngle:
 
 def vec3(x0: float, x1: float, x2: float) -> np.ndarray:
     """Build a Minkowski 3-vector, rejecting non-finite components."""
-    v = np.array([x0, x1, x2], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"non-finite vector components: {v!r}")
-    return v
+    return as_vec3([x0, x1, x2])
 
 
 def as_vec3(value) -> np.ndarray:
     v = np.asarray(value, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected 3 components, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not all(map(math.isfinite, v.tolist())):
         raise ValueError(f"non-finite vector components: {v!r}")
     return v
 
@@ -133,10 +131,12 @@ def pseudo_norm(u) -> complex:
 
 def lorentz_normalize(u) -> np.ndarray:
     """Scale u so abs(<u,u>) = 1; null input cannot be normalized."""
-    q = mink_inner(u, u)
+    u = np.asarray(u, dtype=float)
+    x = u.tolist()
+    q = mink_inner(x, x)
     if abs(q) <= ZERO_EPS:
         raise NullInputError("cannot normalize a (near-)null vector")
-    return np.asarray(u, dtype=float) / math.sqrt(abs(q))
+    return u / math.sqrt(abs(q))
 
 
 def _require_unit(u, q, label: str) -> None:
@@ -225,14 +225,12 @@ def lorentz_cross(u, v) -> np.ndarray:
     Components: (u2*v1 - u1*v2, u2*v0 - u0*v2, u0*v1 - u1*v0).  Raises
     when the result is (near-)zero, i.e. the inputs are parallel.
     """
-    w = np.array([
-        u[2] * v[1] - u[1] * v[2],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    ], dtype=float)
+    u0, u1, u2 = map(float, u)
+    v0, v1, v2 = map(float, v)
+    w = [u2 * v1 - u1 * v2, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0]
     if abs(mink_inner(w, w)) < ZERO_EPS * ZERO_EPS:
         raise DegeneratePairError("inputs span no definite normal direction")
-    return w
+    return np.array(w)
 
 
 def boost_matrix(rapidity: float) -> np.ndarray:

@@ -122,15 +122,15 @@ def _check_distinct(points) -> None:
                 raise DegenerateTriangleError(f"vertices {i + 1} and {j + 1} are {how}")
 
 
-def _solve_normal_signs(raw: list[np.ndarray], tangents: np.ndarray) -> list[float]:
+def _solve_normal_signs(raw: list[list[float]], tangents: list) -> list[float]:
     # Pairwise sign products forced by the tangent/normal identity at
     # each vertex; any two reliable products pin all three signs up to
-    # one global flip.
+    # one global flip.  tangents is the (3, 3, 3) array as nested lists.
     desired = []
     rawprod = []
     for j in range(3):
         k, l = _others(j)
-        desired.append(mink_inner(tangents[j, k], tangents[j, l]))
+        desired.append(mink_inner(tangents[j][k], tangents[j][l]))
         rawprod.append(mink_inner(raw[k], raw[l]))
     sigma = [None, None, None]
     for j in range(3):
@@ -179,19 +179,19 @@ def _assemble(points, cls: TriangleClass) -> DeSitterTriangle:
     raw = []
     for j in range(3):
         k, l = _others(j)
-        raw.append(lorentz_normalize(lorentz_cross(points[k].v, points[l].v)))
-    signs = _solve_normal_signs(raw, tangents)
+        raw.append(lorentz_normalize(lorentz_cross(points[k]._x, points[l]._x)).tolist())
+    signs = _solve_normal_signs(raw, tangents.tolist())
 
     # Global flip: the normal of the edge opposite vertex 1 points away
     # from vertex 1; degenerate dot products fall back to future-pointing.
-    anchor = signs[0] * mink_inner(raw[0], points[0].v)
+    anchor = signs[0] * mink_inner(raw[0], points[0]._x)
     if abs(anchor) > ZERO_EPS:
         flip = anchor > 0.0
     else:
         flip = signs[0] * raw[0][0] < 0.0
     if flip:
         signs = [-s for s in signs]
-    normals = np.stack([signs[j] * raw[j] for j in range(3)])
+    normals = np.array([[signs[j] * x for x in raw[j]] for j in range(3)])
 
     tangents.setflags(write=False)
     normals.setflags(write=False)
@@ -199,10 +199,9 @@ def _assemble(points, cls: TriangleClass) -> DeSitterTriangle:
 
 
 def _counts(edges) -> tuple[int, int, int]:
-    i = sum(1 for e in edges if e.kind is SegmentKind.ELLIPSE_PART)
-    j = sum(1 for e in edges if e.kind is SegmentKind.HYPERBOLA_PART)
-    k = sum(1 for e in edges if e.kind is SegmentKind.NULL_LINE)
-    return i, j, k
+    kinds = [e.kind for e in edges]
+    return (kinds.count(SegmentKind.ELLIPSE_PART), kinds.count(SegmentKind.HYPERBOLA_PART),
+            kinds.count(SegmentKind.NULL_LINE))
 
 
 def _contractibility(edges) -> bool | None:
@@ -228,7 +227,7 @@ def classify_triangle(p1: DeSitterPoint, p2: DeSitterPoint, p3: DeSitterPoint) -
     if any(e.kind is SegmentKind.IMPOSSIBLE for e in edges):
         return TriangleClass(TriangleKind.IMPOSSIBLE, (i, j, k), ProperName.NONE, None, edges)
     if k == 0:
-        det = float(np.linalg.det(np.stack([p.v for p in points])))
+        det = float(np.linalg.det(np.array([p._x for p in points])))
         if abs(det) < ZERO_EPS:
             raise DegenerateTriangleError("vertices lie on a single geodesic")
     name = _NAME_TABLE[(i, j, k)]
@@ -262,8 +261,7 @@ def polar_triangle(tri: DeSitterTriangle) -> PolarTriangle:
     if name not in _AREA_TYPES:
         raise NoPolarTriangleError(f"no polar triangle for {name.value}")
     kinds = []
-    for j in range(3):
-        u = tri.normals[j]
+    for u in tri.normals.tolist():
         if mink_inner(u, u) > 0.0:
             kinds.append(PolarKind.ON_DE_SITTER)
         elif u[0] > 0.0:
@@ -291,19 +289,21 @@ def distinguished_vertex(tri: DeSitterTriangle) -> int:
         if not is_contractible(tri):
             raise NonContractibleError(
                 "triangle is non-contractible: it bounds no disk and singles out no vertex")
+        normals = tri.normals.tolist()
         hits = []
         for j in range(3):
             k, l = _others(j)
-            if mink_inner(tri.normals[k], tri.normals[l]) < 0.0:
+            if mink_inner(normals[k], normals[l]) < 0.0:
                 hits.append(j)
         if len(hits) != 1:
             raise GeometryError(f"expected one cone-sharing vertex, found {hits!r}")
         return hits[0]
     if name is ProperName.TEMPOLATERAL:
+        tangents = tri.tangents.tolist()
         hits = []
         for j in range(3):
             k, l = _others(j)
-            if mink_inner(tri.tangents[j, k], tri.tangents[j, l]) > 0.0:
+            if mink_inner(tangents[j][k], tangents[j][l]) > 0.0:
                 hits.append(j)
         if len(hits) != 1:
             raise GeometryError(f"expected one cone-splitting vertex, found {hits!r}")
@@ -313,22 +313,24 @@ def distinguished_vertex(tri: DeSitterTriangle) -> int:
 
 def tangent_normal_residual(tri: DeSitterTriangle) -> float:
     """Largest violation of <V_jk, V_jl> = <u_k, u_l> over the vertices."""
+    tangents, normals = tri.tangents.tolist(), tri.normals.tolist()
     worst = 0.0
     for j in range(3):
         k, l = _others(j)
-        lhs = mink_inner(tri.tangents[j, k], tri.tangents[j, l])
-        rhs = mink_inner(tri.normals[k], tri.normals[l])
+        lhs = mink_inner(tangents[j][k], tangents[j][l])
+        rhs = mink_inner(normals[k], normals[l])
         worst = max(worst, abs(lhs - rhs))
     return worst
 
 
 def normal_duality_holds(tri: DeSitterTriangle) -> bool:
     """Tangents along an edge are time-like iff the edge's normal is space-like."""
+    tangents, normals = tri.tangents.tolist(), tri.normals.tolist()
     for m in range(3):
         j, k = _others(m)
-        u_space = causal_type(tri.normals[m]) is CausalType.SPACE_LIKE
+        u_space = causal_type(normals[m]) is CausalType.SPACE_LIKE
         for a, b in ((j, k), (k, j)):
-            v_time = causal_type(tri.tangents[a, b]) is CausalType.TIME_LIKE
+            v_time = causal_type(tangents[a][b]) is CausalType.TIME_LIKE
             if v_time != u_space:
                 return False
     return True

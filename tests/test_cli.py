@@ -107,6 +107,37 @@ class TestClassifyCommand:
                                stdin=doc)
         assert code == 3
 
+    def test_boolean_coordinates_rejected(self, capsys, monkeypatch):
+        # JSON booleans parse as bool, a subclass of int; once read as 0 and
+        # 1 they made a bimetrical chorosceles triangle.
+        doc = ('{"schema":1,"vertices":[[false,true,false],[false,false,true],'
+               '[0.5,1,0.5]]}')
+        code, out, err = run_cli(capsys, monkeypatch, "classify", "--input", "-",
+                                 stdin=doc)
+        assert code == 2
+        assert out == ""
+        assert err == "error: vertex row 1 must hold three numbers\n"
+
+    def test_integer_beyond_float_range_rejected(self, capsys, monkeypatch):
+        doc = '{"schema":1,"vertices":[[0,1,0],[1%s,0,1],[0,0,1]]}' % ("0" * 400)
+        for command in ("classify", "area", "plot"):
+            extra = ["--out", "-"] if command == "plot" else []
+            code, out, err = run_cli(capsys, monkeypatch, command, "--input", "-",
+                                     *extra, stdin=doc)
+            assert code == 2
+            assert out == ""
+            assert err == "error: vertex row 2 has an integer beyond the float range\n"
+
+    def test_large_integer_in_float_range_accepted(self, capsys, monkeypatch):
+        # Integers that fit a float are numbers like any other: the row
+        # is checked against the quadric, not rejected by type.
+        doc = json.dumps({"schema": 1, "vertices": [[0, 1, 0], [10**20, 1, 0],
+                                                    [0, 0, 1]]})
+        code, _, err = run_cli(capsys, monkeypatch, "classify", "--input", "-",
+                               stdin=doc)
+        assert code == 2
+        assert err.startswith("error: vertex row 2 is off the quadric")
+
 
 class TestAreaCommand:
     def test_reports_formula_and_angles(self, capsys, monkeypatch,
@@ -157,6 +188,21 @@ class TestAreaCommand:
         assert code == 5
         assert out == ""
         assert err == "error: edge opposite vertex 3 admits no geodesic\n"
+
+    @pytest.mark.parametrize("grid", ["5464", "100000"])
+    def test_grid_above_ceiling_is_usage_error(self, capsys, monkeypatch,
+                                               chorosceles_doc, grid):
+        code, out, err = run_cli(capsys, monkeypatch, "area", "--input", "-",
+                                 "--oracle", "--grid", grid, stdin=chorosceles_doc)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: grid must be at most 5463, got {grid}\n"
+
+    def test_grid_at_ceiling_runs(self, capsys, monkeypatch, chorosceles_doc):
+        code, out, _ = run_cli(capsys, monkeypatch, "area", "--input", "-",
+                               "--oracle", "--grid", "5463", stdin=chorosceles_doc)
+        assert code == 0
+        assert json.loads(out)["oracle"]["grid"] == [5463, 5463]
 
 
 class TestRandomCommand:
@@ -259,6 +305,13 @@ class TestVerifyCommand:
             tri = build_triangle(*(DeSitterPoint(np.array(v)) for v in vertices))
             tri = DeSitterTriangle(tri.points, tri.edges, tri.tangents, tri.normals + 1e-3)
             assert f["detail"] == f"residual {tangent_normal_residual(tri):.3g}"
+
+    def test_grid_above_ceiling_is_usage_error(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, monkeypatch, "verify", "--type",
+                                 "chorosceles", "--trials", "1", "--grid", "5464")
+        assert code == 2
+        assert out == ""
+        assert err == "error: grid must be at most 5463, got 5464\n"
 
     def test_zero_trials_usage_error(self, capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:

@@ -111,6 +111,13 @@ class TestIntegrateArea:
         with pytest.raises(ValueError):
             integrate_area(tri, n=4)
 
+    def test_large_grid_rejected(self, chorosceles_points, monkeypatch):
+        # A fixed ceiling, not one derived from the panel cap.
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 1)
+        tri = build_triangle(*chorosceles_points)
+        with pytest.raises(ValueError, match="at most 5463"):
+            integrate_area(tri, n=5464)
+
     def test_bad_apex_rejected(self, chorosceles_points):
         tri = build_triangle(*chorosceles_points)
         with pytest.raises(ValueError):
