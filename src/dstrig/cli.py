@@ -97,8 +97,9 @@ def _parse_documents(text: str) -> list[dict]:
 def _document_points(doc: dict) -> tuple[DeSitterPoint, DeSitterPoint, DeSitterPoint]:
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
-    if doc.get("schema") != SCHEMA:
-        raise DocumentError(f"unsupported schema: {doc.get('schema')!r}")
+    schema = doc.get("schema")
+    if isinstance(schema, bool) or schema != SCHEMA:  # JSON true == 1 in Python
+        raise DocumentError(f"unsupported schema: {schema!r}")
     sig = doc.get("signature", SIGNATURE)
     if sig != SIGNATURE:
         raise DocumentError(f"unsupported signature: {sig!r}")

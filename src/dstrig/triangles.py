@@ -8,10 +8,10 @@ four null-free types.
 Vertex and edge indexing: edge j is the edge opposite vertex j, joining
 the other two vertices.  tangents[j, k] is the unit tangent at vertex j
 toward vertex k; normals[j] is the unit outer normal of edge j's plane.
-The three normal signs are fixed jointly so that for every vertex j the
-identity <tangents[j,k], tangents[j,l]> = <normals[k], normals[l]> holds,
-and the residual global flip is resolved by <normals[0], p0> <= 0 (outer
-side), falling back to a positive time component.
+Every normals[j] points away from vertex j (<normals[j], pj> <= 0); when
+<normals[0], p0> is within ZERO_EPS of zero, normals[0] is made
+future-pointing instead.  The identity <tangents[j,k], tangents[j,l]> =
+<normals[k], normals[l]> at every vertex j follows from that orientation.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ from .errors import (
 )
 from .geodesics import DeSitterPoint, GeodesicSegment, SegmentKind, _proportional, classify_segment, tangent_toward
 from .minkowski import NULL_EPS, ZERO_EPS, CausalType, causal_type, lorentz_cross, lorentz_normalize, mink_inner
-
-# Near-orthogonal tangent/normal products leave a pairwise sign
-# undetermined; below this magnitude the other two identities decide.
-_SIGN_TOL = 1e-10
 
 
 class TriangleKind(Enum):
@@ -122,37 +118,10 @@ def _check_distinct(points) -> None:
                 raise DegenerateTriangleError(f"vertices {i + 1} and {j + 1} are {how}")
 
 
-def _solve_normal_signs(raw: list[list[float]], tangents: list) -> list[float]:
-    # Pairwise sign products forced by the tangent/normal identity at
-    # each vertex; any two reliable products pin all three signs up to
-    # one global flip.  tangents is the (3, 3, 3) array as nested lists.
-    desired = []
-    rawprod = []
-    for j in range(3):
-        k, l = _others(j)
-        desired.append(mink_inner(tangents[j][k], tangents[j][l]))
-        rawprod.append(mink_inner(raw[k], raw[l]))
-    sigma = [None, None, None]
-    for j in range(3):
-        if min(abs(desired[j]), abs(rawprod[j])) > _SIGN_TOL:
-            sigma[j] = 1.0 if desired[j] * rawprod[j] > 0 else -1.0
-    signs = [1.0, None, None]
-    if sigma[2] is not None:
-        signs[1] = sigma[2]
-    if sigma[1] is not None:
-        signs[2] = sigma[1]
-    if signs[1] is None and sigma[0] is not None and signs[2] is not None:
-        signs[1] = sigma[0] * signs[2]
-    if signs[2] is None and sigma[0] is not None and signs[1] is not None:
-        signs[2] = sigma[0] * signs[1]
-    # Any product still undetermined is orthogonal on both sides, so the
-    # identity holds whichever sign is used.
-    signs = [s if s is not None else 1.0 for s in signs]
-    return signs
-
-
 def build_triangle(p1: DeSitterPoint, p2: DeSitterPoint, p3: DeSitterPoint) -> DeSitterTriangle:
-    """Assemble a triangle with tangents and consistently signed normals.
+    """Assemble a triangle with tangents and outer normals.
+
+    Every normals[j] points away from vertex j (see the module docstring).
 
     Only the four null-free types can be built; null or impossible edges
     and collinear vertex triples are rejected.
@@ -180,18 +149,13 @@ def _assemble(points, cls: TriangleClass) -> DeSitterTriangle:
     for j in range(3):
         k, l = _others(j)
         raw.append(lorentz_normalize(lorentz_cross(points[k]._x, points[l]._x)).tolist())
-    signs = _solve_normal_signs(raw, tangents.tolist())
 
-    # Global flip: the normal of the edge opposite vertex 1 points away
-    # from vertex 1; degenerate dot products fall back to future-pointing.
-    anchor = signs[0] * mink_inner(raw[0], points[0]._x)
-    if abs(anchor) > ZERO_EPS:
-        flip = anchor > 0.0
-    else:
-        flip = signs[0] * raw[0][0] < 0.0
-    if flip:
-        signs = [-s for s in signs]
-    normals = np.array([[signs[j] * x for x in raw[j]] for j in range(3)])
+    # One sign suffices: <axb, c> = det[c; a; b] gives every <raw[j], pj> the same sign, and
+    # <axb, cxd> = <a,d><b,c> - <a,c><b,d> gives <raw[k], raw[l]> that of <t_jk, t_jl>.
+    # Flip so edge 1's normal points away from vertex 1, else future-pointing if degenerate.
+    anchor = mink_inner(raw[0], points[0]._x)
+    flip = anchor > 0.0 if abs(anchor) > ZERO_EPS else raw[0][0] < 0.0
+    normals = -np.array(raw) if flip else np.array(raw)
 
     tangents.setflags(write=False)
     normals.setflags(write=False)

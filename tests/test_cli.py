@@ -83,6 +83,21 @@ class TestClassifyCommand:
         assert code == 2
         assert "schema" in err
 
+    @pytest.mark.parametrize("command", ["classify", "area"])
+    def test_boolean_schema_rejected(self, capsys, monkeypatch, command, chorosceles_doc):
+        # JSON true equals 1 in Python; it is still not schema 1.
+        doc = json.dumps(dict(json.loads(chorosceles_doc), schema=True))
+        code, out, err = run_cli(capsys, monkeypatch, command, "--input", "-", stdin=doc)
+        assert code == 2
+        assert out == ""
+        assert err == "error: unsupported schema: True\n"
+
+    def test_float_schema_accepted(self, capsys, monkeypatch, chorosceles_doc):
+        doc = json.dumps(dict(json.loads(chorosceles_doc), schema=1.0))
+        code, out, _ = run_cli(capsys, monkeypatch, "area", "--input", "-", stdin=doc)
+        assert code == 0
+        assert json.loads(out)["proper_name"] == "chorosceles"
+
     def test_off_quadric_names_row(self, capsys, monkeypatch):
         doc = json.dumps({"schema": 1,
                           "vertices": [[0, 1, 0], [0, 0.5, 0], [0, 0, 1]]})

@@ -3,7 +3,9 @@
 Point validation, classification and assembly read coordinates as
 Python floats.  The references below are the earlier numpy versions,
 kept here verbatim in substance: each must give the same bits, or the
-same exception type and message, on every input.
+same exception type and message, on every input.  _ref_signs is the
+pairwise normal-sign solver that one orientation sign later replaced;
+it proves that replacement gives the same normals.
 """
 
 import math
@@ -34,7 +36,7 @@ from dstrig.minkowski import (
     vec3,
 )
 from dstrig.oracle import random_buildable_triangle
-from dstrig.triangles import _SIGN_TOL, build_triangle, classify_triangle
+from dstrig.triangles import build_triangle, classify_triangle
 
 _EDGE_PAIRS = ((1, 2), (2, 0), (0, 1))
 
@@ -128,6 +130,11 @@ def _ref_classify(points):
         if abs(det) < ZERO_EPS:
             raise DegenerateTriangleError("vertices lie on a single geodesic")
     return edges
+
+
+# The earlier solver's cut: a tangent or normal product below it left a
+# pairwise sign to the other two identities.
+_SIGN_TOL = 1e-10
 
 
 def _ref_signs(raw, tangents):
@@ -284,6 +291,19 @@ def _band_triples():
                 yield pts[shift:] + pts[:shift]
 
 
+def _p(x0, x1, x2):
+    return DeSitterPoint(vec3(x0, x1, x2))
+
+
+def _right_angle_triples():
+    """Chorosceles triples with a tangent product of exactly 0 at (0,1,0)."""
+    for u in (0.5, 1.3, 4.0):
+        pts = (_p(0.0, 1.0, 0.0), _p(0.0, 0.0, 1.0), _p(math.sinh(u), math.cosh(u), 0.0))
+        for shift in range(3):
+            yield pts[shift:] + pts[:shift]
+        yield (pts[1], pts[0], pts[2])
+
+
 # -- tests -------------------------------------------------------------------
 
 class TestFloatPathReference:
@@ -332,6 +352,17 @@ class TestFloatPathReference:
             check_triple(points)
             kinds.update(kind for kind, _ in _ref_classify(points))
         assert {SegmentKind.NULL_LINE, SegmentKind.IMPOSSIBLE} <= kinds
+
+    def test_right_angle_triples(self):
+        # The earlier solver's _SIGN_TOL fallback runs on each of these.
+        triples = list(_right_angle_triples())
+        assert len(triples) == 12
+        for points in triples:
+            check_triple(points)
+            _, tangents, _ = _ref_build(points)
+            products = [_ref_inner(tangents[j, (j + 1) % 3], tangents[j, (j + 2) % 3])
+                        for j in range(3)]
+            assert 0.0 in products
 
     @pytest.mark.parametrize("value", [
         [math.nan, 1.0, 0.0], [0.0, math.inf, 0.0], [-math.inf, 1.0, 0.0],

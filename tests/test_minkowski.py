@@ -305,9 +305,9 @@ class TestLorentzCross:
         expected = METRIC @ np.cross(u, v)
         np.testing.assert_allclose(w, expected, atol=1e-14)
 
-    @given(u=vectors, v=vectors)
+    @given(u=vectors, v=vectors, c=vectors, d=vectors)
     @settings(max_examples=150)
-    def test_orthogonal_and_lagrange(self, u, v):
+    def test_orthogonal_and_lagrange(self, u, v, c, d):
         try:
             w = lorentz_cross(u, v)
         except DegeneratePairError:
@@ -316,6 +316,22 @@ class TestLorentzCross:
         assert abs(mink_inner(w, v)) < 1e-9
         lagrange = mink_inner(u, v) ** 2 - mink_inner(u, u) * mink_inner(v, v)
         assert mink_inner(w, w) == pytest.approx(lagrange, abs=1e-8)
+
+        # Rounding scales with the product of the operands' Euclidean
+        # sizes; the absolute floor covers subnormal components.
+        def close(x, y, *operands):
+            size = math.prod(float(np.linalg.norm(a)) for a in operands)
+            return abs(x - y) <= 1e-14 * size + 1e-300
+
+        # triple product: <u x v, c> = det[c; u; v]
+        assert close(mink_inner(w, c), float(np.linalg.det(np.array([c, u, v]))), u, v, c)
+        try:
+            z = lorentz_cross(c, d)
+        except DegeneratePairError:
+            return
+        # four-vector Lagrange identity: <u x v, c x d> = <u,d><v,c> - <u,c><v,d>
+        binet = mink_inner(u, d) * mink_inner(v, c) - mink_inner(u, c) * mink_inner(v, d)
+        assert close(mink_inner(w, z), binet, u, v, c, d)
 
     def test_parallel_rejected(self):
         with pytest.raises(DegeneratePairError):

@@ -16,6 +16,7 @@ from dstrig.errors import (
     NonContractibleError,
     NotApplicableError,
     NotSpatiolateralError,
+    NotUnitError,
     NullEdgeError,
 )
 from dstrig.geodesics import DeSitterPoint, SegmentKind, classify_segment
@@ -78,9 +79,21 @@ class TestBuild:
         with pytest.raises(ValueError):
             tri.normals[0, 0] = 9.0
 
-    def test_outer_normal_anchor(self, spatiolateral_points):
-        tri = build_triangle(*spatiolateral_points)
-        assert mink_inner(tri.normals[0], tri.points[0].v) <= 0.0
+    def test_outer_normal_anchor(self, request):
+        # Every normal points away from its opposite vertex.
+        triples = [request.getfixturevalue(f"{name}_points") for name in
+                   ("spatiolateral", "tempolateral", "chorosceles", "chronosceles")]
+        for u_max in (2.0, 6.0, 8.0):
+            for seed in range(50):
+                try:
+                    triples.append(random_buildable_triangle(seed, u_max=u_max).points)
+                except NotUnitError:
+                    continue  # a chart draw off the quadric
+        assert len(triples) > 140
+        for points in triples:
+            tri = build_triangle(*points)
+            for j in range(3):
+                assert mink_inner(tri.normals[j], tri.points[j].v) < 0.0
 
     def test_coincident_rejected(self, spatiolateral_points):
         p1, p2, _ = spatiolateral_points
