@@ -71,21 +71,25 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _parse_documents(text: str) -> list[dict]:
-    text = text.strip()
+def _parse_documents(raw: str) -> list[dict]:
+    text = raw.strip()
     if not text:
         raise DocumentError("empty input")
     if text.startswith("["):
         raise DocumentError("expected an object per document, not a JSON array")
     docs = []
     if "\n" in text and not text.startswith("{\n"):
-        chunks = [line for line in text.splitlines() if line.strip()]
+        chunks = raw.splitlines()
     else:
         chunks = [text]
     try:
-        for chunk in chunks:
-            docs.append(json.loads(chunk))
-    except json.JSONDecodeError:
+        for lineno, chunk in enumerate(chunks, 1):
+            if chunk.strip():
+                docs.append(json.loads(chunk))
+    except json.JSONDecodeError as exc:
+        if docs:  # earlier lines parsed alone: a JSONL stream
+            raise DocumentError(
+                f"not valid JSON on line {lineno}: {exc.msg} at column {exc.colno}") from exc
         # Fall back to one pretty-printed document spanning many lines.
         try:
             docs = [json.loads(text)]

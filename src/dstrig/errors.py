@@ -106,10 +106,6 @@ class NonConvergentError(GeometryError):
     """The oracle's panel bisection hit its panel cap before converging."""
 
 
-class DegenerateFanError(GeometryError):
-    """The vertices are too near a plane through the origin to integrate."""
-
-
 class ExhaustedAttemptsError(GeometryError):
     """Rejection sampling hit the attempt budget without a match."""
 

@@ -34,9 +34,9 @@ import numpy as np
 
 from .areas import _apex_products, girard_area, girard_area_from_products
 from .errors import (
-    DegenerateFanError,
     ExhaustedAttemptsError,
     GeometryError,
+    NonContractibleError,
     NonConvergentError,
 )
 from .geodesics import DeSitterPoint
@@ -47,8 +47,9 @@ from .triangles import (
     _AREA_TYPES,
     _NAME_TABLE,
     _assemble,
+    _check_not_collinear,
     classify_triangle,
-    distinguished_vertex,
+    is_contractible,
     tangent_normal_residual,
     triangle_name,
 )
@@ -152,19 +153,20 @@ def _panels(edges, e: np.ndarray, a: np.ndarray, w: np.ndarray):
     return w * (f @ _GL_WEIGHTS), w * (r @ _GL_WEIGHTS)
 
 
-def integrate_area(tri: DeSitterTriangle, n: int = 64, apex: int | None = None) -> OracleResult:
+def integrate_area(tri: DeSitterTriangle, n: int = 64) -> OracleResult:
     """Area as the boundary integral |oint x0 dpsi|, by adaptive quadrature.
 
-    The loop starts at the apex (the distinguished vertex when apex is
-    None, which raises for a triangle that bounds no disk).  Each edge
-    starts as n // 8 panels of the 20-node Gauss-Legendre rule, and a
-    panel is split in two until its halves match it (module docstring);
-    n outside [8, 5463] raises ValueError.  grid is (n, n); refinements
-    is the deepest bisection level (1: every starting panel matched its
-    halves); est_error is the sum of the accepted panels'
-    |halves - whole|, floored at the sum of their round-off floors
-    64 * eps * R (> 0 whenever det passes).  More than _MAX_PANELS
-    panels raises NonConvergentError.
+    Reads only tri.points and the edge kinds derived from them.  The loop
+    runs p1 -> p2 -> p3 -> p1.  A non-contractible triangle, which bounds
+    no disk, raises NonContractibleError; vertices on one geodesic raise
+    DegenerateTriangleError.  Each edge starts as n // 8 panels of the
+    20-node Gauss-Legendre rule, and a panel is split in two until its
+    halves match it (module docstring); n outside [8, 5463] raises
+    ValueError.  grid is (n, n); refinements is the deepest bisection
+    level (1: every starting panel matched its halves); est_error is the
+    sum of the accepted panels' |halves - whole|, floored at the sum of
+    their round-off floors 64 * eps * R (> 0 for non-collinear vertices).
+    More than _MAX_PANELS panels raises NonConvergentError.
 
     est_error counts quadrature error and the round-off of evaluating
     the integrand.  It does not count the conditioning of the float
@@ -177,14 +179,11 @@ def integrate_area(tri: DeSitterTriangle, n: int = 64, apex: int | None = None) 
         raise ValueError(f"grid must be at least 8, got {n!r}")
     if n > _MAX_GRID:
         raise ValueError(f"grid must be at most {_MAX_GRID}, got {n!r}")
-    apex_index = distinguished_vertex(tri) if apex is None else apex
-    if not 0 <= apex_index <= 2:
-        raise ValueError(f"apex index out of range: {apex_index!r}")
-    det = float(np.linalg.det(np.stack([p.v for p in tri.points])))
-    if abs(det) < 1e-9:
-        raise DegenerateFanError("apex too close to the opposite edge's plane")
+    if triangle_name(tri) is ProperName.SPATIOLATERAL and not is_contractible(tri):
+        raise NonContractibleError("triangle is non-contractible: it bounds no disk")
+    _check_not_collinear(tri.points)
 
-    edges = _loop_edges(np.stack([tri.points[(apex_index + j) % 3].v for j in range(3)]))
+    edges = _loop_edges(np.stack([p.v for p in tri.points]))
     m = n // 8
     e = np.repeat(np.arange(3), m)
     a = np.tile(np.arange(m) / m, 3)
@@ -362,8 +361,8 @@ def verify_type(target: ProperName, trials: int, seed: int,
     angle-form area (1e-9); and the type-specific structure of the
     distinguished vertex.  Each failure entry names its trial's generator
     seed, which `dstrig random --type T --seed S` replays.
-    corrupt_normals deliberately perturbs the normals first and is
-    expected to make the identity checks fail.
+    corrupt_normals perturbs the normals, which the oracle never reads,
+    and is expected to make the identity checks fail.
     """
     if target not in _AREA_TYPES:
         raise ValueError(f"unsupported verification target: {target!r}")
@@ -421,7 +420,7 @@ def verify_type(target: ProperName, trials: int, seed: int,
 
         try:
             orc = integrate_area(tri, n=grid)
-        except (NonConvergentError, DegenerateFanError) as exc:
+        except NonConvergentError as exc:
             tally("oracle_agreement", False, f"oracle failed: {exc}")
             continue
         disc = abs(res.real_area - orc.area)

@@ -39,9 +39,6 @@ from .minkowski import NULL_EPS, ZERO_EPS, CausalType, causal_type, lorentz_cros
 
 class TriangleKind(Enum):
     PROPER_DE_SITTER = "proper_de_sitter"
-    HYPERBOLIC = "hyperbolic"
-    ANTIPODAL_HYPERBOLIC = "antipodal_hyperbolic"
-    STRANGE = "strange"
     IMPOSSIBLE = "impossible"
 
 
@@ -118,6 +115,12 @@ def _check_distinct(points) -> None:
                 raise DegenerateTriangleError(f"vertices {i + 1} and {j + 1} are {how}")
 
 
+def _check_not_collinear(points) -> None:
+    # Three vertices on one non-null geodesic span a plane through the origin.
+    if abs(float(np.linalg.det(np.array([p._x for p in points])))) < ZERO_EPS:
+        raise DegenerateTriangleError("vertices lie on a single geodesic")
+
+
 def build_triangle(p1: DeSitterPoint, p2: DeSitterPoint, p3: DeSitterPoint) -> DeSitterTriangle:
     """Assemble a triangle with tangents and outer normals.
 
@@ -191,9 +194,7 @@ def classify_triangle(p1: DeSitterPoint, p2: DeSitterPoint, p3: DeSitterPoint) -
     if any(e.kind is SegmentKind.IMPOSSIBLE for e in edges):
         return TriangleClass(TriangleKind.IMPOSSIBLE, (i, j, k), ProperName.NONE, None, edges)
     if k == 0:
-        det = float(np.linalg.det(np.array([p._x for p in points])))
-        if abs(det) < ZERO_EPS:
-            raise DegenerateTriangleError("vertices lie on a single geodesic")
+        _check_not_collinear(points)
     name = _NAME_TABLE[(i, j, k)]
     contractible = _contractibility(edges) if name is ProperName.SPATIOLATERAL else None
     return TriangleClass(TriangleKind.PROPER_DE_SITTER, (i, j, k), name, contractible, edges)

@@ -77,6 +77,18 @@ class TestClassifyCommand:
         assert code == 2
         assert "error" in err
 
+    def test_bad_jsonl_line_named(self, capsys, monkeypatch, chorosceles_doc,
+                                  spatiolateral_points):
+        # Two good lines, then a truncated third: the error names line 3,
+        # not the whole text's first stray byte.
+        stream = "\n".join([chorosceles_doc, doc_for(spatiolateral_points),
+                            '{"schema": 1, "vertices": [[0,1,0],[0,0,1]']) + "\n"
+        code, out, err = run_cli(capsys, monkeypatch, "classify", "--input", "-",
+                                 stdin=stream)
+        assert code == 2
+        assert out == ""
+        assert err == "error: not valid JSON on line 3: Expecting ',' delimiter at column 43\n"
+
     def test_bad_schema(self, capsys, monkeypatch):
         code, _, err = run_cli(capsys, monkeypatch, "classify", "--input", "-",
                                stdin='{"schema": 9, "vertices": []}')
@@ -357,7 +369,6 @@ EXIT_CODES = {
     "NonContractibleError": 4,
     "UnsupportedTriangleTypeError": 5,
     "NonConvergentError": 1,
-    "DegenerateFanError": 1,
     "ExhaustedAttemptsError": 6,
 }
 

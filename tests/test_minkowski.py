@@ -1,9 +1,10 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dstrig.errors import (
@@ -298,6 +299,12 @@ class TestRealAngleReference:
         assert {"ok", NullSpanError, NotUnitError} <= outcomes
 
 
+def _exact_det(*rows):
+    """det of a 3x3 matrix of floats, computed exactly and rounded once."""
+    (a, b, c), (d, e, f), (g, h, i) = ([Fraction(float(x)) for x in r] for r in rows)
+    return float(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
+
+
 class TestLorentzCross:
     def test_matches_euclidean_cross_with_flip(self):
         u, v = vec3(0.3, -1.2, 0.7), vec3(1.1, 0.4, -0.5)
@@ -307,6 +314,15 @@ class TestLorentzCross:
 
     @given(u=vectors, v=vectors, c=vectors, d=vectors)
     @settings(max_examples=150)
+    # Tiny third operands, where a floating determinant loses relative accuracy.
+    @example(u=vec3(0, 0, 1), v=vec3(1, 0, 0), c=vec3(0, 6.401060512233722e-253, 0), d=vec3(0, 0, 0))
+    @example(u=vec3(0, 1, 0), v=vec3(1, 0, 0), c=vec3(0, 0, 5.4e-266), d=vec3(0, 0, 0))
+    @example(
+        u=vec3(0, 2.1934450588357848, 0),
+        v=vec3(2.9375, 0, 0),
+        c=vec3(0, 0, 5.733447017627117e-191),
+        d=vec3(0, 0, 0),
+    )
     def test_orthogonal_and_lagrange(self, u, v, c, d):
         try:
             w = lorentz_cross(u, v)
@@ -318,13 +334,14 @@ class TestLorentzCross:
         assert mink_inner(w, w) == pytest.approx(lagrange, abs=1e-8)
 
         # Rounding scales with the product of the operands' Euclidean
-        # sizes; the absolute floor covers subnormal components.
+        # sizes (hypot, since squaring tiny components underflows); the
+        # absolute floor covers subnormal components.
         def close(x, y, *operands):
-            size = math.prod(float(np.linalg.norm(a)) for a in operands)
+            size = math.prod(math.hypot(*map(float, a)) for a in operands)
             return abs(x - y) <= 1e-14 * size + 1e-300
 
-        # triple product: <u x v, c> = det[c; u; v]
-        assert close(mink_inner(w, c), float(np.linalg.det(np.array([c, u, v]))), u, v, c)
+        # triple product: <u x v, c> = det[c; u; v], the reference exact
+        assert close(mink_inner(w, c), _exact_det(c, u, v), u, v, c)
         try:
             z = lorentz_cross(c, d)
         except DegeneratePairError:

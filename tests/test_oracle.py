@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,12 +8,13 @@ import pytest
 from conftest import FROZEN_AREAS
 from dstrig import oracle
 from dstrig.errors import (
+    DegenerateTriangleError,
     ExhaustedAttemptsError,
     GeometryError,
     NonContractibleError,
     NonConvergentError,
 )
-from dstrig.geodesics import geodesic_point
+from dstrig.geodesics import DeSitterPoint, geodesic_point, project_to_quadric
 from dstrig.oracle import (
     _BLOCK,
     GeneratorConfig,
@@ -79,6 +82,15 @@ def _reference_buildable(seed, u_max):
     raise ExhaustedAttemptsError("no buildable triangle in 20000 attempts")
 
 
+def _oracle_outcome(tri):
+    """integrate_area's result fields, or the exception type and text."""
+    try:
+        res = integrate_area(tri)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+    return "ok", res.area.hex(), res.est_error.hex(), res.grid, res.refinements
+
+
 def _outcome(fn, *args):
     """Vertex bytes of the returned triangle, or the exception type and text."""
     try:
@@ -118,14 +130,12 @@ class TestIntegrateArea:
         with pytest.raises(ValueError, match="at most 5463"):
             integrate_area(tri, n=5464)
 
-    def test_bad_apex_rejected(self, chorosceles_points):
-        tri = build_triangle(*chorosceles_points)
-        with pytest.raises(ValueError):
-            integrate_area(tri, apex=3)
-
     def test_apex_swap_consistent(self, chronosceles_points):
-        tri = build_triangle(*chronosceles_points)
-        results = [integrate_area(tri, n=32, apex=a) for a in range(3)]
+        # The loop starts at whichever vertex comes first: the three
+        # cyclic orders and one reversed order bound the same region.
+        p1, p2, p3 = chronosceles_points
+        orders = [(p1, p2, p3), (p2, p3, p1), (p3, p1, p2), (p3, p2, p1)]
+        results = [integrate_area(build_triangle(*pts), n=32) for pts in orders]
         budget = 3 * sum(r.est_error for r in results)
         for r in results[1:]:
             assert abs(r.area - results[0].area) <= budget
@@ -137,11 +147,11 @@ class TestIntegrateArea:
         apex = distinguished_vertex(tri)
         base = tri.edges[apex]
         cut = geodesic_point(base, 0.4)
-        whole = integrate_area(tri, n=64, apex=apex)
+        whole = integrate_area(tri, n=64)
         parts = []
         for end in (base.a, base.b):
             sub = build_triangle(tri.points[apex], end, cut)
-            parts.append(integrate_area(sub, n=64, apex=0))
+            parts.append(integrate_area(sub, n=64))
         total = sum(p.area for p in parts)
         budget = 3 * (whole.est_error + sum(p.est_error for p in parts)) + 1e-6
         assert abs(total - whole.area) <= budget
@@ -191,6 +201,43 @@ class TestIntegrateArea:
         assert classify_triangle(*tri.points).contractible is False
         with pytest.raises(NonContractibleError):
             integrate_area(tri)
+
+    def test_reads_only_vertices(self, spatiolateral_points, tempolateral_points,
+                                 chorosceles_points, chronosceles_points):
+        # NaN tangents and normals change nothing: the oracle uses no
+        # angle, tangent or normal of the closed forms it checks.
+        tris = [build_triangle(*pts) for pts in (spatiolateral_points, tempolateral_points,
+                                                 chorosceles_points, chronosceles_points)]
+        tris += [random_buildable_triangle(seed, u_max=2.0) for seed in range(50)]
+        integrated = 0
+        for tri in tris:
+            blind = dataclasses.replace(tri, tangents=np.full((3, 3, 3), np.nan),
+                                        normals=np.full((3, 3), np.nan))
+            got, want = _oracle_outcome(blind), _oracle_outcome(tri)
+            assert got == want, [p.v.tolist() for p in tri.points]
+            integrated += want[0] == "ok"
+        assert integrated >= 4 + 40
+
+    def test_sliver_matches_referee(self):
+        # Thin spatiolateral slivers that build_triangle accepts, down to
+        # |det| ~ 1e-12.
+        for eps in (1e-9, 3e-10, 1e-10, 3e-11, 1e-11, 2e-12):
+            tri = build_triangle(DeSitterPoint([0.0, 1.0, 0.0]),
+                                 DeSitterPoint([0.0, math.cos(1.0), math.sin(1.0)]),
+                                 project_to_quadric([eps, math.cos(0.5), math.sin(0.5)]))
+            assert triangle_name(tri) is ProperName.SPATIOLATERAL
+            ref = stokes_area(tri.points)
+            assert abs(integrate_area(tri).area - ref) <= 1e-12 * max(1.0, ref), eps
+
+    def test_repeated_vertex_is_degenerate(self, spatiolateral_points, tempolateral_points,
+                                           chorosceles_points, chronosceles_points):
+        for p1, p2, p3 in (spatiolateral_points, tempolateral_points,
+                           chorosceles_points, chronosceles_points):
+            tri = dataclasses.replace(build_triangle(p1, p2, p3), points=(p1, p1, p3))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateTriangleError, match="single geodesic"):
+                    integrate_area(tri)
 
     def test_gauss_legendre_constants(self):
         # The literal rule is leggauss(20) mapped to [0, 1], bit for bit.

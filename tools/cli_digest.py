@@ -7,7 +7,12 @@ in-process on:
 
 - each of the 512 documents of `perfbench/data/pool.jsonl.gz` (read from
   the checkout holding this script) through `classify`, `area` and
-  `area --oracle`;
+  `area --oracle`, and the first 8 through `plot --out -`;
+- `classify` on malformed input: a JSONL stream whose third line is
+  cut short, a JSON array, empty input, `"schema": true` and a row off
+  the quadric;
+- `area` on a non-contractible spatiolateral triangle (exit 4) and on
+  one with an impossible edge (exit 5);
 - `random --count 1` for the four area types at `--u-max` 2, 6 and 8,
   seeds 0-7;
 - `verify --type all --trials 10`, with and without `--corrupt-normals`.
@@ -28,6 +33,7 @@ import gzip
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,6 +51,28 @@ def cases():
         yield f"classify {label}", ["classify", "--input", "-"], doc
         yield f"area {label}", ["area", "--input", "-"], doc
         yield f"oracle {label}", ["area", "--input", "-", "--oracle"], doc
+    for rec in records[:8]:
+        label = f"{rec['type']}-{rec['u_max']}-{rec['seed']}"
+        yield f"plot {label}", ["plot", "--input", "-", "--out", "-"], json.dumps(rec["doc"])
+    first, second = (json.dumps(rec["doc"]) for rec in records[:2])
+    malformed = {
+        "cut-short jsonl": "\n".join(
+            [first, second, '{"schema": 1, "vertices": [[0,1,0],[0,0,1]']) + "\n",
+        "json array": f"[{first}]",
+        "empty": "",
+        "schema true": json.dumps(dict(records[0]["doc"], schema=True)),
+        "off quadric": json.dumps({"schema": 1, "vertices": [[0, 1, 0], [0, 0.5, 0], [0, 0, 1]]}),
+    }
+    for name, text in malformed.items():
+        yield f"classify {name}", ["classify", "--input", "-"], text
+    s3, c3 = math.sinh(0.3), math.cosh(0.3)
+    refused = {
+        "non-contractible": [[-s3, -c3, 0.0], [0.0, math.cos(1.0), math.sin(1.0)],
+                             [0.0, math.cos(1.0), -math.sin(1.0)]],
+        "impossible edge": [[0, 1, 0], [math.sinh(1.0), -math.cosh(1.0), 0], [0, 0, 1]],
+    }
+    for name, rows in refused.items():
+        yield f"area {name}", ["area", "--input", "-"], json.dumps({"schema": 1, "vertices": rows})
     for kind in TYPES:
         for u_max in ("2", "6", "8"):
             for seed in range(8):
