@@ -21,15 +21,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import GeometryError, NonContractibleError, UnsupportedTriangleTypeError
+from .errors import GeometryError
 from .minkowski import PseudoAngle, _checked_angle, _span_theta, mink_inner
 from .triangles import (
     DeSitterTriangle,
     ProperName,
-    _AREA_TYPES,
+    _disk_name,
     _others,
     distinguished_vertex,
-    is_contractible,
     triangle_name,
 )
 
@@ -73,16 +72,9 @@ class AreaResult:
     angles: AngleSet
 
 
-def _require_area_type(tri: DeSitterTriangle) -> ProperName:
-    name = triangle_name(tri)
-    if name not in _AREA_TYPES:
-        raise UnsupportedTriangleTypeError(f"no angle machinery for {name.value}")
-    return name
-
-
 def interior_angles(tri: DeSitterTriangle) -> AngleSet:
     """Real and complex angle at each vertex between the two edge tangents."""
-    _require_area_type(tri)
+    triangle_name(tri)
     tangents = tri.tangents.tolist()
     thetas = []
     phis = []
@@ -100,16 +92,13 @@ def _angle_sum(angles: AngleSet) -> complex:
 
 def complex_area(tri: DeSitterTriangle) -> complex:
     """Angle sum minus pi; purely imaginary, imaginary part is the area."""
-    name = _require_area_type(tri)
-    if name is ProperName.SPATIOLATERAL and not is_contractible(tri):
-        raise NonContractibleError(
-            "a non-contractible triangle does not enclose an area patch")
+    _disk_name(tri)
     return _angle_sum(interior_angles(tri))
 
 
 def girard_area(tri: DeSitterTriangle) -> AreaResult:
     """Signed angle-sum area for the four supported triangle types."""
-    name = _require_area_type(tri)
+    name = triangle_name(tri)
     d = distinguished_vertex(tri)
     k, l = _others(d)
     angles = interior_angles(tri)
@@ -140,7 +129,7 @@ def _apex_products(tri: DeSitterTriangle) -> tuple[float, float, float]:
 
 def girard_area_from_products(tri: DeSitterTriangle) -> float:
     """Area straight from tangent inner products, skipping angle extraction."""
-    name = _require_area_type(tri)
+    name = triangle_name(tri)
     g1, g2, g3 = _apex_products(tri)
     if name is ProperName.SPATIOLATERAL:
         return -_acosh_at_least_one(-g1) + _acosh_at_least_one(g2) + _acosh_at_least_one(g3)

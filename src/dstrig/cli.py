@@ -29,8 +29,7 @@ from .geodesics import DeSitterPoint, SegmentKind, geodesic_point
 from .minkowski import mink_inner
 from .oracle import GeneratorConfig, integrate_area, random_triangle, verify_type
 from .triangles import (
-    ProperName,
-    TriangleKind,
+    _AREA_TYPES,
     _assemble,
     _others,
     build_triangle,
@@ -45,12 +44,7 @@ SIGNATURE = "-++"
 EXIT_OK = 0
 EXIT_USAGE = 2
 
-_TARGETS = {
-    "spatiolateral": ProperName.SPATIOLATERAL,
-    "tempolateral": ProperName.TEMPOLATERAL,
-    "chorosceles": ProperName.CHOROSCELES,
-    "chronosceles": ProperName.CHRONOSCELES,
-}
+_TARGETS = {name.value: name for name in _AREA_TYPES}
 
 
 class DocumentError(Exception):
@@ -168,8 +162,7 @@ def _classify_report(points) -> dict:
         "contractible": kind.contractible,
         "edges": _edge_report(kind.edges),
     }
-    if kind.kind is TriangleKind.PROPER_DE_SITTER \
-            and kind.proper_name in _TARGETS.values():
+    if kind.proper_name in _AREA_TYPES:
         tri = _assemble(points, kind)
         polar = polar_triangle(tri)
         report["polar_triangle"] = {
@@ -251,8 +244,7 @@ def cmd_verify(args) -> int:
     reports = {}
     ok = True
     for target in targets:
-        rep = verify_type(target, trials=args.trials, seed=args.seed,
-                          grid=args.grid, corrupt_normals=args.corrupt_normals)
+        rep = verify_type(target, trials=args.trials, seed=args.seed, grid=args.grid)
         reports[target.value] = rep
         ok = ok and rep["passed"]
     _emit({"schema": SCHEMA, "types": reports, "passed": ok})
@@ -354,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", type=_positive_int, default=64,
                    help="oracle resolution 8 <= n <= 5463: n // 8 starting panels per edge")
-    p.add_argument("--corrupt-normals", action="store_true",
-                   help="test hook: perturb normals so identity checks fail")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("plot", help="SVG sketch, edges keyed by causal type")

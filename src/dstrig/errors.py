@@ -82,14 +82,6 @@ class BoundaryCaseError(GeometryError):
     exit_code = 3
 
 
-class NoPolarTriangleError(GeometryError):
-    """Polar triangles exist only for the four null-free types."""
-
-
-class NotApplicableError(GeometryError):
-    """No distinguished vertex is defined for this triangle type."""
-
-
 class NonContractibleError(GeometryError):
     """A non-contractible three-space-like-edge triangle bounds no area."""
 
@@ -97,7 +89,11 @@ class NonContractibleError(GeometryError):
 
 
 class UnsupportedTriangleTypeError(GeometryError):
-    """Area machinery covers only the four null-free triangle types."""
+    """A triangle with a null or impossible edge: none of the four null-free types.
+
+    Raised by triangles.triangle_name, the one type check that every
+    function reading a triangle's type goes through.
+    """
 
     exit_code = 5
 

@@ -33,12 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .areas import _apex_products, girard_area, girard_area_from_products
-from .errors import (
-    ExhaustedAttemptsError,
-    GeometryError,
-    NonContractibleError,
-    NonConvergentError,
-)
+from .errors import ExhaustedAttemptsError, GeometryError, NonConvergentError
 from .geodesics import DeSitterPoint
 from .minkowski import NULL_EPS, UNIT_EPS
 from .triangles import (
@@ -48,10 +43,9 @@ from .triangles import (
     _NAME_TABLE,
     _assemble,
     _check_not_collinear,
+    _disk_name,
     classify_triangle,
-    is_contractible,
     tangent_normal_residual,
-    triangle_name,
 )
 
 # The 20-node Gauss-Legendre rule on [0, 1]: leggauss(20) mapped by
@@ -179,8 +173,7 @@ def integrate_area(tri: DeSitterTriangle, n: int = 64) -> OracleResult:
         raise ValueError(f"grid must be at least 8, got {n!r}")
     if n > _MAX_GRID:
         raise ValueError(f"grid must be at most {_MAX_GRID}, got {n!r}")
-    if triangle_name(tri) is ProperName.SPATIOLATERAL and not is_contractible(tri):
-        raise NonContractibleError("triangle is non-contractible: it bounds no disk")
+    _disk_name(tri)
     _check_not_collinear(tri.points)
 
     edges = _loop_edges(np.stack([p.v for p in tri.points]))
@@ -350,8 +343,7 @@ def _structure_ok(tri: DeSitterTriangle, name: ProperName) -> tuple[bool, str]:
 
 
 def verify_type(target: ProperName, trials: int, seed: int,
-                grid: int = _DEFAULT_CHECK_GRID,
-                corrupt_normals: bool = False) -> dict:
+                grid: int = _DEFAULT_CHECK_GRID) -> dict:
     """Generate triangles of one type and check every identity on each.
 
     Checks per triangle: closed-form area against the Stokes oracle
@@ -361,8 +353,6 @@ def verify_type(target: ProperName, trials: int, seed: int,
     angle-form area (1e-9); and the type-specific structure of the
     distinguished vertex.  Each failure entry names its trial's generator
     seed, which `dstrig random --type T --seed S` replays.
-    corrupt_normals perturbs the normals, which the oracle never reads,
-    and is expected to make the identity checks fail.
     """
     if target not in _AREA_TYPES:
         raise ValueError(f"unsupported verification target: {target!r}")
@@ -394,9 +384,6 @@ def verify_type(target: ProperName, trials: int, seed: int,
                                  "detail": detail})
 
         tri = random_triangle(cfg)
-        if corrupt_normals:
-            tri = DeSitterTriangle(tri.points, tri.edges, tri.tangents,
-                                   tri.normals + 1e-3)
 
         res = girard_area(tri)
         prod = girard_area_from_products(tri)
@@ -432,7 +419,6 @@ def verify_type(target: ProperName, trials: int, seed: int,
         "trials": trials,
         "seed": seed,
         "grid": grid,
-        "corrupt_normals": corrupt_normals,
         "counts": counts,
         "worst": worst,
         "failures": failures,

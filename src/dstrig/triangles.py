@@ -27,11 +27,10 @@ from .errors import (
     DegenerateTriangleError,
     GeometryError,
     ImpossibleEdgeError,
-    NoPolarTriangleError,
     NonContractibleError,
-    NotApplicableError,
     NotSpatiolateralError,
     NullEdgeError,
+    UnsupportedTriangleTypeError,
 )
 from .geodesics import DeSitterPoint, GeodesicSegment, SegmentKind, _proportional, classify_segment, tangent_toward
 from .minkowski import NULL_EPS, ZERO_EPS, CausalType, causal_type, lorentz_cross, lorentz_normalize, mink_inner
@@ -201,8 +200,17 @@ def classify_triangle(p1: DeSitterPoint, p2: DeSitterPoint, p3: DeSitterPoint) -
 
 
 def triangle_name(tri: DeSitterTriangle) -> ProperName:
-    """Proper name of a built triangle (always one of the four null-free types)."""
-    return _NAME_TABLE[_counts(tri.edges)]
+    """Proper name of a triangle: one of the four null-free types.
+
+    The one type check of a DeSitterTriangle.  build_triangle makes no
+    other type; a triangle assembled by hand with a null or impossible
+    edge raises UnsupportedTriangleTypeError.
+    """
+    name = _NAME_TABLE.get(_counts(tri.edges))
+    if name not in _AREA_TYPES:
+        what = "an impossible edge" if name is None else name.value
+        raise UnsupportedTriangleTypeError(f"no angle machinery for {what}")
+    return name
 
 
 def is_contractible(tri: DeSitterTriangle) -> bool:
@@ -220,11 +228,17 @@ def is_contractible(tri: DeSitterTriangle) -> bool:
     return verdict
 
 
+def _disk_name(tri: DeSitterTriangle) -> ProperName:
+    # triangle_name of a triangle that bounds a disk; only three space-like edges may not.
+    name = triangle_name(tri)
+    if name is ProperName.SPATIOLATERAL and not is_contractible(tri):
+        raise NonContractibleError("triangle is non-contractible: it bounds no disk")
+    return name
+
+
 def polar_triangle(tri: DeSitterTriangle) -> PolarTriangle:
     """The triangle's outer normals, tagged by which surface each lies on."""
-    name = triangle_name(tri)
-    if name not in _AREA_TYPES:
-        raise NoPolarTriangleError(f"no polar triangle for {name.value}")
+    triangle_name(tri)
     kinds = []
     for u in tri.normals.tolist():
         if mink_inner(u, u) > 0.0:
@@ -245,15 +259,12 @@ def distinguished_vertex(tri: DeSitterTriangle) -> int:
     time-like edges: the unique vertex whose two tangents do not share
     a time cone.  Mixed types: the vertex opposite the odd edge out.
     """
-    name = triangle_name(tri)
+    name = _disk_name(tri)
     if name is ProperName.CHOROSCELES:
         return next(j for j in range(3) if tri.edges[j].kind is SegmentKind.HYPERBOLA_PART)
     if name is ProperName.CHRONOSCELES:
         return next(j for j in range(3) if tri.edges[j].kind is SegmentKind.ELLIPSE_PART)
     if name is ProperName.SPATIOLATERAL:
-        if not is_contractible(tri):
-            raise NonContractibleError(
-                "triangle is non-contractible: it bounds no disk and singles out no vertex")
         normals = tri.normals.tolist()
         hits = []
         for j in range(3):
@@ -263,17 +274,15 @@ def distinguished_vertex(tri: DeSitterTriangle) -> int:
         if len(hits) != 1:
             raise GeometryError(f"expected one cone-sharing vertex, found {hits!r}")
         return hits[0]
-    if name is ProperName.TEMPOLATERAL:
-        tangents = tri.tangents.tolist()
-        hits = []
-        for j in range(3):
-            k, l = _others(j)
-            if mink_inner(tangents[j][k], tangents[j][l]) > 0.0:
-                hits.append(j)
-        if len(hits) != 1:
-            raise GeometryError(f"expected one cone-splitting vertex, found {hits!r}")
-        return hits[0]
-    raise NotApplicableError(f"no distinguished vertex for {name.value}")
+    tangents = tri.tangents.tolist()
+    hits = []
+    for j in range(3):
+        k, l = _others(j)
+        if mink_inner(tangents[j][k], tangents[j][l]) > 0.0:
+            hits.append(j)
+    if len(hits) != 1:
+        raise GeometryError(f"expected one cone-splitting vertex, found {hits!r}")
+    return hits[0]
 
 
 def tangent_normal_residual(tri: DeSitterTriangle) -> float:

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import dstrig.oracle
 from dstrig.geodesics import DeSitterPoint
 
 # One line per acceptance criterion, printed at the end of the run.
@@ -20,6 +22,21 @@ def chart_point(u: float, psi: float) -> DeSitterPoint:
     """Global chart of the quadric: (sinh u, cosh u cos psi, cosh u sin psi)."""
     return DeSitterPoint(np.array([
         math.sinh(u), math.cosh(u) * math.cos(psi), math.cosh(u) * math.sin(psi)]))
+
+
+@pytest.fixture
+def corrupt_normals(monkeypatch):
+    """Shift every normal of verify_type's triangles by 1e-3.
+
+    The oracle never reads normals, so the identity checks must fail.
+    """
+    generate = dstrig.oracle.random_triangle
+
+    def corrupted(cfg):
+        tri = generate(cfg)
+        return dataclasses.replace(tri, normals=tri.normals + 1e-3)
+
+    monkeypatch.setattr(dstrig.oracle, "random_triangle", corrupted)
 
 
 def _p(x0, x1, x2):

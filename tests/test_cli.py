@@ -304,19 +304,18 @@ class TestVerifyCommand:
         assert rep["passed"] is True
         assert rep["types"]["chorosceles"]["counts"]["oracle_agreement"] == 2
 
-    def test_corrupt_normals_exit_1(self, capsys, monkeypatch):
+    def test_corrupt_normals_exit_1(self, capsys, monkeypatch, corrupt_normals):
         code, out, _ = run_cli(capsys, monkeypatch, "verify", "--type",
-                               "chorosceles", "--trials", "2", "--seed", "3",
-                               "--corrupt-normals")
+                               "chorosceles", "--trials", "2", "--seed", "3")
         assert code == 1
         assert json.loads(out)["passed"] is False
 
-    def test_corrupt_normals_failures_replay(self, capsys, monkeypatch):
+    def test_corrupt_normals_failures_replay(self, capsys, monkeypatch, corrupt_normals):
         # Each failure names its trial's generator seed; `random --seed` on
         # it prints that trial's vertices, and corrupting the normals of the
         # replayed triangle gives the reported residual again.
         _, out, _ = run_cli(capsys, monkeypatch, "verify", "--type", "chorosceles",
-                            "--trials", "2", "--seed", "3", "--corrupt-normals")
+                            "--trials", "2", "--seed", "3")
         failures = json.loads(out)["types"]["chorosceles"]["failures"]
         replays = [f for f in failures if f["check"] == "tangent_normal_identity"]
         assert [f["trial"] for f in replays] == [0, 1]
@@ -364,8 +363,6 @@ EXIT_CODES = {
     "NullEdgeError": 5,
     "NotSpatiolateralError": 1,
     "BoundaryCaseError": 3,
-    "NoPolarTriangleError": 1,
-    "NotApplicableError": 1,
     "NonContractibleError": 4,
     "UnsupportedTriangleTypeError": 5,
     "NonConvergentError": 1,

@@ -421,9 +421,8 @@ class TestVerifyType:
         b = verify_type(ProperName.CHOROSCELES, trials=2, seed=3)
         assert a == b
 
-    def test_corrupt_normals_detected(self):
-        rep = verify_type(ProperName.CHRONOSCELES, trials=2, seed=3,
-                          corrupt_normals=True)
+    def test_corrupt_normals_detected(self, corrupt_normals):
+        rep = verify_type(ProperName.CHRONOSCELES, trials=2, seed=3)
         assert rep["passed"] is False
         assert rep["counts"]["tangent_normal_identity"] == 0
         assert any(f["check"] == "tangent_normal_identity" for f in rep["failures"])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -7,21 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chart_point
+from dstrig.areas import complex_area, girard_area, girard_area_from_products, interior_angles
 from dstrig.errors import (
     BoundaryCaseError,
     DegenerateTriangleError,
     GeometryError,
     ImpossibleEdgeError,
-    NoPolarTriangleError,
     NonContractibleError,
-    NotApplicableError,
     NotSpatiolateralError,
     NotUnitError,
     NullEdgeError,
+    UnsupportedTriangleTypeError,
 )
 from dstrig.geodesics import DeSitterPoint, SegmentKind, classify_segment
 from dstrig.minkowski import CausalType, causal_type, mink_inner, random_lorentz, vec3
-from dstrig.oracle import random_buildable_triangle
+from dstrig.oracle import integrate_area, random_buildable_triangle
 from dstrig.triangles import (
     PolarKind,
     ProperName,
@@ -326,3 +327,33 @@ class TestDistinguishedVertex:
             assert tri.edges[d].kind is SegmentKind.HYPERBOLA_PART
         elif name is ProperName.CHRONOSCELES:
             assert tri.edges[d].kind is SegmentKind.ELLIPSE_PART
+
+
+class TestHandBuiltTriangles:
+    # A DeSitterTriangle assembled by hand may carry an edge build_triangle
+    # refuses; every function that reads its type must refuse it too.
+    READERS = (triangle_name, is_contractible, polar_triangle, distinguished_vertex,
+               interior_angles, complex_area, girard_area, girard_area_from_products,
+               integrate_area)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("reader", READERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("kind", [SegmentKind.IMPOSSIBLE, SegmentKind.NULL_LINE],
+                             ids=lambda k: k.value)
+    @pytest.mark.parametrize("name", ["spatiolateral", "tempolateral",
+                                      "chorosceles", "chronosceles"])
+    def test_unsupported_edge_refused(self, request, name, kind, reader):
+        tri = build_triangle(*request.getfixturevalue(f"{name}_points"))
+        edge = dataclasses.replace(tri.edges[0], kind=kind)
+        with pytest.raises(UnsupportedTriangleTypeError):
+            reader(dataclasses.replace(tri, edges=(edge,) + tri.edges[1:]))
+
+    def test_non_contractible_one_message(self):
+        s3, c3 = math.sinh(0.3), math.cosh(0.3)
+        tri = build_triangle(_p(-s3, -c3, 0.0), _p(0.0, math.cos(1.0), math.sin(1.0)),
+                             _p(0.0, math.cos(1.0), -math.sin(1.0)))
+        for reader in (distinguished_vertex, complex_area, girard_area,
+                       girard_area_from_products, integrate_area):
+            with pytest.raises(NonContractibleError,
+                               match="^triangle is non-contractible: it bounds no disk$"):
+                reader(tri)
