@@ -21,12 +21,17 @@ max(1e-12 * S * width, 64 * eps * R): S is the sum of |value| over the
 starting panels of all three edges, width is the panel's share of its
 edge, and R is the halves' integral of the round-off scale
 |k| (|A p0| + |B q0|) / (x1^2 + x2^2).  A rejected panel's halves are
-tested in turn at the next bisection level; all pending panels of a
-level are evaluated together.
+tested in turn at the next bisection level.  One numpy call evaluates
+the starting panels together with their halves (bisection level 1), and
+one call per later level evaluates the halves of every panel that level
+rejected.  A panel's sums depend on its own nodes alone, not on which
+panels share its call.  The per-edge constants are computed on Python
+floats.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -111,40 +116,71 @@ def _rows_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return -(a[..., 0] * b[..., 0]) + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def _loop_edges(pts: np.ndarray):
+def _loop_edges(pts):
     """Per-edge constants of the loop pts[0] -> pts[1] -> pts[2] -> pts[0].
 
-    Edge j runs from p[j] to q[j] as x(s) = S((1-s)d) p/S(d) + S(sd) q/S(d),
-    S = sin on an ellipse (<p,q> < 1) and sinh on a hyperbola, d the edge
-    length.  k is the edge's x1 x2' - x2 x1' = (d/S(d)) (p1 q2 - p2 q1),
-    the same at every s.
+    Edge j runs from p = pts[j] to q = pts[j+1] as
+    x(s) = S((1-s)d) p/S(d) + S(sd) q/S(d), S = sin on an ellipse
+    (<p,q> < 1) and sinh on a hyperbola, d the edge length.  k is the
+    edge's x1 x2' - x2 x1' = (d/S(d)) (p1 q2 - p2 q1), the same at every s.
+    The constants are computed on Python floats.  Returns the ellipse
+    flags and a (10, 3) table whose column j holds edge j's
+    d, S(d), p0, q0, p1, q1, p2, q2, k and |k|.
     """
-    p, q = pts, np.roll(pts, -1, axis=0)
-    c = _rows_inner(p, q)
-    ell = c < 1.0
-    d = np.where(ell, np.arccos(np.clip(c, -1.0, 1.0)), np.arccosh(np.maximum(c, 1.0)))
-    sd = np.where(ell, np.sin(d), np.sinh(d))
-    k = (p[:, 1] * q[:, 2] - p[:, 2] * q[:, 1]) * d / sd
-    return p, q, ell, d, sd, k
+    rows = np.asarray(pts, dtype=float).tolist()
+    ell, cols = [], []
+    for p, q in zip(rows, rows[1:] + rows[:1]):
+        c = -(p[0] * q[0]) + p[1] * q[1] + p[2] * q[2]
+        if c < 1.0:
+            d = math.acos(max(c, -1.0))
+            sd = math.sin(d)
+        else:
+            d = math.acosh(c)
+            sd = math.sinh(d)
+        # sd is 0 only on a null edge (<p,q> = 1), where the integrand is nan.
+        k = (p[1] * q[2] - p[2] * q[1]) * d / sd if sd else math.nan
+        ell.append(c < 1.0)
+        cols.append((d, sd, p[0], q[0], p[1], q[1], p[2], q[2], k, abs(k)))
+    return np.array(ell), np.array(cols).T
+
+
+def _node_fractions(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # (1 - s, s) at the nodes s of the panels [a, a + w], shape (2, N, 20).
+    s = a[:, None] + w[:, None] * _GL_NODES
+    return np.stack([1.0 - s, s])
 
 
 def _panels(edges, e: np.ndarray, a: np.ndarray, w: np.ndarray):
     """Gauss-Legendre integrals over the panels [a, a + w] of edges e.
 
     Returns the integrals of k x0 / (x1^2 + x2^2) and of its round-off
-    scale |k| (|A p0| + |B q0|) / (x1^2 + x2^2), one per panel.
+    scale |k| (|A p0| + |B q0|) / (x1^2 + x2^2), one per panel.  Each
+    panel's values depend on its own row alone, not on the other rows of
+    the call.
     """
-    p, q, ell, d, sd, k = edges
-    s = a[:, None] + w[:, None] * _GL_NODES
-    args = np.stack([(1.0 - s) * d[e, None], s * d[e, None]])
-    ab = np.where(ell[e, None], np.sin(args), np.sinh(args)) / sd[e, None]
-    pe, qe = p[e].T[:, :, None], q[e].T[:, :, None]
-    x0a, x0b = ab[0] * pe[0], ab[1] * qe[0]
-    rho2 = (ab[0] * pe[1] + ab[1] * qe[1]) ** 2 + (ab[0] * pe[2] + ab[1] * qe[2]) ** 2
-    ke = k[e, None]
-    f = ke * (x0a + x0b) / rho2
-    r = np.abs(ke) * (np.abs(x0a) + np.abs(x0b)) / rho2
-    return w * (f @ _GL_WEIGHTS), w * (r @ _GL_WEIGHTS)
+    return _node_sums(edges, e, _node_fractions(a, w), w)
+
+
+def _node_sums(edges, e: np.ndarray, frac: np.ndarray, w: np.ndarray):
+    # _panels with the node fractions given.
+    ell, table = edges
+    g = table[:, e]
+    args = frac * g[0, :, None]
+    on_ellipse = ell[e][None, :, None]
+    ab = np.empty_like(args)
+    np.sin(args, out=ab, where=on_ellipse)
+    np.sinh(args, out=ab, where=~on_ellipse)
+    ab /= g[1, :, None]
+    # x[i, 0] = A p_i and x[i, 1] = B q_i at every node.
+    x = ab * g[2:8].reshape(3, 2, -1, 1)
+    rho2 = (x[1, 0] + x[1, 1]) ** 2 + (x[2, 0] + x[2, 1]) ** 2
+    x0 = np.abs(x[0])
+    fr = np.stack([x[0, 0] + x[0, 1], x0[0] + x0[1]])
+    fr *= g[8:10, :, None]
+    fr /= rho2
+    fr *= _GL_WEIGHTS
+    f, r = fr.sum(axis=2)
+    return w * f, w * r
 
 
 def integrate_area(tri: DeSitterTriangle, n: int = 64) -> OracleResult:
@@ -176,22 +212,14 @@ def integrate_area(tri: DeSitterTriangle, n: int = 64) -> OracleResult:
     _disk_name(tri)
     _check_not_collinear(tri.points)
 
-    edges = _loop_edges(np.stack([p.v for p in tri.points]))
-    m = n // 8
-    e = np.repeat(np.arange(3), m)
-    a = np.tile(np.arange(m) / m, 3)
-    w = np.full(3 * m, 1.0 / m)
-    whole = _panels(edges, e, a, w)[0]
+    edges = _loop_edges([p._x for p in tri.points])
+    e, a, w, fused = _start_layout(n // 8)
+    kept, est, floor, level = [], 0.0, 0.0, 1
+    _check_panel_cap(2 * e.size, level)
+    vals, scales = _node_sums(edges, *fused)
+    whole, vals, scales = vals[:e.size], vals[e.size:], scales[e.size:]
     scale = float(np.sum(np.abs(whole)))
-    kept, est, floor, level = [], 0.0, 0.0, 0
-    while e.size:
-        level += 1
-        if sum(map(len, kept)) + 2 * e.size > _MAX_PANELS:
-            raise NonConvergentError(
-                f"more than {_MAX_PANELS} panels at bisection level {level}")
-        h = w / 2.0
-        vals, scales = _panels(edges, np.tile(e, 2), np.concatenate([a, a + h]),
-                               np.tile(h, 2))
+    while True:
         halves = vals.reshape(2, -1)
         gap = np.abs(halves.sum(axis=0) - whole)
         roundoff = 64.0 * _EPS * scales.reshape(2, -1).sum(axis=0)
@@ -200,10 +228,42 @@ def integrate_area(tri: DeSitterTriangle, n: int = 64) -> OracleResult:
         est += float(np.sum(gap[ok]))
         floor += float(np.sum(roundoff[ok]))
         bad = ~ok
-        e, a, w = np.tile(e[bad], 2), np.concatenate([a[bad], a[bad] + h[bad]]), np.tile(h[bad], 2)
+        if not bad.any():
+            break
+        h = w[bad] / 2.0
+        e, a, w = np.tile(e[bad], 2), np.concatenate([a[bad], a[bad] + h]), np.tile(h, 2)
         whole = halves[:, bad].ravel()
-    return OracleResult(area=abs(math.fsum(np.concatenate(kept))),
+        level += 1
+        _check_panel_cap(sum(map(len, kept)) + 2 * e.size, level)
+        half = w / 2.0
+        vals, scales = _panels(edges, np.tile(e, 2), np.concatenate([a, a + half]),
+                               np.tile(half, 2))
+    return OracleResult(area=abs(math.fsum(np.concatenate(kept).tolist())),
                         est_error=max(est, floor), grid=(n, n), refinements=level)
+
+
+def _check_panel_cap(panels: int, level: int) -> None:
+    if panels > _MAX_PANELS:
+        raise NonConvergentError(f"more than {_MAX_PANELS} panels at bisection level {level}")
+
+
+@functools.lru_cache(maxsize=8)
+def _start_layout(m: int):
+    """The n // 8 = m starting panels per edge, read-only: (e, a, w, fused).
+
+    fused = (e, node fractions, w) of the first level's one _node_sums
+    call: the starting panels, then their left halves, then their right
+    halves.
+    """
+    e = np.repeat(np.arange(3), m)
+    a = np.tile(np.arange(m) / m, 3)
+    w = np.full(3 * m, 1.0 / m)
+    h = w / 2.0
+    fused_w = np.concatenate([w, h, h])
+    fused = (np.tile(e, 3), _node_fractions(np.concatenate([a, a, a + h]), fused_w), fused_w)
+    for arr in (e, a, w, *fused):
+        arr.flags.writeable = False
+    return e, a, w, fused
 
 
 def _chart_point(u: float, psi: float) -> DeSitterPoint:

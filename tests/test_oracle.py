@@ -37,6 +37,20 @@ from referee import stokes_area
 
 TARGETS = (ProperName.SPATIOLATERAL, ProperName.TEMPOLATERAL,
            ProperName.CHOROSCELES, ProperName.CHRONOSCELES)
+# The benchmark pool's eight strata: each area type at u_max 2 and 6.
+POOL_STRATA = [(target, u_max) for u_max in (2.0, 6.0) for target in TARGETS]
+over_pool_strata = pytest.mark.parametrize(
+    "target, u_max", POOL_STRATA, ids=[f"{t.value}-{u}" for t, u in POOL_STRATA])
+
+
+def _pool_triangle(target, u_max, seed=0):
+    # The pool document `dstrig random --type T --u-max U --seed S` emits.
+    return random_triangle(GeneratorConfig(seed, target, u_max=u_max))
+
+
+def _starting_panels(m):
+    # (e, a, w) of m equal panels per edge: 3 * m rows.
+    return np.repeat(np.arange(3), m), np.tile(np.arange(m) / m, 3), np.full(3 * m, 1.0 / m)
 
 
 def _scalar_class(pts):
@@ -195,6 +209,54 @@ class TestIntegrateArea:
         monkeypatch.setattr(oracle, "_MAX_PANELS", 48)
         with pytest.raises(NonConvergentError, match="more than 48 panels"):
             integrate_area(tri)
+
+    def test_level_one_cap_survives_fusion(self, monkeypatch):
+        # Level 1 evaluates the 24 starting panels and their 48 halves in
+        # one call; the cap still counts only the halves, before any work.
+        tri = _pool_triangle(ProperName.CHRONOSCELES, 6.0, seed=58)
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 47)
+        with pytest.raises(NonConvergentError,
+                           match="^more than 47 panels at bisection level 1$"):
+            integrate_area(tri, n=64)
+
+    def test_hand_built_null_edge_does_not_converge(self, spatiolateral_points,
+                                                    monkeypatch):
+        # Vertices swapped in by hand so that <p2, p3> = 1 exactly: that
+        # edge's length and S(d) are 0 and its integrand is nan, which no
+        # panel accepts.
+        tri = build_triangle(*spatiolateral_points)
+        null_pair = (DeSitterPoint([1.0, 1.0, 1.0]), DeSitterPoint([0.0, 0.0, 1.0]))
+        tri = dataclasses.replace(tri, points=(tri.points[0], *null_pair))
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 48)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NonConvergentError, match="^more than 48 panels"):
+                integrate_area(tri, n=64)
+
+    @over_pool_strata
+    def test_panels_independent_of_grouping(self, target, u_max):
+        # The first level evaluates whole panels and halves in one call,
+        # so a panel's sums must not depend on which rows share its call.
+        # Sets of 3, 24, 48 and 75 rows: with the weights applied by a
+        # matrix-vector product, the 3-row set got other last bits alone
+        # than inside the 150-row call.
+        tri = _pool_triangle(target, u_max)
+        edges = oracle._loop_edges(np.stack([p.v for p in tri.points]))
+        sets = [_starting_panels(m) for m in (1, 8, 16, 25)]
+        joint = oracle._panels(edges, *map(np.concatenate, zip(*sets)))
+        alone = [oracle._panels(edges, *panels) for panels in sets]
+        for got, want in zip(joint, map(np.concatenate, zip(*alone))):
+            assert got.tobytes() == want.tobytes()
+
+    @over_pool_strata
+    def test_pool_strata_match_referee(self, target, u_max):
+        # One pool triangle per stratum; at u_max 6 the edge constants
+        # come from long hyperbolic edges.  Two referee pieces per edge
+        # hold the same quadrature error bound as sixteen, in a quarter to
+        # a sixth of the time.
+        tri = _pool_triangle(target, u_max)
+        ref = stokes_area(tri.points, pieces=2)
+        assert abs(integrate_area(tri).area - ref) <= 1e-12 * max(1.0, ref)
 
     def test_non_contractible_raises(self):
         tri = random_buildable_triangle(18, u_max=2.0)

@@ -8,6 +8,9 @@ in-process on:
 - each of the 512 documents of `perfbench/data/pool.jsonl.gz` (read from
   the checkout holding this script) through `classify`, `area` and
   `area --oracle`, and the first 8 through `plot --out -`;
+- all 512 documents as one JSONL stream through `area --oracle` at
+  `--grid` 8, 64 and 200, so that a change in the oracle that depends on
+  the grid or on which triangles share a call shows;
 - `classify` on malformed input: a JSONL stream whose third line is
   cut short, a JSON array, empty input, `"schema": true` and a row off
   the quadric;
@@ -54,6 +57,10 @@ def cases():
     for rec in records[:8]:
         label = f"{rec['type']}-{rec['u_max']}-{rec['seed']}"
         yield f"plot {label}", ["plot", "--input", "-", "--out", "-"], json.dumps(rec["doc"])
+    stream = "".join(json.dumps(rec["doc"]) + "\n" for rec in records)
+    for grid in ("8", "64", "200"):
+        argv = ["area", "--input", "-", "--oracle", "--grid", grid]
+        yield f"oracle pool --grid {grid}", argv, stream
     first, second = (json.dumps(rec["doc"]) for rec in records[:2])
     malformed = {
         "cut-short jsonl": "\n".join(
