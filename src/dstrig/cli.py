@@ -27,7 +27,14 @@ from .areas import girard_area
 from .errors import GeometryError, NotUnitError, UnsupportedKindError
 from .geodesics import DeSitterPoint, SegmentKind, geodesic_point
 from .minkowski import mink_inner
-from .oracle import GeneratorConfig, integrate_area, random_triangle, verify_type
+from .oracle import (
+    _DEFAULT_CHECK_GRID,
+    _MAX_GRID,
+    GeneratorConfig,
+    integrate_area,
+    random_triangle,
+    verify_type,
+)
 from .triangles import (
     _AREA_TYPES,
     _assemble,
@@ -45,6 +52,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 
 _TARGETS = {name.value: name for name in _AREA_TYPES}
+_GRID_HELP = f"oracle resolution 8 <= n <= {_MAX_GRID}: n // 8 starting panels per edge"
 
 
 class DocumentError(Exception):
@@ -327,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("area", help="closed-form area with optional numeric check")
     p.add_argument("--input", required=True, help="JSON document path, or - for stdin")
     p.add_argument("--oracle", action="store_true", help="also integrate numerically")
-    p.add_argument("--grid", type=_positive_int, default=64,
-                   help="oracle resolution 8 <= n <= 5463: n // 8 starting panels per edge")
+    p.add_argument("--grid", type=_positive_int, default=_DEFAULT_CHECK_GRID, help=_GRID_HELP)
     p.set_defaults(func=cmd_area)
 
     p = sub.add_parser("random", help="emit seeded random triangle documents")
@@ -344,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", default="all", choices=sorted(_TARGETS) + ["all"])
     p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", type=_positive_int, default=64,
-                   help="oracle resolution 8 <= n <= 5463: n // 8 starting panels per edge")
+    p.add_argument("--grid", type=_positive_int, default=_DEFAULT_CHECK_GRID, help=_GRID_HELP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("plot", help="SVG sketch, edges keyed by causal type")

@@ -183,7 +183,7 @@ def _node_sums(edges, e: np.ndarray, frac: np.ndarray, w: np.ndarray):
     return w * f, w * r
 
 
-def integrate_area(tri: DeSitterTriangle, n: int = 64) -> OracleResult:
+def integrate_area(tri: DeSitterTriangle, n: int = _DEFAULT_CHECK_GRID) -> OracleResult:
     """Area as the boundary integral |oint x0 dpsi|, by adaptive quadrature.
 
     Reads only tri.points and the edge kinds derived from them.  The loop
@@ -266,14 +266,6 @@ def _start_layout(m: int):
     return e, a, w, fused
 
 
-def _chart_point(u: float, psi: float) -> DeSitterPoint:
-    return DeSitterPoint([
-        math.sinh(u),
-        math.cosh(u) * math.cos(psi),
-        math.cosh(u) * math.sin(psi),
-    ])
-
-
 # Sampler attempts are drawn and prefiltered this many at a time.
 _BLOCK = 64
 # Margin above 2*pi for an arccos edge sum to count as surely
@@ -286,10 +278,11 @@ _EDGE_CODES = {name: i + 4 * j + 16 * k for (i, j, k), name in _NAME_TABLE.items
 
 
 def _attempt_blocks(rng: np.random.Generator, u_max: float, max_attempts: int):
-    """Yield the sampler's attempts as (us, psis) blocks of shape (m, 3).
+    """Yield the sampler's attempts' vertices in blocks of shape (m, 3, 3).
 
-    Row i of a block is row i of rng.random((m, 6)) under numpy's own
-    uniform maps, so it equals the pair rng.uniform(-u_max, u_max, 3),
+    Row i of a block holds the chart points (sinh u, cosh u cos psi,
+    cosh u sin psi), computed with math, of row i of rng.random((m, 6))
+    under numpy's own uniform maps: the pair rng.uniform(-u_max, u_max, 3),
     rng.uniform(0, 2*pi, 3) drawn for that attempt alone.  The blocks
     hold max_attempts rows in all.
     """
@@ -297,34 +290,32 @@ def _attempt_blocks(rng: np.random.Generator, u_max: float, max_attempts: int):
     while done < max_attempts:
         m = min(_BLOCK, max_attempts - done)
         r = rng.random((m, 6))
-        yield -u_max + (u_max - -u_max) * r[:, :3], 2.0 * math.pi * r[:, 3:]
+        u = (-u_max + (u_max - -u_max) * r[:, :3]).ravel().tolist()
+        psi = (2.0 * math.pi * r[:, 3:]).ravel().tolist()
+        ch = np.array(list(map(math.cosh, u)))
+        yield np.stack([
+            np.array(list(map(math.sinh, u))),
+            ch * np.array(list(map(math.cos, psi))),
+            ch * np.array(list(map(math.sin, psi))),
+        ], axis=-1).reshape(m, 3, 3)
         done += m
 
 
 # Overflow at huge rapidity only yields non-finite rows, which stay True.
 @np.errstate(over="ignore", invalid="ignore")
-def _maybe_accepted(us: np.ndarray, psis: np.ndarray,
-                    target: ProperName | None) -> np.ndarray:
-    """Mask of a block's attempts that random_triangle's test may accept.
+def _maybe_accepted(pts: np.ndarray, target: ProperName | None) -> np.ndarray:
+    """Mask of an (N, 3, 3) vertex block's attempts the scalar test may accept.
 
-    False only where that test surely rejects: a name other than the
-    target (None: other than the four null-free types), or
-    (spatiolateral) an edge-length sum clearly above 2*pi.
-    Attempts whose points would raise (off the quadric, non-finite)
-    stay True, so the scalar body raises as before.  Coordinates come
-    from the math calls _chart_point makes and inner products keep
-    mink_inner's operation order, so each band decision here is the
-    scalar one.  Coincident or antipodal vertices are left to the
-    scalar body: it rejects them whatever their name.
+    False only where random_triangle's test surely rejects: a name other
+    than the target (None: other than the four null-free types), or
+    (spatiolateral) an edge-length sum clearly above 2*pi.  Attempts
+    whose points would raise (off the quadric, non-finite) stay True, so
+    the scalar body raises as before.  The scalar body builds its points
+    from these rows and inner products keep mink_inner's operation order,
+    so each band decision here is the scalar one.  Coincident or
+    antipodal vertices are left to the scalar body: it rejects them
+    whatever their name.
     """
-    u = us.ravel().tolist()
-    psi = psis.ravel().tolist()
-    ch = np.array(list(map(math.cosh, u)))
-    pts = np.stack([
-        np.array(list(map(math.sinh, u))),
-        ch * np.array(list(map(math.cos, psi))),
-        ch * np.array(list(map(math.sin, psi))),
-    ], axis=-1).reshape(-1, 3, 3)
     on_quadric = (np.abs(_rows_inner(pts, pts) - 1.0) <= UNIT_EPS).all(axis=1)
     # Edge j joins vertices j+1 and j+2.
     c = _rows_inner(pts[:, [1, 2, 0]], pts[:, [2, 0, 1]])
@@ -360,16 +351,17 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
     default_rng(seed), drawn in blocks of m rows, mapped by
     u = -u_max + (u_max - -u_max) * r[:3] and psi = 2*pi * r[3:]; these
     are the values rng.uniform(-u_max, u_max, 3), rng.uniform(0, 2*pi, 3)
-    give for each attempt in turn.  A vectorised prefilter only skips
-    sure rejects; every other attempt, in order, goes through the
-    scalar classify-and-test body, which alone accepts or raises.
+    give for each attempt in turn.  A block's vertices are computed once;
+    a vectorised prefilter reads them and only skips sure rejects, and
+    every other attempt, in order, goes through the scalar
+    classify-and-test body on the same rows, which alone accepts or raises.
     """
     if cfg.target is not None and cfg.target not in _AREA_TYPES:
         raise ValueError(f"unsupported generation target: {cfg.target!r}")
     rng = np.random.default_rng(cfg.seed)
-    for us, psis in _attempt_blocks(rng, cfg.u_max, cfg.max_attempts):
-        for i in np.flatnonzero(_maybe_accepted(us, psis, cfg.target)):
-            pts = tuple(_chart_point(u, p) for u, p in zip(us[i], psis[i]))
+    for block in _attempt_blocks(rng, cfg.u_max, cfg.max_attempts):
+        for i in np.flatnonzero(_maybe_accepted(block, cfg.target)):
+            pts = tuple(map(DeSitterPoint, block[i]))
             try:
                 kind = classify_triangle(*pts)
             except GeometryError:

@@ -14,11 +14,12 @@ import functools
 import mpmath as mp
 
 DPS = 40
-# Default subintervals per edge handed to mp.quad; each is integrated to DPS digits.
-PIECES = 16
+# Subintervals per edge handed to mp.quad; each is integrated to DPS digits.
+# Every triangle the tests referee gives the same float at 2 as at 16.
+PIECES = 2
 
 
-def _edge_integral(p, q, pieces):
+def _edge_integral(p, q):
     c = -p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
     if c < 1:
         d, sn, cs = mp.acos(c), mp.sin, mp.cos
@@ -33,25 +34,25 @@ def _edge_integral(p, q, pieces):
         y = [da * pi + db * qi for pi, qi in zip(p, q)]
         return x[0] * (x[1] * y[2] - x[2] * y[1]) / (x[1] ** 2 + x[2] ** 2)
 
-    value, err = mp.quad(integrand, mp.linspace(0, 1, pieces + 1), error=True)
+    value, err = mp.quad(integrand, mp.linspace(0, 1, PIECES + 1), error=True)
     if err > mp.mpf(10) ** (10 - DPS):
         raise ArithmeticError(f"referee quadrature error {err} too large")
     return value
 
 
 @functools.lru_cache(maxsize=None)
-def _loop_area(rows: tuple, pieces: int) -> float:
+def _loop_area(rows: tuple) -> float:
     with mp.workdps(DPS):
         v = [[mp.mpf(x) for x in row] for row in rows]
-        total = mp.fsum(_edge_integral(v[j], v[(j + 1) % 3], pieces) for j in range(3))
+        total = mp.fsum(_edge_integral(v[j], v[(j + 1) % 3]) for j in range(3))
         return float(abs(total))
 
 
-def stokes_area(points, pieces: int = PIECES) -> float:
+def stokes_area(points) -> float:
     """The area bounded by the loop through the three points, as a float.
 
-    Each edge is split into `pieces` subintervals.  Fewer are faster, and
-    the edge's quadrature error estimate is held to the same 10**(10 - DPS)
-    either way: an edge that needs more pieces raises ArithmeticError.
+    Each edge is split into PIECES subintervals, and each edge's quadrature
+    error estimate is held to 10**(10 - DPS): an edge that needs more
+    pieces raises ArithmeticError.
     """
-    return _loop_area(tuple(tuple(float(x) for x in p.v) for p in points), pieces)
+    return _loop_area(tuple(tuple(float(x) for x in p.v) for p in points))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -13,7 +14,7 @@ from dstrig.areas import (
     girard_area_from_products,
     interior_angles,
 )
-from dstrig.errors import NonContractibleError
+from dstrig.errors import GeometryError, NonContractibleError
 from dstrig.geodesics import DeSitterPoint
 from dstrig.minkowski import AngleBranch
 from dstrig.oracle import random_buildable_triangle
@@ -151,6 +152,15 @@ class TestGirardArea:
         d = distinguished_vertex(tri)
         k, l = (d + 1) % 3, (d + 2) % 3
         assert angles.theta[d] > angles.theta[k] + angles.theta[l]
+
+    def test_inconsistent_angle_sum_raises(self, chorosceles_points):
+        # A reversed tangent stays unit and keeps its causal type, but its
+        # vertex angle no longer matches the signed sum.
+        tri = build_triangle(*chorosceles_points)
+        tangents = tri.tangents.copy()
+        tangents[0, 1] = -tangents[0, 1]
+        with pytest.raises(GeometryError, match="angle sum .* inconsistent with signed area"):
+            girard_area(dataclasses.replace(tri, tangents=tangents))
 
     def test_small_triangle_small_area(self):
         tri = build_triangle(chart_point(0, 0), chart_point(0, 0.01),

@@ -165,6 +165,31 @@ class TestClassifyCommand:
         assert code == 2
         assert err.startswith("error: vertex row 2 is off the quadric")
 
+    _GOOD = {"schema": 1, "vertices": [[0, 1, 0], [0, 0, 1], [0.5, 1, 0.5]]}
+
+    @pytest.mark.parametrize("argv, stdin, message", [
+        (["classify"], "", "empty input"),
+        (["classify"], f"[{json.dumps(_GOOD)}]",
+         "expected an object per document, not a JSON array"),
+        (["classify"], f"3\n{json.dumps(_GOOD)}\n", "document must be a JSON object"),
+        (["classify"], json.dumps(dict(_GOOD, signature="+--")),
+         "unsupported signature: '+--'"),
+        (["classify"], json.dumps(dict(_GOOD, vertices=_GOOD["vertices"][:2])),
+         "vertices must be a list of three rows"),
+        # json.loads accepts the non-standard NaN literal.
+        (["classify"], '{"schema": 1, "vertices": [[0, 1, 0], [0, 0, 1], [NaN, 1, 0.5]]}',
+         "vertex row 3 has non-finite components"),
+        (["plot", "--out", "-"], f"{json.dumps(_GOOD)}\n{json.dumps(_GOOD)}\n",
+         "plot expects exactly one document"),
+    ], ids=["empty", "json-array", "jsonl-non-object", "signature", "two-rows", "nan",
+            "plot-two-documents"])
+    def test_document_rejected(self, capsys, monkeypatch, argv, stdin, message):
+        code, out, err = run_cli(capsys, monkeypatch, argv[0], "--input", "-", *argv[1:],
+                                 stdin=stdin)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestAreaCommand:
     def test_reports_formula_and_angles(self, capsys, monkeypatch,

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import FROZEN_AREAS
+from conftest import FROZEN_AREAS, chart_point
 from dstrig import oracle
 from dstrig.errors import (
     DegenerateTriangleError,
@@ -19,7 +19,6 @@ from dstrig.oracle import (
     _BLOCK,
     GeneratorConfig,
     _attempt_blocks,
-    _chart_point,
     _maybe_accepted,
     integrate_area,
     random_buildable_triangle,
@@ -74,7 +73,7 @@ def _per_attempt_draws(seed, u_max, max_attempts):
     for _ in range(max_attempts):
         us = rng.uniform(-u_max, u_max, 3)
         psis = rng.uniform(0.0, 2.0 * math.pi, 3)
-        yield tuple(_chart_point(u, p) for u, p in zip(us, psis))
+        yield tuple(chart_point(u, p) for u, p in zip(us, psis))
 
 
 def _reference_random_triangle(cfg):
@@ -251,11 +250,9 @@ class TestIntegrateArea:
     @over_pool_strata
     def test_pool_strata_match_referee(self, target, u_max):
         # One pool triangle per stratum; at u_max 6 the edge constants
-        # come from long hyperbolic edges.  Two referee pieces per edge
-        # hold the same quadrature error bound as sixteen, in a quarter to
-        # a sixth of the time.
+        # come from long hyperbolic edges.
         tri = _pool_triangle(target, u_max)
-        ref = stokes_area(tri.points, pieces=2)
+        ref = stokes_area(tri.points)
         assert abs(integrate_area(tri).area - ref) <= 1e-12 * max(1.0, ref)
 
     def test_non_contractible_raises(self):
@@ -416,13 +413,10 @@ class TestBlockSampler:
     @pytest.mark.parametrize("u_max", (2.0, 6.0))
     def test_prefilter_skips_only_rejects(self, u_max):
         # 10000 draws, each classified once by the scalar body.
-        blocks = list(_attempt_blocks(np.random.default_rng(7), u_max, 10000))
-        us = np.concatenate([b[0] for b in blocks])
-        psis = np.concatenate([b[1] for b in blocks])
-        kinds = [_scalar_class([_chart_point(u, p) for u, p in zip(row_us, row_psis)])
-                 for row_us, row_psis in zip(us, psis)]
+        pts = np.concatenate(list(_attempt_blocks(np.random.default_rng(7), u_max, 10000)))
+        kinds = [_scalar_class(list(map(DeSitterPoint, row))) for row in pts]
         for target in TARGETS:
-            kept = _maybe_accepted(us, psis, target)
+            kept = _maybe_accepted(pts, target)
             accepted = np.array([_accepts(kind, target) for kind in kinds])
             assert accepted.any(), target
             assert not np.any(accepted & ~kept), target
@@ -456,12 +450,10 @@ class TestAnyTarget:
             assert ExhaustedAttemptsError in outcomes
 
     def test_prefilter_skips_only_unbuildable(self):
-        blocks = list(_attempt_blocks(np.random.default_rng(11), 6.0, 4000))
-        us = np.concatenate([b[0] for b in blocks])
-        psis = np.concatenate([b[1] for b in blocks])
-        kept = _maybe_accepted(us, psis, None)
-        built = np.array([_outcome(build_triangle, *map(_chart_point, row_us, row_psis))[0]
-                          == "ok" for row_us, row_psis in zip(us, psis)])
+        pts = np.concatenate(list(_attempt_blocks(np.random.default_rng(11), 6.0, 4000)))
+        kept = _maybe_accepted(pts, None)
+        built = np.array([_outcome(build_triangle, *map(DeSitterPoint, row))[0] == "ok"
+                          for row in pts])
         assert built.any()
         assert not np.any(built & ~kept)
         assert kept.mean() < 0.5
@@ -477,6 +469,12 @@ class TestVerifyType:
             "product_formula_agreement", "type_structure"}
         assert all(v == 3 for v in rep["counts"].values())
         assert rep["failures"] == []
+
+    def test_spatiolateral_passes(self):
+        # The only verify run on three space-like edges, so the only one
+        # that reaches _structure_ok's product-pattern branch.
+        rep = verify_type(ProperName.SPATIOLATERAL, trials=3, seed=9)
+        assert all(v == 3 for v in rep["counts"].values()), rep["failures"]
 
     def test_deterministic(self):
         a = verify_type(ProperName.CHOROSCELES, trials=2, seed=3)

@@ -150,6 +150,15 @@ class TestIdentity:
     def test_duality(self, seed):
         assert normal_duality_holds(random_buildable_triangle(seed))
 
+    def test_duality_detects_swapped_type(self, chorosceles_points):
+        # normals[0] replaced by a tangent along its own edge: a vector of
+        # the edge's causal type, not the normal's.
+        tri = build_triangle(*chorosceles_points)
+        normals = tri.normals.copy()
+        normals[0] = tri.tangents[1, 2]
+        assert normal_duality_holds(tri)
+        assert not normal_duality_holds(dataclasses.replace(tri, normals=normals))
+
 
 class TestClassify:
     def test_fixture_names(self, spatiolateral_points, tempolateral_points,

@@ -18,6 +18,10 @@ in-process on:
   one with an impossible edge (exit 5);
 - `random --count 1` for the four area types at `--u-max` 2, 6 and 8,
   seeds 0-7;
+- sampler edge cases: a spatiolateral draw accepted at attempt 357 (in
+  its sixth 64-attempt block) and the same seed with one attempt too few
+  (exit 6), a chorosceles draw at `--u-max` 12 whose off-quadric point
+  passes the prefilter (exit 1), and three chronosceles triangles as CSV;
 - `verify --type all --trials 10 --seed 0`.
 
 Each case's argv, stdin, exit code, stdout and stderr feed the digest.
@@ -85,6 +89,12 @@ def cases():
             for seed in range(8):
                 argv = ["random", "--type", kind, "--u-max", u_max, "--seed", str(seed)]
                 yield " ".join(argv), argv, None
+    spatio = ["random", "--type", "spatiolateral", "--u-max", "6", "--seed", "0"]
+    for argv in (spatio + ["--max-attempts", "357"], spatio + ["--max-attempts", "356"],
+                 ["random", "--type", "chorosceles", "--u-max", "12", "--seed", "0"],
+                 ["random", "--type", "chronosceles", "--u-max", "6", "--seed", "5",
+                  "--count", "3", "--format", "csv"]):
+        yield " ".join(argv), argv, None
     argv = ["verify", "--type", "all", "--trials", "10", "--seed", "0"]
     yield " ".join(argv), argv, None
 
