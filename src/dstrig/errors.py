@@ -60,16 +60,22 @@ class DegenerateTriangleError(GeometryError):
     exit_code = 3
 
 
-class ImpossibleEdgeError(GeometryError):
+class UnsupportedTriangleTypeError(GeometryError):
+    """A triangle with a null or impossible edge: none of the four null-free types.
+
+    Base of NullEdgeError and ImpossibleEdgeError, which build_triangle and
+    triangles.triangle_name (the one type check of a triangle) raise.
+    """
+
+    exit_code = 5
+
+
+class ImpossibleEdgeError(UnsupportedTriangleTypeError):
     """A vertex pair admits no connecting geodesic (<p,q> < -1)."""
 
-    exit_code = 5
 
-
-class NullEdgeError(GeometryError):
+class NullEdgeError(UnsupportedTriangleTypeError):
     """An edge is a null line; no triangle object is built for these."""
-
-    exit_code = 5
 
 
 class NotSpatiolateralError(GeometryError):
@@ -86,16 +92,6 @@ class NonContractibleError(GeometryError):
     """A non-contractible three-space-like-edge triangle bounds no area."""
 
     exit_code = 4
-
-
-class UnsupportedTriangleTypeError(GeometryError):
-    """A triangle with a null or impossible edge: none of the four null-free types.
-
-    Raised by triangles.triangle_name, the one type check that every
-    function reading a triangle's type goes through.
-    """
-
-    exit_code = 5
 
 
 class NonConvergentError(GeometryError):

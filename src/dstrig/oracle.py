@@ -403,8 +403,9 @@ def verify_type(target: ProperName, trials: int, seed: int,
     (1e-8); the complex angle sum being purely imaginary, positive, and
     equal to the signed sum (1e-8); the product-form area against the
     angle-form area (1e-9); and the type-specific structure of the
-    distinguished vertex.  Each failure entry names its trial's generator
-    seed, which `dstrig random --type T --seed S` replays.
+    distinguished vertex.  A closed form that raises fails the shape check
+    and skips the trial's later checks.  Each failure entry names its
+    trial's generator seed, which `dstrig random --type T --seed S` replays.
     """
     if target not in _AREA_TYPES:
         raise ValueError(f"unsupported verification target: {target!r}")
@@ -437,14 +438,18 @@ def verify_type(target: ProperName, trials: int, seed: int,
 
         tri = random_triangle(cfg)
 
-        res = girard_area(tri)
-        prod = girard_area_from_products(tri)
-        nabla = res.complex_area
-
         resid = tangent_normal_residual(tri)
         worst["tangent_normal_residual"] = max(worst["tangent_normal_residual"], resid)
         tally("tangent_normal_identity", resid <= 1e-8, f"residual {resid:.3g}")
 
+        try:
+            res = girard_area(tri)
+            prod = girard_area_from_products(tri)
+        except GeometryError as exc:
+            # girard_area raises on the shape check below; the later checks need its area.
+            tally("complex_area_shape", False, f"closed form failed: {exc}")
+            continue
+        nabla = res.complex_area
         shape = abs(nabla.real)
         worst["complex_real_part"] = max(worst["complex_real_part"], shape)
         tally("complex_area_shape",

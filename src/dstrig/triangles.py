@@ -12,6 +12,8 @@ Every normals[j] points away from vertex j (<normals[j], pj> <= 0); when
 <normals[0], p0> is within ZERO_EPS of zero, normals[0] is made
 future-pointing instead.  The identity <tangents[j,k], tangents[j,l]> =
 <normals[k], normals[l]> at every vertex j follows from that orientation.
+The area path reads only tangents; only polar_triangle and the two checks
+tangent_normal_residual and normal_duality_holds read the normals.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import (
     NonContractibleError,
     NotSpatiolateralError,
     NullEdgeError,
-    UnsupportedTriangleTypeError,
 )
 from .geodesics import DeSitterPoint, GeodesicSegment, SegmentKind, _proportional, classify_segment, tangent_toward
 from .minkowski import NULL_EPS, ZERO_EPS, CausalType, causal_type, lorentz_cross, lorentz_normalize, mink_inner
@@ -132,15 +133,19 @@ def build_triangle(p1: DeSitterPoint, p2: DeSitterPoint, p3: DeSitterPoint) -> D
     return _assemble(points, classify_triangle(*points))
 
 
-def _assemble(points, cls: TriangleClass) -> DeSitterTriangle:
-    # Tangents and normals for a vertex triple that classify_triangle
-    # has already checked for coincident, antipodal and collinear vertices.
-    for j, seg in enumerate(cls.edges):
+def _refuse_untraceable(edges) -> None:
+    # The one refusal of a null or impossible edge: neither has unit tangents.
+    for j, seg in enumerate(edges):
         if seg.kind is SegmentKind.IMPOSSIBLE:
             raise ImpossibleEdgeError(f"edge opposite vertex {j + 1} admits no geodesic")
         if seg.kind is SegmentKind.NULL_LINE:
             raise NullEdgeError(f"edge opposite vertex {j + 1} is a null line")
 
+
+def _assemble(points, cls: TriangleClass) -> DeSitterTriangle:
+    # Tangents and normals for a vertex triple that classify_triangle
+    # has already checked for coincident, antipodal and collinear vertices.
+    _refuse_untraceable(cls.edges)
     tangents = np.zeros((3, 3, 3))
     for j in range(3):
         for k in range(3):
@@ -204,12 +209,11 @@ def triangle_name(tri: DeSitterTriangle) -> ProperName:
 
     The one type check of a DeSitterTriangle.  build_triangle makes no
     other type; a triangle assembled by hand with a null or impossible
-    edge raises UnsupportedTriangleTypeError.
+    edge raises build_triangle's NullEdgeError or ImpossibleEdgeError.
     """
     name = _NAME_TABLE.get(_counts(tri.edges))
     if name not in _AREA_TYPES:
-        what = "an impossible edge" if name is None else name.value
-        raise UnsupportedTriangleTypeError(f"no angle machinery for {what}")
+        _refuse_untraceable(tri.edges)
     return name
 
 
@@ -258,30 +262,22 @@ def distinguished_vertex(tri: DeSitterTriangle) -> int:
     normals share a time cone (contractible triangles only).  Three
     time-like edges: the unique vertex whose two tangents do not share
     a time cone.  Mixed types: the vertex opposite the odd edge out.
+    Both same-kind rules read the sign of <t_jk, t_jl> = <n_k, n_l>.
     """
     name = _disk_name(tri)
     if name is ProperName.CHOROSCELES:
         return next(j for j in range(3) if tri.edges[j].kind is SegmentKind.HYPERBOLA_PART)
     if name is ProperName.CHRONOSCELES:
         return next(j for j in range(3) if tri.edges[j].kind is SegmentKind.ELLIPSE_PART)
-    if name is ProperName.SPATIOLATERAL:
-        normals = tri.normals.tolist()
-        hits = []
-        for j in range(3):
-            k, l = _others(j)
-            if mink_inner(normals[k], normals[l]) < 0.0:
-                hits.append(j)
-        if len(hits) != 1:
-            raise GeometryError(f"expected one cone-sharing vertex, found {hits!r}")
-        return hits[0]
+    sign = -1.0 if name is ProperName.SPATIOLATERAL else 1.0
     tangents = tri.tangents.tolist()
     hits = []
     for j in range(3):
         k, l = _others(j)
-        if mink_inner(tangents[j][k], tangents[j][l]) > 0.0:
+        if sign * mink_inner(tangents[j][k], tangents[j][l]) > 0.0:
             hits.append(j)
     if len(hits) != 1:
-        raise GeometryError(f"expected one cone-splitting vertex, found {hits!r}")
+        raise GeometryError(f"expected one distinguished vertex, found {hits!r}")
     return hits[0]
 
 

@@ -39,6 +39,24 @@ def corrupt_normals(monkeypatch):
     monkeypatch.setattr(dstrig.oracle, "random_triangle", corrupted)
 
 
+@pytest.fixture
+def corrupt_tangent(monkeypatch):
+    """Negate tangents[0, 1] of verify_type's triangles.
+
+    The angle at vertex 0 no longer fits the other two, so girard_area's
+    own shape check raises on some trials.
+    """
+    generate = dstrig.oracle.random_triangle
+
+    def corrupted(cfg):
+        tri = generate(cfg)
+        tangents = tri.tangents.copy()
+        tangents[0, 1] = -tangents[0, 1]
+        return dataclasses.replace(tri, tangents=tangents)
+
+    monkeypatch.setattr(dstrig.oracle, "random_triangle", corrupted)
+
+
 def _p(x0, x1, x2):
     return DeSitterPoint(np.array([x0, x1, x2], dtype=float))
 

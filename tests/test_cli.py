@@ -357,6 +357,20 @@ class TestVerifyCommand:
             tri = DeSitterTriangle(tri.points, tri.edges, tri.tangents, tri.normals + 1e-3)
             assert f["detail"] == f"residual {tangent_normal_residual(tri):.3g}"
 
+    def test_closed_form_failure_exit_1(self, capsys, monkeypatch, corrupt_tangent):
+        # A closed form that raises is a failed check with a seed, not an abort.
+        code, out, _ = run_cli(capsys, monkeypatch, "verify", "--type", "chorosceles",
+                               "--trials", "3", "--seed", "3")
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["passed"] is False
+        failures = rep["types"]["chorosceles"]["failures"]
+        trial_seeds = [int(s) for s in np.random.SeedSequence(3).generate_state(3)]
+        assert sorted({(f["trial"], f["seed"]) for f in failures}) \
+            == list(enumerate(trial_seeds))
+        assert any(f["check"] == "complex_area_shape"
+                   and f["detail"].startswith("closed form failed: ") for f in failures)
+
     def test_grid_above_ceiling_is_usage_error(self, capsys, monkeypatch):
         code, out, err = run_cli(capsys, monkeypatch, "verify", "--type",
                                  "chorosceles", "--trials", "1", "--grid", "5464")

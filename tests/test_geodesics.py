@@ -129,6 +129,13 @@ class TestClassifySegment:
         with pytest.raises(CoincidentPointsError):
             classify_segment(p, DeSitterPoint(-p.v))
 
+    @pytest.mark.parametrize("how, sign", [("coincident", 1.0), ("antipodal", -1.0)])
+    def test_span_of_proportional_points_rejected(self, how, sign):
+        # <p, +-p> = +-1 would otherwise read as a null plane.
+        p = chart_point(0.4, 1.0)
+        with pytest.raises(CoincidentPointsError, match=f"^{how} points span no plane$"):
+            classify_span(p, DeSitterPoint(sign * p.v))
+
     def test_band_below_minus_one_impossible(self):
         # product within the null band of -1 but points not proportional
         p = DeSitterPoint(vec3(0, 1, 0))

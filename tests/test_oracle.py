@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -362,6 +363,32 @@ class TestRandomTriangle:
         with pytest.raises(ExhaustedAttemptsError):
             random_triangle(cfg)
 
+    def test_skips_attempt_whose_classify_raises(self, monkeypatch):
+        # The first attempt the sampler would accept raises instead; the
+        # sampler goes on to the next accepted attempt of the seed stream.
+        cfg = GeneratorConfig(seed=0, target=ProperName.CHOROSCELES)
+        draws = _per_attempt_draws(cfg.seed, cfg.u_max, cfg.max_attempts)
+        first, second = itertools.islice(
+            (pts for pts in draws if _accepts(_scalar_class(pts), cfg.target)), 2)
+        classify = oracle.classify_triangle
+        raised = []
+
+        def flaky(*pts):
+            kind = classify(*pts)
+            if not raised and _accepts(kind, cfg.target):
+                raised.append(pts)
+                raise DegenerateTriangleError("injected")
+            return kind
+
+        monkeypatch.setattr(oracle, "classify_triangle", flaky)
+        tri = random_triangle(cfg)
+
+        def vertex_bytes(pts):
+            return [p.v.tobytes() for p in pts]
+
+        assert vertex_bytes(raised[0]) == vertex_bytes(first)
+        assert vertex_bytes(tri.points) == vertex_bytes(second)
+
     def test_buildable_variant(self):
         tri = random_buildable_triangle(5)
         assert triangle_name(tri) in TARGETS
@@ -486,6 +513,30 @@ class TestVerifyType:
         assert rep["passed"] is False
         assert rep["counts"]["tangent_normal_identity"] == 0
         assert any(f["check"] == "tangent_normal_identity" for f in rep["failures"])
+
+    def test_closed_form_failure_names_its_seed(self, corrupt_tangent):
+        # girard_area raises on two of the three trials; each raise is that
+        # trial's shape failure, its later checks are skipped, and the run goes on.
+        rep = verify_type(ProperName.CHOROSCELES, trials=3, seed=3)
+        assert rep["passed"] is False
+        trial_seeds = [int(s) for s in np.random.SeedSequence(3).generate_state(3)]
+        for f in rep["failures"]:
+            assert f["seed"] == trial_seeds[f["trial"]]
+        raised = {f["trial"] for f in rep["failures"]
+                  if f["detail"].startswith("closed form failed: angle sum ")}
+        assert raised == {0, 1}
+        assert all(f["check"] == "complex_area_shape" for f in rep["failures"]
+                   if f["detail"].startswith("closed form failed: "))
+        for i in raised:
+            assert {f["check"] for f in rep["failures"] if f["trial"] == i} \
+                == {"tangent_normal_identity", "complex_area_shape"}
+        assert rep["counts"]["complex_area_shape"] == 1
+        assert rep["counts"]["product_formula_agreement"] == 1
+        assert rep["counts"]["type_structure"] == 1
+
+    def test_null_target_rejected(self):
+        with pytest.raises(ValueError, match="unsupported verification target"):
+            verify_type(ProperName.LUCILATERAL, trials=1, seed=0)
 
     def test_non_convergent_oracle_fails_agreement(self, monkeypatch):
         monkeypatch.setattr(oracle, "_MAX_PANELS", 1)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,11 +23,13 @@ from dstrig.errors import (
 )
 from dstrig.geodesics import DeSitterPoint, SegmentKind, classify_segment
 from dstrig.minkowski import CausalType, causal_type, mink_inner, random_lorentz, vec3
-from dstrig.oracle import integrate_area, random_buildable_triangle
+from dstrig.oracle import GeneratorConfig, integrate_area, random_buildable_triangle, random_triangle
 from dstrig.triangles import (
     PolarKind,
     ProperName,
     TriangleKind,
+    _disk_name,
+    _others,
     build_triangle,
     classify_triangle,
     distinguished_vertex,
@@ -308,6 +311,40 @@ class TestPolar:
             build_triangle(_p(0, 1, 0), _p(1, 1, 1), _p(2, 1, 2))
 
 
+def _normals_vertex(tri):
+    """The same-kind distinguished vertex read from the outer normals.
+
+    The spatiolateral loop is the one distinguished_vertex ran before it
+    read the tangent products; the tempolateral rule is its mirror.
+    """
+    name = _disk_name(tri)
+    normals = tri.normals.tolist()
+    if name is ProperName.SPATIOLATERAL:
+        hits = []
+        for j in range(3):
+            k, l = _others(j)
+            if mink_inner(normals[k], normals[l]) < 0.0:
+                hits.append(j)
+        if len(hits) != 1:
+            raise GeometryError(f"expected one cone-sharing vertex, found {hits!r}")
+        return hits[0]
+    assert name is ProperName.TEMPOLATERAL
+    hits = [j for j in range(3) if mink_inner(*(normals[m] for m in _others(j))) > 0.0]
+    if len(hits) != 1:
+        raise GeometryError(f"expected one cone-splitting vertex, found {hits!r}")
+    return hits[0]
+
+
+def _vertex_outcome(fn, tri):
+    try:
+        return "ok", fn(tri)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+
+
+SAME_KIND = (ProperName.SPATIOLATERAL, ProperName.TEMPOLATERAL)
+
+
 class TestDistinguishedVertex:
     def test_fixtures(self, spatiolateral_points, tempolateral_points,
                       chorosceles_points, chronosceles_points):
@@ -337,6 +374,40 @@ class TestDistinguishedVertex:
         elif name is ProperName.CHRONOSCELES:
             assert tri.edges[d].kind is SegmentKind.ELLIPSE_PART
 
+    @pytest.mark.parametrize("u_max", (2.0, 6.0))
+    @pytest.mark.parametrize("target", SAME_KIND, ids=lambda t: t.value)
+    def test_tangent_rule_matches_normals_on_pool(self, target, u_max):
+        # The benchmark pool's stratum: seeds 0-63 of `dstrig random`.
+        for seed in range(64):
+            tri = random_triangle(GeneratorConfig(seed, target, u_max=u_max))
+            assert distinguished_vertex(tri) == _normals_vertex(tri), seed
+
+    @pytest.mark.parametrize("u_max", (2.0, 6.0, 8.0))
+    def test_tangent_rule_matches_normals_on_random(self, u_max):
+        same_kind = 0
+        for seed in range(400):
+            try:
+                tri = random_buildable_triangle(seed, u_max)
+            except GeometryError:
+                continue
+            if triangle_name(tri) in SAME_KIND:
+                same_kind += 1
+                assert _vertex_outcome(distinguished_vertex, tri) \
+                    == _vertex_outcome(_normals_vertex, tri), seed
+        assert same_kind >= 100
+
+    @pytest.mark.parametrize("name, d", [("spatiolateral", 0), ("tempolateral", 2)])
+    def test_sign_read_from_tangents(self, request, name, d):
+        # Normals untouched: negating one tangent product moves the vertex.
+        tri = build_triangle(*request.getfixturevalue(f"{name}_points"))
+        k, l = _others(d)
+        for j, m, hits in ((d, k, []), (k, l, sorted((d, k)))):
+            tangents = tri.tangents.copy()
+            tangents[j, m] = -tangents[j, m]
+            why = re.escape(f"expected one distinguished vertex, found {hits!r}")
+            with pytest.raises(GeometryError, match=f"^{why}$"):
+                distinguished_vertex(dataclasses.replace(tri, tangents=tangents))
+
 
 class TestHandBuiltTriangles:
     # A DeSitterTriangle assembled by hand may carry an edge build_triangle
@@ -354,7 +425,8 @@ class TestHandBuiltTriangles:
     def test_unsupported_edge_refused(self, request, name, kind, reader):
         tri = build_triangle(*request.getfixturevalue(f"{name}_points"))
         edge = dataclasses.replace(tri.edges[0], kind=kind)
-        with pytest.raises(UnsupportedTriangleTypeError):
+        why = "is a null line" if kind is SegmentKind.NULL_LINE else "admits no geodesic"
+        with pytest.raises(UnsupportedTriangleTypeError, match=f"^edge opposite vertex 1 {why}$"):
             reader(dataclasses.replace(tri, edges=(edge,) + tri.edges[1:]))
 
     def test_non_contractible_one_message(self):

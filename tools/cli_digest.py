@@ -16,6 +16,10 @@ in-process on:
   the quadric;
 - `area` on a non-contractible spatiolateral triangle (exit 4) and on
   one with an impossible edge (exit 5);
+- `classify`, `area` and `plot --out -` on six exact documents: a
+  photosceles space base and a bimetrical chorosceles (null edges), the
+  impossible-edge triangle, and a coincident, an antipodal and a
+  collinear vertex triple (exit 3);
 - `random --count 1` for the four area types at `--u-max` 2, 6 and 8,
   seeds 0-7;
 - sampler edge cases: a spatiolateral draw accepted at attempt 357 (in
@@ -77,13 +81,28 @@ def cases():
     for name, text in malformed.items():
         yield f"classify {name}", ["classify", "--input", "-"], text
     s3, c3 = math.sinh(0.3), math.cosh(0.3)
+    impossible = [[0, 1, 0], [math.sinh(1.0), -math.cosh(1.0), 0], [0, 0, 1]]
     refused = {
         "non-contractible": [[-s3, -c3, 0.0], [0.0, math.cos(1.0), math.sin(1.0)],
                              [0.0, math.cos(1.0), -math.sin(1.0)]],
-        "impossible edge": [[0, 1, 0], [math.sinh(1.0), -math.cosh(1.0), 0], [0, 0, 1]],
+        "impossible edge": impossible,
     }
     for name, rows in refused.items():
         yield f"area {name}", ["area", "--input", "-"], json.dumps({"schema": 1, "vertices": rows})
+    h = math.sqrt(0.5)
+    exact = {
+        "photosceles space base": [[0, 1, 0], [1, 1, 1], [0, 0, 1]],
+        "bimetrical chorosceles": [[0, 1, 0], [1, 1, 1], [0, -0.6, 0.8]],
+        "impossible edge": impossible,
+        "coincident": [[0, 1, 0], [0, 1, 0], [0, 0, 1]],
+        "antipodal": [[0, 1, 0], [0, -1, 0], [0, 0, 1]],
+        "collinear": [[0, 1, 0], [0, 0, 1], [0, h, h]],
+    }
+    for name, rows in exact.items():
+        doc = json.dumps({"schema": 1, "vertices": rows})
+        for argv in (["classify", "--input", "-"], ["area", "--input", "-"],
+                     ["plot", "--input", "-", "--out", "-"]):
+            yield f"{argv[0]} exact {name}", argv, doc
     for kind in TYPES:
         for u_max in ("2", "6", "8"):
             for seed in range(8):
