@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .areas import girard_area
-from .errors import GeometryError, NotUnitError, UnsupportedKindError
+from .errors import GeometryError, NotUnitError
 from .geodesics import DeSitterPoint, SegmentKind, geodesic_point
 from .minkowski import mink_inner
 from .oracle import (
@@ -39,6 +39,7 @@ from .triangles import (
     _AREA_TYPES,
     _assemble,
     _others,
+    _refuse_untraceable,
     build_triangle,
     classify_triangle,
     polar_triangle,
@@ -271,9 +272,7 @@ def cmd_plot(args) -> int:
         raise DocumentError("plot expects exactly one document")
     points = _document_points(docs[0])
     segs = classify_triangle(*points).edges
-    for seg in segs:
-        if seg.kind not in _EDGE_STYLE:
-            raise UnsupportedKindError(f"cannot trace a {seg.kind.value} edge")
+    _refuse_untraceable(segs)
 
     # Orthographic projection dropping the time coordinate.
     polylines = []

@@ -84,16 +84,16 @@ def _proportional(p: DeSitterPoint, q: DeSitterPoint) -> str | None:
 def tangent_toward(p: DeSitterPoint, q: DeSitterPoint) -> np.ndarray:
     """Unit tangent at p pointing along the geodesic toward q.
 
-    The unnormalized direction is q - <p,q> p; it is null exactly when
-    <p,q> = 1 (within the band), in which case no unit tangent exists.
+    The direction q - <p,q> p is null (no unit tangent) when <p,q> = 1 in
+    the band; coincident and antipodal points land there too and are named.
     """
-    how = _proportional(p, q)
-    if how is not None:
-        raise CoincidentPointsError(f"{how} points admit no tangent direction")
     c = mink_inner(p._x, q._x)
     w = [b - c * a for a, b in zip(p._x, q._x)]
     ww = mink_inner(w, w)
     if abs(ww) <= NULL_EPS:
+        how = _proportional(p, q)
+        if how is not None:
+            raise CoincidentPointsError(f"{how} points admit no tangent direction")
         raise NullTangentError(f"null direction: <p,q> = {c!r}")
     r = math.sqrt(abs(ww))
     return np.array([x / r for x in w])

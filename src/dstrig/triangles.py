@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     BoundaryCaseError,
+    CoincidentPointsError,
     DegenerateTriangleError,
     GeometryError,
     ImpossibleEdgeError,
@@ -107,14 +108,6 @@ def _others(j: int) -> tuple[int, int]:
     return (j + 1) % 3, (j + 2) % 3
 
 
-def _check_distinct(points) -> None:
-    for i in range(3):
-        for j in range(i + 1, 3):
-            how = _proportional(points[i], points[j])
-            if how is not None:
-                raise DegenerateTriangleError(f"vertices {i + 1} and {j + 1} are {how}")
-
-
 def _check_not_collinear(points) -> None:
     # Three vertices on one non-null geodesic span a plane through the origin.
     if abs(float(np.linalg.det(np.array([p._x for p in points])))) < ZERO_EPS:
@@ -186,14 +179,20 @@ def _contractibility(edges) -> bool | None:
 def classify_triangle(p1: DeSitterPoint, p2: DeSitterPoint, p3: DeSitterPoint) -> TriangleClass:
     """Name a vertex triple from its edge kinds alone.
 
-    Works for all ten named types including the null-edge families; no
-    tangent or normal data is computed.  Triples whose three vertices
-    lie on one non-null geodesic are rejected as degenerate (null-edge
-    families are legitimately coplanar and are not).
+    Works for all ten named types; no tangent or normal is computed.
+    Rejected as degenerate: the first coincident or antipodal vertex pair
+    in the order 1-2, 1-3, 2-3, or three vertices on one non-null
+    geodesic (null-edge families are legitimately coplanar and are not).
     """
     points = (p1, p2, p3)
-    _check_distinct(points)
-    edges = tuple(classify_segment(points[k], points[l]) for k, l in map(_others, range(3)))
+    edges = [None] * 3
+    for m, i, j in ((2, 1, 2), (1, 1, 3), (0, 2, 3)):  # edge m joins vertices i and j
+        a, b = (points[n] for n in _others(m))
+        try:
+            edges[m] = classify_segment(a, b)
+        except CoincidentPointsError:
+            raise DegenerateTriangleError(f"vertices {i} and {j} are {_proportional(a, b)}") from None
+    edges = tuple(edges)
     i, j, k = _counts(edges)
     if any(e.kind is SegmentKind.IMPOSSIBLE for e in edges):
         return TriangleClass(TriangleKind.IMPOSSIBLE, (i, j, k), ProperName.NONE, None, edges)

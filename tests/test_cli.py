@@ -451,6 +451,17 @@ class TestPlotCommand:
                              "--out", str(tmp_path / "x.svg"), stdin=doc)
         assert code == 5
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[0, 1, 0], [1, 1, 1], [0, 0, 1]], "edge opposite vertex 1 is a null line"),
+        ([[0, 1, 0], [math.sinh(1), -math.cosh(1), 0], [0, 0, 1]],
+         "edge opposite vertex 3 admits no geodesic"),
+    ], ids=["photosceles-space-base", "impossible-edge"])
+    def test_untraceable_edge_named_as_area_names_it(self, capsys, monkeypatch, rows, message):
+        doc = json.dumps({"schema": 1, "vertices": rows})
+        for argv in (["plot", "--input", "-", "--out", "-"], ["area", "--input", "-"]):
+            code, out, err = run_cli(capsys, monkeypatch, *argv, stdin=doc)
+            assert (code, out, err) == (5, "", f"error: {message}\n")
+
     def test_stdout_output(self, capsys, monkeypatch, chorosceles_doc):
         code, out, _ = run_cli(capsys, monkeypatch, "plot", "--input", "-",
                                "--out", "-", stdin=chorosceles_doc)

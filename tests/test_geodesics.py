@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import chart_point
 from dstrig.errors import (
     CoincidentPointsError,
+    GeometryError,
     NotSpaceLikePositionError,
     NotUnitError,
     NullTangentError,
@@ -23,7 +24,7 @@ from dstrig.geodesics import (
     project_to_quadric,
     tangent_toward,
 )
-from dstrig.minkowski import CausalType, lorentz_cross, mink_inner, vec3
+from dstrig.minkowski import NULL_EPS, ZERO_EPS, CausalType, lorentz_cross, mink_inner, vec3
 
 # (sinh u, cosh u cos psi, cosh u sin psi) parameterizes the whole quadric
 charts = st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 6.28)).map(
@@ -95,6 +96,51 @@ class TestTangent:
         p = chart_point(0.3, 0.3)
         with pytest.raises(CoincidentPointsError):
             tangent_toward(p, DeSitterPoint(p.v.copy()))
+
+    @staticmethod
+    def _check_first(p, q):
+        # tangent_toward with the coincident/antipodal test ahead of the
+        # null-direction test, the order the late test must reproduce.
+        (a0, a1, a2), (b0, b1, b2) = p._x, q._x
+        if max(abs(a0 - b0), abs(a1 - b1), abs(a2 - b2)) < ZERO_EPS:
+            raise CoincidentPointsError("coincident points admit no tangent direction")
+        if max(abs(a0 + b0), abs(a1 + b1), abs(a2 + b2)) < ZERO_EPS:
+            raise CoincidentPointsError("antipodal points admit no tangent direction")
+        c = mink_inner(p._x, q._x)
+        w = [b - c * a for a, b in zip(p._x, q._x)]
+        ww = mink_inner(w, w)
+        if abs(ww) <= NULL_EPS:
+            raise NullTangentError(f"null direction: <p,q> = {c!r}")
+        r = math.sqrt(abs(ww))
+        return np.array([x / r for x in w])
+
+    def test_late_coincidence_test_matches_check_first(self):
+        # q = +-p + delta at rapidities up to 12, |delta_i| from 1e-13 to 1e-9,
+        # plus unrelated pairs: same exception and message, or same bits.
+        def outcome(fn, p, q):
+            try:
+                return fn(p, q).tobytes()
+            except GeometryError as exc:
+                return type(exc), str(exc)
+
+        rng = np.random.default_rng(14)
+        seen = set()
+        for _ in range(4000):
+            try:
+                p = chart_point(rng.uniform(-12.0, 12.0), rng.uniform(0.0, 2.0 * math.pi))
+                if rng.random() < 0.25:
+                    q = chart_point(rng.uniform(-12.0, 12.0), rng.uniform(0.0, 2.0 * math.pi))
+                else:
+                    scale = rng.choice([1e-13, 1e-12, 3e-12, 1e-9])
+                    q = DeSitterPoint(rng.choice([1.0, -1.0]) * p.v
+                                      + rng.uniform(-scale, scale, 3))
+            except NotUnitError:
+                continue
+            for a, b in ((p, q), (q, p)):
+                new = outcome(tangent_toward, a, b)
+                assert new == outcome(self._check_first, a, b)
+                seen.add(new[1].split()[0] if isinstance(new, tuple) else "tangent")
+        assert seen == {"coincident", "antipodal", "null", "tangent"}
 
 
 class TestClassifySegment:

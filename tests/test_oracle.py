@@ -534,6 +534,25 @@ class TestVerifyType:
         assert rep["counts"]["product_formula_agreement"] == 1
         assert rep["counts"]["type_structure"] == 1
 
+    def test_own_shape_bound_detects_shifted_angle_sum(self, monkeypatch):
+        # A closed form that returns, rather than raises, with its angle sum
+        # 1e-6 off the real axis fails verify's own 1e-8 shape bound, and
+        # nothing else: the real area the other checks read is unchanged.
+        closed_form = oracle.girard_area
+
+        def shifted(tri):
+            res = closed_form(tri)
+            return dataclasses.replace(res, complex_area=res.complex_area + 1e-6)
+
+        monkeypatch.setattr(oracle, "girard_area", shifted)
+        rep = verify_type(ProperName.CHRONOSCELES, trials=3, seed=3)
+        assert [(f["trial"], f["check"]) for f in rep["failures"]] \
+            == [(i, "complex_area_shape") for i in range(3)]
+        assert all(f["detail"].startswith("angle sum ") for f in rep["failures"])
+        assert rep["counts"] == {"oracle_agreement": 3, "tangent_normal_identity": 3,
+                                 "complex_area_shape": 0, "product_formula_agreement": 3,
+                                 "type_structure": 3}
+
     def test_null_target_rejected(self):
         with pytest.raises(ValueError, match="unsupported verification target"):
             verify_type(ProperName.LUCILATERAL, trials=1, seed=0)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dstrig.geodesics
+import dstrig.triangles
 from conftest import chart_point
 from dstrig.areas import complex_area, girard_area, girard_area_from_products, interior_angles
 from dstrig.errors import (
@@ -132,6 +134,46 @@ class TestBuild:
         # edge 1 null, edges 2 and 3 impossible
         with pytest.raises(NullEdgeError, match="^edge opposite vertex 1 is a null line$"):
             build_triangle(_p(math.sinh(1), -math.cosh(1), 0), _p(0, 1, 0), _p(1, 1, 1))
+
+
+class TestVertexPairs:
+    # Each vertex pair is tested for coincidence once, by classify_segment,
+    # in the order 1-2, 1-3, 2-3; the first degenerate pair is named.
+    P, Q = (0, 1, 0), (0, 0, 1)
+    MINUS_P, MINUS_Q = (0, -1, 0), (0, 0, -1)
+
+    @pytest.mark.parametrize("fn", [classify_triangle, build_triangle])
+    @pytest.mark.parametrize("rows, message", [
+        ((P, P, P), "vertices 1 and 2 are coincident"),
+        ((P, Q, P), "vertices 1 and 3 are coincident"),
+        ((P, Q, MINUS_Q), "vertices 2 and 3 are antipodal"),
+        ((P, P, MINUS_P), "vertices 1 and 2 are coincident"),
+    ])
+    def test_first_degenerate_pair_named(self, fn, rows, message):
+        with pytest.raises(DegenerateTriangleError, match=f"^{message}$"):
+            fn(*(_p(*row) for row in rows))
+
+    @pytest.mark.parametrize("fn, tangent_calls", [(classify_triangle, 0), (build_triangle, 6)])
+    @pytest.mark.parametrize("name", ["spatiolateral", "tempolateral",
+                                      "chorosceles", "chronosceles"])
+    def test_one_coincidence_test_per_pair(self, request, monkeypatch, name, fn, tangent_calls):
+        points = request.getfixturevalue(f"{name}_points")
+        calls = []
+
+        def counting(wrapped, label):
+            def count(*args):
+                calls.append(label)
+                return wrapped(*args)
+            return count
+
+        proportional = counting(dstrig.geodesics._proportional, "proportional")
+        monkeypatch.setattr(dstrig.geodesics, "_proportional", proportional)
+        monkeypatch.setattr(dstrig.triangles, "_proportional", proportional)
+        monkeypatch.setattr(dstrig.triangles, "tangent_toward",
+                            counting(dstrig.triangles.tangent_toward, "tangent"))
+        fn(*points)
+        assert calls.count("proportional") == 3
+        assert calls.count("tangent") == tangent_calls
 
 
 class TestIdentity:

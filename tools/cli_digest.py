@@ -20,6 +20,10 @@ in-process on:
   photosceles space base and a bimetrical chorosceles (null edges), the
   impossible-edge triangle, and a coincident, an antipodal and a
   collinear vertex triple (exit 3);
+- `classify` and `area` on four triples with several degenerate vertex
+  pairs, which pin the pair that is named (exit 3): `(p, p, p)`,
+  `(p, q, p)`, `(p, q, -q)` and `(p, p, -p)` with `p = (0, 1, 0)` and
+  `q = (0, 0, 1)`;
 - `random --count 1` for the four area types at `--u-max` 2, 6 and 8,
   seeds 0-7;
 - sampler edge cases: a spatiolateral draw accepted at attempt 357 (in
@@ -103,6 +107,13 @@ def cases():
         for argv in (["classify", "--input", "-"], ["area", "--input", "-"],
                      ["plot", "--input", "-", "--out", "-"]):
             yield f"{argv[0]} exact {name}", argv, doc
+    p, q, minus_p, minus_q = [0, 1, 0], [0, 0, 1], [0, -1, 0], [0, 0, -1]
+    several = {"p p p": [p, p, p], "p q p": [p, q, p], "p q -q": [p, q, minus_q],
+               "p p -p": [p, p, minus_p]}
+    for name, rows in several.items():
+        doc = json.dumps({"schema": 1, "vertices": rows})
+        for argv in (["classify", "--input", "-"], ["area", "--input", "-"]):
+            yield f"{argv[0]} degenerate pairs {name}", argv, doc
     for kind in TYPES:
         for u_max in ("2", "6", "8"):
             for seed in range(8):
