@@ -92,7 +92,10 @@ def vec3(x0: float, x1: float, x2: float) -> np.ndarray:
 
 
 def as_vec3(value) -> np.ndarray:
-    v = np.asarray(value, dtype=float)
+    try:
+        v = np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ValueError("vector component too large for a float") from None
     if v.shape != (3,):
         raise ValueError(f"expected 3 components, got shape {v.shape}")
     if not all(map(math.isfinite, v.tolist())):
@@ -108,9 +111,11 @@ def mink_inner(u, v) -> float:
 
 
 def causal_type(u) -> CausalType:
+    q = mink_inner(u, u)
+    if not math.isfinite(q):
+        raise ValueError(f"<u,u> is not finite: {q!r}")
     if max(abs(u[0]), abs(u[1]), abs(u[2])) < ZERO_EPS:
         raise ZeroVectorError("causal type of the zero vector is undefined")
-    q = mink_inner(u, u)
     if q > NULL_EPS:
         return CausalType.SPACE_LIKE
     if q < -NULL_EPS:
@@ -134,6 +139,8 @@ def lorentz_normalize(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     x = u.tolist()
     q = mink_inner(x, x)
+    if not math.isfinite(q):
+        raise ValueError(f"<u,u> is not finite: {q!r}")
     if abs(q) <= ZERO_EPS:
         raise NullInputError("cannot normalize a (near-)null vector")
     return u / math.sqrt(abs(q))

@@ -21,12 +21,11 @@ max(1e-12 * S * width, 64 * eps * R): S is the sum of |value| over the
 starting panels of all three edges, width is the panel's share of its
 edge, and R is the halves' integral of the round-off scale
 |k| (|A p0| + |B q0|) / (x1^2 + x2^2).  A rejected panel's halves are
-tested in turn at the next bisection level.  One numpy call evaluates
-the starting panels together with their halves (bisection level 1), and
-one call per later level evaluates the halves of every panel that level
-rejected.  A panel's sums depend on its own nodes alone, not on which
-panels share its call.  The per-edge constants are computed on Python
-floats.
+tested in turn at the next bisection level.  One numpy call per level
+evaluates its pending panels (at level 1 the starting ones) and both of
+their halves.  A panel's sums depend on its own nodes alone, not on
+which panels share its call.  The per-edge constants are computed on
+Python floats.
 """
 
 from __future__ import annotations
@@ -213,16 +212,17 @@ def integrate_area(tri: DeSitterTriangle, n: int = _DEFAULT_CHECK_GRID) -> Oracl
     _check_not_collinear(tri.points)
 
     edges = _loop_edges([p._x for p in tri.points])
-    e, a, w, fused = _start_layout(n // 8)
+    e, a, w, rows = _start_layout(n // 8)
     kept, est, floor, level = [], 0.0, 0.0, 1
-    _check_panel_cap(2 * e.size, level)
-    vals, scales = _node_sums(edges, *fused)
-    whole, vals, scales = vals[:e.size], vals[e.size:], scales[e.size:]
-    scale = float(np.sum(np.abs(whole)))
     while True:
-        halves = vals.reshape(2, -1)
+        if sum(map(len, kept)) + 2 * e.size > _MAX_PANELS:
+            raise NonConvergentError(f"more than {_MAX_PANELS} panels at bisection level {level}")
+        vals, scales = _node_sums(edges, *rows)
+        whole, halves = vals[:e.size], vals[e.size:].reshape(2, -1)
+        if level == 1:
+            scale = float(np.sum(np.abs(whole)))
         gap = np.abs(halves.sum(axis=0) - whole)
-        roundoff = 64.0 * _EPS * scales.reshape(2, -1).sum(axis=0)
+        roundoff = 64.0 * _EPS * scales[e.size:].reshape(2, -1).sum(axis=0)
         ok = gap <= np.maximum(1e-12 * scale * w, roundoff)
         kept.append(halves[:, ok].ravel())
         est += float(np.sum(gap[ok]))
@@ -232,38 +232,30 @@ def integrate_area(tri: DeSitterTriangle, n: int = _DEFAULT_CHECK_GRID) -> Oracl
             break
         h = w[bad] / 2.0
         e, a, w = np.tile(e[bad], 2), np.concatenate([a[bad], a[bad] + h]), np.tile(h, 2)
-        whole = halves[:, bad].ravel()
+        rows = _level_rows(e, a, w)
         level += 1
-        _check_panel_cap(sum(map(len, kept)) + 2 * e.size, level)
-        half = w / 2.0
-        vals, scales = _panels(edges, np.tile(e, 2), np.concatenate([a, a + half]),
-                               np.tile(half, 2))
     return OracleResult(area=abs(math.fsum(np.concatenate(kept).tolist())),
                         est_error=max(est, floor), grid=(n, n), refinements=level)
 
 
-def _check_panel_cap(panels: int, level: int) -> None:
-    if panels > _MAX_PANELS:
-        raise NonConvergentError(f"more than {_MAX_PANELS} panels at bisection level {level}")
+def _level_rows(e: np.ndarray, a: np.ndarray, w: np.ndarray):
+    # _node_sums arguments: panels [a, a + w] of edges e, left halves, right halves.
+    h = w / 2.0
+    w3 = np.concatenate([w, h, h])
+    return np.tile(e, 3), _node_fractions(np.concatenate([a, a, a + h]), w3), w3
 
 
 @functools.lru_cache(maxsize=8)
 def _start_layout(m: int):
-    """The n // 8 = m starting panels per edge, read-only: (e, a, w, fused).
-
-    fused = (e, node fractions, w) of the first level's one _node_sums
-    call: the starting panels, then their left halves, then their right
-    halves.
-    """
+    """(e, a, w, rows) of the n // 8 = m starting panels per edge, read-only: rows
+    feeds level 1's one _node_sums call, on these panels and both of their halves."""
     e = np.repeat(np.arange(3), m)
     a = np.tile(np.arange(m) / m, 3)
     w = np.full(3 * m, 1.0 / m)
-    h = w / 2.0
-    fused_w = np.concatenate([w, h, h])
-    fused = (np.tile(e, 3), _node_fractions(np.concatenate([a, a, a + h]), fused_w), fused_w)
-    for arr in (e, a, w, *fused):
+    rows = _level_rows(e, a, w)
+    for arr in (e, a, w, *rows):
         arr.flags.writeable = False
-    return e, a, w, fused
+    return e, a, w, rows
 
 
 # Sampler attempts are drawn and prefiltered this many at a time.

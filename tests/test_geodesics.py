@@ -47,6 +47,10 @@ class TestDeSitterPoint:
         with pytest.raises(NotUnitError, match="nan"):
             DeSitterPoint(vec3(1e200, 1e200, 1e200))
 
+    def test_rejects_component_beyond_float_range(self):
+        with pytest.raises(ValueError, match="^vector component too large for a float$"):
+            DeSitterPoint([10**400, 0, 0])
+
     def test_array_is_read_only(self):
         p = DeSitterPoint(vec3(0, 1, 0))
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +102,11 @@ class TestInner:
     def test_example(self):
         assert mink_inner(vec3(1, 2, 3), vec3(4, 5, 6)) == -4 + 10 + 18
 
+    def test_vec3_component_beyond_float_range(self):
+        # np.asarray raises a bare OverflowError on an int this large.
+        with pytest.raises(ValueError, match="^vector component too large for a float$"):
+            vec3(10**400, 0, 0)
+
     @given(u=vectors, v=vectors, w=vectors, a=finite)
     def test_bilinear_symmetric(self, u, v, w, a):
         left = mink_inner(u + a * w, v)
@@ -120,6 +126,14 @@ class TestCausalType:
         with pytest.raises(ZeroVectorError):
             causal_type(vec3(0, 0, 0))
 
+    @pytest.mark.parametrize("u", [[math.nan, 0.0, 0.0], [0.0, math.nan, 0.0],
+                                   [math.inf, 0.0, 0.0], [1e200, 1e200, 1e200]])
+    def test_non_finite_square_rejected(self, u):
+        # A nan <u,u> used to fall through both bands and be filed as null,
+        # and a nan past the first component passed as the zero vector.
+        with pytest.raises(ValueError, match="^<u,u> is not finite"):
+            causal_type(np.array(u))
+
     @given(v=nonnull_vectors(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60)
     def test_lorentz_invariant(self, v, seed):
@@ -137,6 +151,10 @@ class TestPseudoNorm:
     def test_null(self):
         assert pseudo_norm(vec3(1, 1, 0)) == 0
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="^<u,u> is not finite"):
+            pseudo_norm(np.array([math.nan, 1.0, 0.0]))
+
     @given(v=nonnull_vectors())
     def test_squares_back(self, v):
         assert pseudo_norm(v) ** 2 == pytest.approx(mink_inner(v, v), rel=1e-9)
@@ -151,6 +169,11 @@ class TestNormalize:
     def test_null_input(self):
         with pytest.raises(NullInputError):
             lorentz_normalize(vec3(1, 1, 0))
+
+    @pytest.mark.parametrize("u", [[math.nan, 1.0, 0.0], [1e200, 1e200, 1e200]])
+    def test_non_finite_rejected(self, u):
+        with pytest.raises(ValueError, match="^<u,u> is not finite"):
+            lorentz_normalize(np.array(u))
 
 
 class TestTimeCone:
@@ -272,6 +295,24 @@ class TestRealAngle:
         u = vec3(0, 1, 0)
         with pytest.raises(NullSpanError):
             real_angle(u, u)
+
+    @pytest.mark.parametrize("u, v, branch, g", [
+        ((1627.8012178668268, -939.152199530552, 1329.5596831303408),
+         (1627.8010583307025, -939.1521087481888, 1329.55955193304),
+         AngleBranch.NEG_IMAG, -0.9999999988358468),
+        ((4662.471743541571, -4535.676175957484, -1079.9460107687228),
+         (-4662.471350293401, 4535.675792388427, 1079.9459239463731),
+         AngleBranch.PI_PLUS_IMAG, 0.9999999983701855),
+    ])
+    def test_time_like_pair_inside_unit_ball_rejected(self, u, v, branch, g):
+        # Both vectors pass the unit band, but rounding in <u,v> at these
+        # magnitudes puts |<u,v>| below 1 - NULL_EPS, which no unit
+        # time-like pair reaches exactly.
+        u, v = vec3(*u), vec3(*v)
+        assert pseudo_angle(u, v).branch is branch
+        message = f"^time-like pair with <u,v> = {re.escape(repr(g))}$"
+        with pytest.raises(NullSpanError, match=message):
+            real_angle(u, v)
 
 
 class TestRealAngleReference:

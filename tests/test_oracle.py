@@ -116,6 +116,51 @@ def _outcome(fn, *args):
     return "ok", [p.v.tobytes() for p in tri.points]
 
 
+def _carried_whole_area(tri, n):
+    """(area, est_error, grid, refinements) from the loop integrate_area
+    ran before each level re-evaluated its pending panels: level 1 takes
+    the starting panels and their halves from one call, and each later
+    level evaluates only halves, carrying each pending panel's whole
+    from the level before."""
+    edges = oracle._loop_edges([p.v for p in tri.points])
+    e, a, w = _starting_panels(n // 8)
+    h = w / 2.0
+    vals, scales = oracle._panels(edges, np.tile(e, 3), np.concatenate([a, a, a + h]),
+                                  np.concatenate([w, h, h]))
+    whole, vals, scales = vals[:e.size], vals[e.size:], scales[e.size:]
+    scale = float(np.sum(np.abs(whole)))
+    kept, est, floor, level = [], 0.0, 0.0, 1
+    while True:
+        halves = vals.reshape(2, -1)
+        gap = np.abs(halves.sum(axis=0) - whole)
+        roundoff = 64.0 * oracle._EPS * scales.reshape(2, -1).sum(axis=0)
+        ok = gap <= np.maximum(1e-12 * scale * w, roundoff)
+        kept.append(halves[:, ok].ravel())
+        est += float(np.sum(gap[ok]))
+        floor += float(np.sum(roundoff[ok]))
+        bad = ~ok
+        if not bad.any():
+            break
+        h = w[bad] / 2.0
+        e, a, w = np.tile(e[bad], 2), np.concatenate([a[bad], a[bad] + h]), np.tile(h, 2)
+        whole = halves[:, bad].ravel()
+        level += 1
+        half = w / 2.0
+        vals, scales = oracle._panels(edges, np.tile(e, 2), np.concatenate([a, a + half]),
+                                      np.tile(half, 2))
+    return abs(math.fsum(np.concatenate(kept).tolist())), max(est, floor), (n, n), level
+
+
+# Pool-stratum seeds below 64 at u_max 6 whose triangle refines to
+# bisection level 3 or deeper at n = 64.
+DEEP_SEEDS = {
+    ProperName.SPATIOLATERAL: (39,),
+    ProperName.TEMPOLATERAL: (2,),
+    ProperName.CHOROSCELES: (0, 3, 38, 46, 51),
+    ProperName.CHRONOSCELES: (0, 14, 31, 36, 58, 59),
+}
+
+
 class TestIntegrateArea:
     def test_fixture_areas(self, spatiolateral_points, tempolateral_points,
                            chorosceles_points, chronosceles_points):
@@ -218,6 +263,37 @@ class TestIntegrateArea:
         with pytest.raises(NonConvergentError,
                            match="^more than 47 panels at bisection level 1$"):
             integrate_area(tri, n=64)
+
+    @pytest.mark.parametrize("cap, level", [(48, 2), (50, 3), (52, 4), (56, 6), (60, 8)])
+    def test_later_level_cap_names_its_level(self, cap, level, monkeypatch):
+        tri = _pool_triangle(ProperName.CHRONOSCELES, 6.0, seed=58)
+        monkeypatch.setattr(oracle, "_MAX_PANELS", cap)
+        with pytest.raises(NonConvergentError,
+                           match=f"^more than {cap} panels at bisection level {level}$"):
+            integrate_area(tri, n=64)
+
+    def test_cap_just_above_deepest_level_converges(self, monkeypatch):
+        tri = _pool_triangle(ProperName.CHRONOSCELES, 6.0, seed=58)
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 64)
+        assert integrate_area(tri, n=64).refinements == 8
+
+    @pytest.mark.parametrize("n", (8, 64, 200))
+    def test_matches_carried_whole_loop(self, n, spatiolateral_points, tempolateral_points,
+                                        chorosceles_points, chronosceles_points):
+        # Every level re-evaluates its pending panels' wholes; they are the
+        # rows the level before evaluated as halves, so no bit may move.
+        tris = [build_triangle(*pts) for pts in (spatiolateral_points, tempolateral_points,
+                                                 chorosceles_points, chronosceles_points)]
+        tris += [_pool_triangle(target, 6.0, seed)
+                 for target, seeds in DEEP_SEEDS.items() for seed in seeds]
+        for i, tri in enumerate(tris):
+            res = integrate_area(tri, n)
+            want = _carried_whole_area(tri, n)
+            assert res.area.hex() == want[0].hex(), i
+            assert res.est_error.hex() == want[1].hex(), i
+            assert (res.grid, res.refinements) == want[2:], i
+            if n == 64 and i >= 4:
+                assert res.refinements >= 3, i  # DEEP_SEEDS still refine that deep
 
     def test_hand_built_null_edge_does_not_converge(self, spatiolateral_points,
                                                     monkeypatch):
