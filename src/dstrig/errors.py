@@ -83,7 +83,7 @@ class NotSpatiolateralError(GeometryError):
 
 
 class BoundaryCaseError(GeometryError):
-    """Edge-length sum sits inside the tolerance band at 2*pi."""
+    """Kept for its name and exit code; nothing raises it any longer."""
 
     exit_code = 3
 

@@ -115,8 +115,8 @@ def classify_span(p: DeSitterPoint, q: DeSitterPoint) -> CausalType:
 def classify_segment(p: DeSitterPoint, q: DeSitterPoint) -> GeodesicSegment:
     """Segment between two quadric points with its conic kind and length.
 
-    Separation is the arc length: arccos<p,q> on an ellipse arc,
-    arccosh<p,q> on a hyperbola branch, 0 for the two kinds that carry
+    Separation is the arc length: acos<p,q> on an ellipse arc,
+    acosh<p,q> on a hyperbola branch, 0 for the two kinds that carry
     no length.  Inner products at or below -1 admit no geodesic; the
     band around -1 is folded into IMPOSSIBLE since only +1 yields a
     null line.

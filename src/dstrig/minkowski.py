@@ -110,10 +110,14 @@ def mink_inner(u, v) -> float:
             + float(u[2]) * float(v[2]))
 
 
+def _finite(x: float, what: str) -> float:
+    if not math.isfinite(x):
+        raise ValueError(f"{what} is not finite: {x!r}")
+    return x
+
+
 def causal_type(u) -> CausalType:
-    q = mink_inner(u, u)
-    if not math.isfinite(q):
-        raise ValueError(f"<u,u> is not finite: {q!r}")
+    q = _finite(mink_inner(u, u), "<u,u>")
     if max(abs(u[0]), abs(u[1]), abs(u[2])) < ZERO_EPS:
         raise ZeroVectorError("causal type of the zero vector is undefined")
     if q > NULL_EPS:
@@ -138,9 +142,7 @@ def lorentz_normalize(u) -> np.ndarray:
     """Scale u so abs(<u,u>) = 1; null input cannot be normalized."""
     u = np.asarray(u, dtype=float)
     x = u.tolist()
-    q = mink_inner(x, x)
-    if not math.isfinite(q):
-        raise ValueError(f"<u,u> is not finite: {q!r}")
+    q = _finite(mink_inner(x, x), "<u,u>")
     if abs(q) <= ZERO_EPS:
         raise NullInputError("cannot normalize a (near-)null vector")
     return u / math.sqrt(abs(q))
@@ -235,20 +237,23 @@ def lorentz_cross(u, v) -> np.ndarray:
     u0, u1, u2 = map(float, u)
     v0, v1, v2 = map(float, v)
     w = [u2 * v1 - u1 * v2, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0]
-    if abs(mink_inner(w, w)) < ZERO_EPS * ZERO_EPS:
+    if abs(_finite(mink_inner(w, w), "<w,w> of the cross product")) < ZERO_EPS * ZERO_EPS:
         raise DegeneratePairError("inputs span no definite normal direction")
     return np.array(w)
 
 
 def boost_matrix(rapidity: float) -> np.ndarray:
     """Boost in the (x0, x1) plane; preserves the form and time orientation."""
-    ch, sh = math.cosh(rapidity), math.sinh(rapidity)
+    try:
+        ch, sh = math.cosh(_finite(rapidity, "rapidity")), math.sinh(rapidity)
+    except OverflowError:
+        raise ValueError(f"rapidity {rapidity!r} gives no finite boost") from None
     return np.array([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
     """Rotation in the (x1, x2) plane."""
-    c, s = math.cos(angle), math.sin(angle)
+    c, s = math.cos(_finite(angle, "angle")), math.sin(angle)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 

@@ -260,10 +260,6 @@ def _start_layout(m: int):
 
 # Sampler attempts are drawn and prefiltered this many at a time.
 _BLOCK = 64
-# Margin above 2*pi for an arccos edge sum to count as surely
-# non-contractible; it absorbs np.arccos's last-bit differences from
-# math.acos.
-_CONTRACTIBLE_MARGIN = 1e-6
 # Each proper name's (space-like, time-like, light-like) edge counts
 # packed base 4; the sampler's prefilter sums per-edge codes 1, 4, 16.
 _EDGE_CODES = {name: i + 4 * j + 16 * k for (i, j, k), name in _NAME_TABLE.items()}
@@ -300,13 +296,12 @@ def _maybe_accepted(pts: np.ndarray, target: ProperName | None) -> np.ndarray:
 
     False only where random_triangle's test surely rejects: a name other
     than the target (None: other than the four null-free types), or
-    (spatiolateral) an edge-length sum clearly above 2*pi.  Attempts
-    whose points would raise (off the quadric, non-finite) stay True, so
-    the scalar body raises as before.  The scalar body builds its points
-    from these rows and inner products keep mink_inner's operation order,
-    so each band decision here is the scalar one.  Coincident or
-    antipodal vertices are left to the scalar body: it rejects them
-    whatever their name.
+    (spatiolateral) 1 + <p2,p3> + <p3,p1> + <p1,p2> <= 0.  Attempts whose
+    points would raise (off the quadric, non-finite) stay True, so the
+    scalar body raises as before.  Inner products and that sum keep the
+    scalar operation order on the scalar body's own floats, so each
+    decision here is the scalar one.  Coincident or antipodal vertices are
+    left to the scalar body: it rejects them whatever their name.
     """
     on_quadric = (np.abs(_rows_inner(pts, pts) - 1.0) <= UNIT_EPS).all(axis=1)
     # Edge j joins vertices j+1 and j+2.
@@ -317,16 +312,14 @@ def _maybe_accepted(pts: np.ndarray, target: ProperName | None) -> np.ndarray:
     codes = [_EDGE_CODES[name] for name in (_AREA_TYPES if target is None else (target,))]
     named = ((ell + 4 * hyp + 16 * null).sum(axis=1)[:, None] == codes).any(axis=1)
     if target is ProperName.SPATIOLATERAL:
-        total = np.arccos(np.clip(c, -1.0, 1.0)).sum(axis=1)
-        named &= ~(total > 2.0 * math.pi + _CONTRACTIBLE_MARGIN)
+        named &= ~(1.0 + c[:, 0] + c[:, 1] + c[:, 2] <= 0.0)
     return ~on_quadric | named
 
 
 def _accepts(kind, target: ProperName | None) -> bool:
     if target is None:
         return kind.proper_name in _AREA_TYPES
-    return kind.proper_name is target and (
-        target is not ProperName.SPATIOLATERAL or kind.contractible is True)
+    return kind.proper_name is target and kind.contractible is not False
 
 
 def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:

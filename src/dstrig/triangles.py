@@ -14,18 +14,25 @@ future-pointing instead.  The identity <tangents[j,k], tangents[j,l]> =
 <normals[k], normals[l]> at every vertex j follows from that orientation.
 The area path reads only tangents; only polar_triangle and the two checks
 tangent_normal_residual and normal_duality_holds read the normals.
+
+Three space-like edges bound a disk (contractible) when their length sum
+is below 2*pi: S = 1 + c_23 + c_31 + c_12 > 0, c_ab = <p_a,p_b>.  On the
+quadric S**2 - det(P)**2 = 2 (1 + c_12)(1 + c_13)(1 + c_23), P the vertex
+rows (Eriksson, Math. Mag. 63(3), 1990); space-like edges have 1 + c >
+NULL_EPS, so |S| > 4.5e-14: the sign never sits at 0.  The sum is 2*pi on
+collinear triples (refused), where S = 4 cos(a/2) cos(b/2) cos((a+b)/2) < 0.
+Unproven: that the two rules agree on every other triple, and the bound
+for vertices UNIT_EPS off the quadric (see test_sign_matches_perimeter_rule).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import (
-    BoundaryCaseError,
     CoincidentPointsError,
     DegenerateTriangleError,
     GeometryError,
@@ -35,7 +42,7 @@ from .errors import (
     NullEdgeError,
 )
 from .geodesics import DeSitterPoint, GeodesicSegment, SegmentKind, _proportional, classify_segment, tangent_toward
-from .minkowski import NULL_EPS, ZERO_EPS, CausalType, causal_type, lorentz_cross, lorentz_normalize, mink_inner
+from .minkowski import ZERO_EPS, CausalType, causal_type, lorentz_cross, lorentz_normalize, mink_inner
 
 
 class TriangleKind(Enum):
@@ -86,7 +93,7 @@ class TriangleClass:
     kind: TriangleKind
     edge_counts: tuple[int, int, int]
     proper_name: ProperName
-    contractible: bool | None
+    contractible: bool | None  # None unless spatiolateral
     edges: tuple[GeodesicSegment, GeodesicSegment, GeodesicSegment]
 
 
@@ -168,12 +175,10 @@ def _counts(edges) -> tuple[int, int, int]:
             kinds.count(SegmentKind.NULL_LINE))
 
 
-def _contractibility(edges) -> bool | None:
-    # None inside the tolerance band at 2*pi (undecidable).
-    total = sum(e.separation for e in edges)
-    if abs(total - 2.0 * math.pi) <= NULL_EPS:
-        return None
-    return total < 2.0 * math.pi
+def _contractible(points) -> bool:
+    # S > 0 (module docstring); oracle._maybe_accepted sums S in this same order.
+    x0, x1, x2 = (p._x for p in points)
+    return 1.0 + mink_inner(x1, x2) + mink_inner(x2, x0) + mink_inner(x0, x1) > 0.0
 
 
 def classify_triangle(p1: DeSitterPoint, p2: DeSitterPoint, p3: DeSitterPoint) -> TriangleClass:
@@ -199,7 +204,7 @@ def classify_triangle(p1: DeSitterPoint, p2: DeSitterPoint, p3: DeSitterPoint) -
     if k == 0:
         _check_not_collinear(points)
     name = _NAME_TABLE[(i, j, k)]
-    contractible = _contractibility(edges) if name is ProperName.SPATIOLATERAL else None
+    contractible = _contractible(points) if name is ProperName.SPATIOLATERAL else None
     return TriangleClass(TriangleKind.PROPER_DE_SITTER, (i, j, k), name, contractible, edges)
 
 
@@ -219,22 +224,18 @@ def triangle_name(tri: DeSitterTriangle) -> ProperName:
 def is_contractible(tri: DeSitterTriangle) -> bool:
     """Whether a three-space-like-edge triangle bounds a disk.
 
-    Decided by the edge-length sum against 2*pi; sums inside the
-    tolerance band raise instead of guessing a side.
+    Decided by the sign of 1 + <p2,p3> + <p3,p1> + <p1,p2>, with no band
+    (module docstring).
     """
     if triangle_name(tri) is not ProperName.SPATIOLATERAL:
         raise NotSpatiolateralError("contractibility is defined for three space-like edges")
-    verdict = _contractibility(tri.edges)
-    if verdict is None:
-        total = sum(e.separation for e in tri.edges)
-        raise BoundaryCaseError(f"edge-length sum {total!r} sits on the 2*pi boundary")
-    return verdict
+    return _contractible(tri.points)
 
 
 def _disk_name(tri: DeSitterTriangle) -> ProperName:
     # triangle_name of a triangle that bounds a disk; only three space-like edges may not.
     name = triangle_name(tri)
-    if name is ProperName.SPATIOLATERAL and not is_contractible(tri):
+    if name is ProperName.SPATIOLATERAL and not _contractible(tri.points):
         raise NonContractibleError("triangle is non-contractible: it bounds no disk")
     return name
 

@@ -225,6 +225,25 @@ class TestAreaCommand:
         assert code == 4
         assert "non-contractible" in err
 
+    def test_perimeter_in_band_decided_non_contractible(self, capsys, monkeypatch):
+        # A chart draw at u_max 0.5: its edge-length sum is 2*pi + 1.4e-12,
+        # inside the 1e-9 band, while 1 + sum <p_a,p_b> = -0.292.
+        doc = json.dumps({"schema": 1, "vertices": [
+            [-0.18073547286762545, -0.06429049701147709, 1.0141656882120897],
+            [-0.031993701198826684, -0.4014800900189776, -0.9164263932442984],
+            [0.4826227198120772, 0.908279896844282, -0.6387114518053889]]})
+        code, out, _ = run_cli(capsys, monkeypatch, "classify", "--input", "-", stdin=doc)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["proper_name"] == "spatiolateral"
+        assert rep["contractible"] is False
+        assert abs(sum(e["length"] for e in rep["edges"]) - 2.0 * math.pi) <= 1e-9
+        assert 1.0 + sum(e["inner_product"] for e in rep["edges"]) \
+            == pytest.approx(-0.292, abs=1e-3)
+        code, out, err = run_cli(capsys, monkeypatch, "area", "--input", "-", stdin=doc)
+        assert (code, out) == (4, "")
+        assert err == "error: triangle is non-contractible: it bounds no disk\n"
+
     def test_null_edge_exit_5(self, capsys, monkeypatch):
         doc = json.dumps({"schema": 1,
                           "vertices": [[0, 1, 0], [1, 1, 1], [2, 1, 2]]})

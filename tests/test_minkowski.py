@@ -395,6 +395,15 @@ class TestLorentzCross:
         with pytest.raises(DegeneratePairError):
             lorentz_cross(vec3(0, 1, 0), vec3(0, -2, 0))
 
+    @pytest.mark.parametrize("u, v", [
+        ([math.nan, 0.0, 0.0], [0.0, 1.0, 0.0]),
+        ([math.inf, 0.0, 0.0], [0.0, 1.0, 0.0]),
+        ([1e200, 1e200, 0.0], [0.0, 1e200, 1e200]),  # finite inputs, overflowing product
+    ])
+    def test_non_finite_rejected(self, u, v):
+        with pytest.raises(ValueError, match="^<w,w> of the cross product is not finite"):
+            lorentz_cross(u, v)
+
 
 class TestLorentzGroup:
     @given(chi=st.floats(-3, 3), a=st.floats(-7, 7))
@@ -410,6 +419,26 @@ class TestLorentzGroup:
         m = random_lorentz(np.random.default_rng(seed))
         np.testing.assert_allclose(m.T @ METRIC @ m, METRIC, atol=1e-10)
         assert mink_inner(m @ u, m @ v) == pytest.approx(mink_inner(u, v), abs=1e-8)
+
+    @pytest.mark.parametrize("chi, message", [
+        (1e3, "gives no finite boost"),
+        (-1e3, "gives no finite boost"),
+        (math.nan, "is not finite"),
+        (math.inf, "is not finite"),
+    ])
+    def test_boost_rejects_bad_rapidity(self, chi, message):
+        with pytest.raises(ValueError, match=message):
+            boost_matrix(chi)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf])
+    def test_rotation_rejects_non_finite_angle(self, angle):
+        with pytest.raises(ValueError, match="^angle is not finite"):
+            rotation_matrix(angle)
+
+    def test_random_lorentz_overflowing_rapidity(self):
+        # Seed 0 draws a rapidity of about -918, beyond cosh's float range.
+        with pytest.raises(ValueError, match="gives no finite boost"):
+            random_lorentz(np.random.default_rng(0), max_rapidity=1e3)
 
     def test_boost_is_orthochronous(self):
         m = boost_matrix(1.5)

@@ -61,7 +61,12 @@ def _scalar_class(pts):
 
 
 def _accepts(kind, target):
-    """The sampler's test on a scalar classification (None: it raised)."""
+    """The sampler's test on a scalar classification (None: it raised).
+
+    target None accepts any of the four null-free types.
+    """
+    if kind is not None and target is None:
+        return kind.proper_name in TARGETS
     if kind is None or kind.proper_name is not target:
         return False
     return target is not ProperName.SPATIOLATERAL or kind.contractible is True
@@ -513,17 +518,21 @@ class TestBlockSampler:
             assert _outcome(random_buildable_triangle, seed, u_max) \
                 == _outcome(_reference_buildable, seed, u_max), seed
 
-    @pytest.mark.parametrize("u_max", (2.0, 6.0))
+    @pytest.mark.parametrize("u_max", (0.5, 2.0, 6.0))
     def test_prefilter_skips_only_rejects(self, u_max):
         # 10000 draws, each classified once by the scalar body.
         pts = np.concatenate(list(_attempt_blocks(np.random.default_rng(7), u_max, 10000)))
         kinds = [_scalar_class(list(map(DeSitterPoint, row))) for row in pts]
-        for target in TARGETS:
+        classified = np.array([kind is not None for kind in kinds])
+        for target in (*TARGETS, None):
             kept = _maybe_accepted(pts, target)
             accepted = np.array([_accepts(kind, target) for kind in kinds])
-            assert accepted.any(), target
             assert not np.any(accepted & ~kept), target
-            assert kept.mean() < 0.5, target
+            # Exact, not just safe, wherever the scalar body decides.
+            assert np.array_equal(kept[classified], accepted[classified]), target
+            if target is not None:
+                assert accepted.any(), target
+                assert kept.mean() < 0.5, target
 
 
 class TestAnyTarget:

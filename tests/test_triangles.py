@@ -13,7 +13,6 @@ import dstrig.triangles
 from conftest import chart_point
 from dstrig.areas import complex_area, girard_area, girard_area_from_products, interior_angles
 from dstrig.errors import (
-    BoundaryCaseError,
     DegenerateTriangleError,
     GeometryError,
     ImpossibleEdgeError,
@@ -302,19 +301,52 @@ class TestContractibility:
             is_contractible(build_triangle(*chorosceles_points))
 
     def test_boundary_band(self):
-        # wraps the equator; lifting one vertex by u shifts the perimeter
-        # off 2*pi only at order u squared, landing inside the band
+        # Wraps the equator; lifting one vertex by u shifts the perimeter
+        # off 2*pi only at order u squared, inside the 1e-9 band where a
+        # perimeter test cannot pick a side.  1 + sum c is far from 0.
         pts = (chart_point(0, 0), chart_point(0, 2.2), chart_point(1e-5, 4.4))
         cls = classify_triangle(*pts)
         assert cls.proper_name is ProperName.SPATIOLATERAL
-        assert cls.contractible is None
-        with pytest.raises(BoundaryCaseError):
-            is_contractible(build_triangle(*pts))
+        assert abs(sum(e.separation for e in cls.edges) - 2.0 * math.pi) <= 1e-9
+        pairs = ((1, 2), (2, 0), (0, 1))
+        assert 1.0 + sum(mink_inner(pts[a].v, pts[b].v) for a, b in pairs) \
+            == pytest.approx(-0.484, abs=1e-3)
+        assert cls.contractible is False
+        tri = build_triangle(*pts)
+        assert is_contractible(tri) is False
+        with pytest.raises(NonContractibleError):
+            distinguished_vertex(tri)
 
     def test_just_outside_band(self):
         pts = (chart_point(0, 0), chart_point(0, 2.2), chart_point(1e-4, 4.4))
         assert classify_triangle(*pts).contractible is False
         assert not is_contractible(build_triangle(*pts))
+
+    @pytest.mark.parametrize("u_max", (0.5, 2.0, 6.0, 8.0))
+    def test_sign_matches_perimeter_rule(self, u_max):
+        # The paper's rule, edge-length sum below 2*pi, as the reference on
+        # seeded chart draws; only the first 1500 three-ellipse candidates
+        # per u_max are classified, to keep the test fast.
+        rng = np.random.default_rng(12345)
+        u = rng.uniform(-u_max, u_max, (60000, 3))
+        psi = rng.uniform(0.0, 2.0 * math.pi, (60000, 3))
+        pts = np.stack([np.sinh(u), np.cosh(u) * np.cos(psi), np.cosh(u) * np.sin(psi)], axis=-1)
+        c = -pts[:, [1, 2, 0], 0] * pts[:, [2, 0, 1], 0] + (
+            pts[:, [1, 2, 0], 1:] * pts[:, [2, 0, 1], 1:]).sum(axis=-1)
+        ellipses = np.flatnonzero((np.abs(c) < 1.0 - 1e-9).all(axis=1))[:1500]
+        verdicts = []
+        for row in pts[ellipses]:
+            try:
+                cls = classify_triangle(*map(DeSitterPoint, row))
+            except GeometryError:
+                continue
+            perimeter = sum(e.separation for e in cls.edges)
+            if cls.proper_name is ProperName.SPATIOLATERAL \
+                    and abs(perimeter - 2.0 * math.pi) > 1e-9:
+                assert cls.contractible == (perimeter < 2.0 * math.pi), row.tolist()
+                verdicts.append(cls.contractible)
+        assert len(verdicts) > 50
+        assert True in verdicts and False in verdicts
 
 
 class TestPolar:
