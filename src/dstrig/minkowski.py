@@ -259,6 +259,7 @@ def rotation_matrix(angle: float) -> np.ndarray:
 
 def random_lorentz(rng: np.random.Generator, max_rapidity: float = 2.0) -> np.ndarray:
     """Random proper orthochronous transform: rotation * boost * rotation."""
+    _finite(max_rapidity - -max_rapidity, "2 * max_rapidity")  # before any draw
     a = rng.uniform(0.0, 2.0 * math.pi)
     b = rng.uniform(0.0, 2.0 * math.pi)
     chi = rng.uniform(-max_rapidity, max_rapidity)

@@ -110,11 +110,6 @@ class GeneratorConfig:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts!r}")
 
 
-def _rows_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # mink_inner over the last axis, in mink_inner's operation order.
-    return -(a[..., 0] * b[..., 0]) + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
-
-
 def _loop_edges(pts):
     """Per-edge constants of the loop pts[0] -> pts[1] -> pts[2] -> pts[0].
 
@@ -258,62 +253,64 @@ def _start_layout(m: int):
     return e, a, w, rows
 
 
-# Sampler attempts are drawn and prefiltered this many at a time.
+# Sampler attempts are drawn this many at a time.
 _BLOCK = 64
 # Each proper name's (space-like, time-like, light-like) edge counts
-# packed base 4; the sampler's prefilter sums per-edge codes 1, 4, 16.
+# packed base 4: the sampler's prefilter sums per-edge codes 1, 4, 16,
+# and 64 for an impossible edge, which no name holds.
 _EDGE_CODES = {name: i + 4 * j + 16 * k for (i, j, k), name in _NAME_TABLE.items()}
+# Per generation target (None: any of the four null-free types): its names' codes.
+_TARGET_CODES = {t: frozenset(_EDGE_CODES[n] for n in (_AREA_TYPES if t is None else (t,)))
+                 for t in (None, *_AREA_TYPES)}
+_TARGET_TOP = {t: max(codes) for t, codes in _TARGET_CODES.items()}
 
 
-def _attempt_blocks(rng: np.random.Generator, u_max: float, max_attempts: int):
-    """Yield the sampler's attempts' vertices in blocks of shape (m, 3, 3).
-
-    Row i of a block holds the chart points (sinh u, cosh u cos psi,
-    cosh u sin psi), computed with math, of row i of rng.random((m, 6))
-    under numpy's own uniform maps: the pair rng.uniform(-u_max, u_max, 3),
-    rng.uniform(0, 2*pi, 3) drawn for that attempt alone.  The blocks
-    hold max_attempts rows in all.
-    """
+def _attempts(rng: np.random.Generator, u_max: float, max_attempts: int):
+    """Yield random_triangle's max_attempts attempts in seed-stream order,
+    each as three chart points (sinh u, cosh u cos psi, cosh u sin psi):
+    tuples of floats computed with math."""
+    lo, span, turn = -u_max, u_max - -u_max, 2.0 * math.pi
+    sinh, cosh, cos, sin = math.sinh, math.cosh, math.cos, math.sin
     done = 0
     while done < max_attempts:
         m = min(_BLOCK, max_attempts - done)
-        r = rng.random((m, 6))
-        u = (-u_max + (u_max - -u_max) * r[:, :3]).ravel().tolist()
-        psi = (2.0 * math.pi * r[:, 3:]).ravel().tolist()
-        ch = np.array(list(map(math.cosh, u)))
-        yield np.stack([
-            np.array(list(map(math.sinh, u))),
-            ch * np.array(list(map(math.cos, psi))),
-            ch * np.array(list(map(math.sin, psi))),
-        ], axis=-1).reshape(m, 3, 3)
+        for r0, r1, r2, r3, r4, r5 in rng.random((m, 6)).tolist():
+            u0, u1, u2 = lo + span * r0, lo + span * r1, lo + span * r2
+            a0, a1, a2 = turn * r3, turn * r4, turn * r5
+            c0, c1, c2 = cosh(u0), cosh(u1), cosh(u2)
+            yield ((sinh(u0), c0 * cos(a0), c0 * sin(a0)),
+                   (sinh(u1), c1 * cos(a1), c1 * sin(a1)),
+                   (sinh(u2), c2 * cos(a2), c2 * sin(a2)))
         done += m
 
 
-# Overflow at huge rapidity only yields non-finite rows, which stay True.
-@np.errstate(over="ignore", invalid="ignore")
-def _maybe_accepted(pts: np.ndarray, target: ProperName | None) -> np.ndarray:
-    """Mask of an (N, 3, 3) vertex block's attempts the scalar test may accept.
+def _maybe_accepted(pts, target: ProperName | None) -> bool:
+    """Whether random_triangle's scalar test may accept an attempt.
 
-    False only where random_triangle's test surely rejects: a name other
-    than the target (None: other than the four null-free types), or
-    (spatiolateral) 1 + <p2,p3> + <p3,p1> + <p1,p2> <= 0.  Attempts whose
-    points would raise (off the quadric, non-finite) stay True, so the
-    scalar body raises as before.  Inner products and that sum keep the
-    scalar operation order on the scalar body's own floats, so each
-    decision here is the scalar one.  Coincident or antipodal vertices are
-    left to the scalar body: it rejects them whatever their name.
+    False only where it surely rejects: a name other than the target's,
+    or (spatiolateral) 1 + <p2,p3> + <p3,p1> + <p1,p2> <= 0.  A point off
+    the quadric (or with a nan <p,p>) keeps the attempt, so the scalar body
+    raises as before.  The inner products, bands and sum are mink_inner's,
+    classify_segment's and triangles._contractible's, in their operation
+    order, so each decision is the scalar one.  Coincident or antipodal
+    vertices are left to the scalar body, which rejects them.
     """
-    on_quadric = (np.abs(_rows_inner(pts, pts) - 1.0) <= UNIT_EPS).all(axis=1)
-    # Edge j joins vertices j+1 and j+2.
-    c = _rows_inner(pts[:, [1, 2, 0]], pts[:, [2, 0, 1]])
-    null = np.abs(c - 1.0) <= NULL_EPS
-    hyp = (c > 1.0) & ~null
-    ell = (c > -1.0 + NULL_EPS) & ~hyp & ~null
-    codes = [_EDGE_CODES[name] for name in (_AREA_TYPES if target is None else (target,))]
-    named = ((ell + 4 * hyp + 16 * null).sum(axis=1)[:, None] == codes).any(axis=1)
-    if target is ProperName.SPATIOLATERAL:
-        named &= ~(1.0 + c[:, 0] + c[:, 1] + c[:, 2] <= 0.0)
-    return ~on_quadric | named
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = pts
+    if not (abs(-(p0 * p0) + p1 * p1 + p2 * p2 - 1.0) <= UNIT_EPS
+            and abs(-(q0 * q0) + q1 * q1 + q2 * q2 - 1.0) <= UNIT_EPS
+            and abs(-(r0 * r0) + r1 * r1 + r2 * r2 - 1.0) <= UNIT_EPS):
+        return True
+    codes, top = _TARGET_CODES[target], _TARGET_TOP[target]
+    code, total = 0, 1.0
+    # Edge j joins vertices j+1 and j+2.  Codes only grow: stop past the top one.
+    for c in (-(q0 * r0) + q1 * r1 + q2 * r2, -(r0 * p0) + r1 * p1 + r2 * p2,
+              -(p0 * q0) + p1 * q1 + p2 * q2):
+        code += (16 if abs(c - 1.0) <= NULL_EPS else 4 if c > 1.0
+                 else 1 if c > -1.0 + NULL_EPS else 64)
+        if code > top:
+            return False
+        total += c
+    return code in codes and (target is not ProperName.SPATIOLATERAL or not total <= 0.0)
 
 
 def _accepts(kind, target: ProperName | None) -> bool:
@@ -336,23 +333,24 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
     default_rng(seed), drawn in blocks of m rows, mapped by
     u = -u_max + (u_max - -u_max) * r[:3] and psi = 2*pi * r[3:]; these
     are the values rng.uniform(-u_max, u_max, 3), rng.uniform(0, 2*pi, 3)
-    give for each attempt in turn.  A block's vertices are computed once;
-    a vectorised prefilter reads them and only skips sure rejects, and
-    every other attempt, in order, goes through the scalar
-    classify-and-test body on the same rows, which alone accepts or raises.
+    give for each attempt in turn.  Attempts are taken one at a time on
+    Python floats: a prefilter skips only sure rejects, and every other
+    attempt goes through the scalar classify-and-test body, which alone
+    accepts or raises.
     """
     if cfg.target is not None and cfg.target not in _AREA_TYPES:
         raise ValueError(f"unsupported generation target: {cfg.target!r}")
     rng = np.random.default_rng(cfg.seed)
-    for block in _attempt_blocks(rng, cfg.u_max, cfg.max_attempts):
-        for i in np.flatnonzero(_maybe_accepted(block, cfg.target)):
-            pts = tuple(map(DeSitterPoint, block[i]))
-            try:
-                kind = classify_triangle(*pts)
-            except GeometryError:
-                continue
-            if _accepts(kind, cfg.target):
-                return _assemble(pts, kind)
+    for raw in _attempts(rng, cfg.u_max, cfg.max_attempts):
+        if not _maybe_accepted(raw, cfg.target):
+            continue
+        pts = tuple(map(DeSitterPoint, raw))
+        try:
+            kind = classify_triangle(*pts)
+        except GeometryError:
+            continue
+        if _accepts(kind, cfg.target):
+            return _assemble(pts, kind)
     what = "buildable" if cfg.target is None else cfg.target.value
     raise ExhaustedAttemptsError(f"no {what} triangle in {cfg.max_attempts} attempts")
 

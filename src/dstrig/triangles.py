@@ -176,7 +176,7 @@ def _counts(edges) -> tuple[int, int, int]:
 
 
 def _contractible(points) -> bool:
-    # S > 0 (module docstring); oracle._maybe_accepted sums S in this same order.
+    # S > 0 (module docstring); the sampler's oracle._maybe_accepted sums S alike, per attempt.
     x0, x1, x2 = (p._x for p in points)
     return 1.0 + mink_inner(x1, x2) + mink_inner(x2, x0) + mink_inner(x0, x1) > 0.0
 

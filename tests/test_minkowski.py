@@ -440,6 +440,28 @@ class TestLorentzGroup:
         with pytest.raises(ValueError, match="gives no finite boost"):
             random_lorentz(np.random.default_rng(0), max_rapidity=1e3)
 
+    @pytest.mark.parametrize("max_rapidity", [math.inf, math.nan, 1e308])
+    def test_random_lorentz_rejects_non_finite_range(self, max_rapidity):
+        # 1e308 is finite, but its range 2 * 1e308 overflows.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"^2 \* max_rapidity is not finite"):
+            random_lorentz(rng, max_rapidity=max_rapidity)
+        assert rng.bit_generator.state == state  # refused before any draw
+
+    def test_random_lorentz_rejects_negative_range(self):
+        with pytest.raises(ValueError):
+            random_lorentz(np.random.default_rng(0), max_rapidity=-1.0)
+
+    def test_random_lorentz_draws_three_values(self):
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        a, b = ref.uniform(0.0, 2.0 * math.pi), ref.uniform(0.0, 2.0 * math.pi)
+        chi = ref.uniform(-1.5, 1.5)
+        np.testing.assert_array_equal(
+            random_lorentz(rng, max_rapidity=1.5),
+            rotation_matrix(a) @ boost_matrix(chi) @ rotation_matrix(b))
+        assert rng.random() == ref.random()
+
     def test_boost_is_orthochronous(self):
         m = boost_matrix(1.5)
         assert m[0, 0] >= 1.0

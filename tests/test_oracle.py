@@ -14,12 +14,13 @@ from dstrig.errors import (
     GeometryError,
     NonContractibleError,
     NonConvergentError,
+    NotUnitError,
 )
 from dstrig.geodesics import DeSitterPoint, geodesic_point, project_to_quadric
 from dstrig.oracle import (
     _BLOCK,
     GeneratorConfig,
-    _attempt_blocks,
+    _attempts,
     _maybe_accepted,
     integrate_area,
     random_buildable_triangle,
@@ -57,6 +58,14 @@ def _scalar_class(pts):
     try:
         return classify_triangle(*pts)
     except GeometryError:
+        return None
+
+
+def _quadric_points(raw):
+    """A sampler attempt's DeSitterPoints, or None where one is off the quadric."""
+    try:
+        return tuple(map(DeSitterPoint, raw))
+    except NotUnitError:
         return None
 
 
@@ -476,7 +485,23 @@ class TestRandomTriangle:
 
 
 class TestBlockSampler:
-    """The block sampler against the one-attempt-at-a-time loop it replaced."""
+    """The sampler, which draws _BLOCK attempts' numbers at a time, against
+    a reference loop over rng.uniform draws made one attempt at a time."""
+
+    @pytest.mark.parametrize("u_max", (0.5, 2.0, 6.0, 12.0, 710.0))
+    @pytest.mark.parametrize("max_attempts", (1, 63, 64, 65, 129))
+    def test_attempts_follow_seed_stream(self, max_attempts, u_max):
+        # Raw floats: DeSitterPoint raises off the quadric at u_max 12 and 710.
+        rng = np.random.default_rng(3)
+        expected = []
+        for _ in range(max_attempts):
+            us = rng.uniform(-u_max, u_max, 3).tolist()
+            psis = rng.uniform(0.0, 2.0 * math.pi, 3).tolist()
+            expected.append([(math.sinh(u), math.cosh(u) * math.cos(psi),
+                              math.cosh(u) * math.sin(psi)) for u, psi in zip(us, psis)])
+        got = list(_attempts(np.random.default_rng(3), u_max, max_attempts))
+        assert len(got) == max_attempts
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("u_max", (2.0, 6.0, 8.0))
     @pytest.mark.parametrize("target", TARGETS, ids=lambda t: t.value)
@@ -518,21 +543,28 @@ class TestBlockSampler:
             assert _outcome(random_buildable_triangle, seed, u_max) \
                 == _outcome(_reference_buildable, seed, u_max), seed
 
-    @pytest.mark.parametrize("u_max", (0.5, 2.0, 6.0))
+    @pytest.mark.parametrize("u_max", (0.5, 2.0, 6.0, 8.0, 12.0))
     def test_prefilter_skips_only_rejects(self, u_max):
-        # 10000 draws, each classified once by the scalar body.
-        pts = np.concatenate(list(_attempt_blocks(np.random.default_rng(7), u_max, 10000)))
-        kinds = [_scalar_class(list(map(DeSitterPoint, row))) for row in pts]
+        # 10000 draws, each classified once by the scalar body.  At u_max 8
+        # and 12 some have a point off the quadric, where that body raises.
+        draws = list(_attempts(np.random.default_rng(7), u_max, 10000))
+        pts = [_quadric_points(raw) for raw in draws]
+        off = np.array([p is None for p in pts])
+        kinds = [None if p is None else _scalar_class(p) for p in pts]
         classified = np.array([kind is not None for kind in kinds])
         for target in (*TARGETS, None):
-            kept = _maybe_accepted(pts, target)
+            kept = np.array([_maybe_accepted(raw, target) for raw in draws])
             accepted = np.array([_accepts(kind, target) for kind in kinds])
             assert not np.any(accepted & ~kept), target
             # Exact, not just safe, wherever the scalar body decides.
             assert np.array_equal(kept[classified], accepted[classified]), target
+            # Kept where the scalar body raises, so that it still raises.
+            assert kept[off].all(), target
             if target is not None:
                 assert accepted.any(), target
-                assert kept.mean() < 0.5, target
+                # Judged where no point is off the quadric: at u_max 12
+                # most attempts have one, and all of those are kept.
+                assert kept[~off].mean() < 0.5, target
 
 
 class TestAnyTarget:
@@ -562,10 +594,10 @@ class TestAnyTarget:
             assert ExhaustedAttemptsError in outcomes
 
     def test_prefilter_skips_only_unbuildable(self):
-        pts = np.concatenate(list(_attempt_blocks(np.random.default_rng(11), 6.0, 4000)))
-        kept = _maybe_accepted(pts, None)
-        built = np.array([_outcome(build_triangle, *map(DeSitterPoint, row))[0] == "ok"
-                          for row in pts])
+        draws = list(_attempts(np.random.default_rng(11), 6.0, 4000))
+        kept = np.array([_maybe_accepted(raw, None) for raw in draws])
+        built = np.array([_outcome(build_triangle, *map(DeSitterPoint, raw))[0] == "ok"
+                          for raw in draws])
         assert built.any()
         assert not np.any(built & ~kept)
         assert kept.mean() < 0.5
