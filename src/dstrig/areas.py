@@ -22,12 +22,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import GeometryError
-from .minkowski import PseudoAngle, _checked_angle, _span_theta, mink_inner
+from .minkowski import PseudoAngle, _checked_angle, _span_theta
 from .triangles import (
     DeSitterTriangle,
     ProperName,
     _disk_name,
     _others,
+    _vertex_products,
     distinguished_vertex,
     triangle_name,
 )
@@ -74,7 +75,6 @@ class AreaResult:
 
 def interior_angles(tri: DeSitterTriangle) -> AngleSet:
     """Real and complex angle at each vertex between the two edge tangents."""
-    triangle_name(tri)
     tangents = tri.tangents.tolist()
     thetas = []
     phis = []
@@ -121,10 +121,8 @@ def _apex_products(tri: DeSitterTriangle) -> tuple[float, float, float]:
     # Tangent products at the distinguished vertex d, then at k and l.
     d = distinguished_vertex(tri)
     k, l = _others(d)
-    t = tri.tangents.tolist()
-    return (mink_inner(t[d][k], t[d][l]),
-            mink_inner(t[k][d], t[k][l]),
-            mink_inner(t[l][d], t[l][k]))
+    g = _vertex_products(tri)
+    return g[d], g[k], g[l]
 
 
 def girard_area_from_products(tri: DeSitterTriangle) -> float:

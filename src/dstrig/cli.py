@@ -39,7 +39,6 @@ from .triangles import (
     _AREA_TYPES,
     _assemble,
     _others,
-    _refuse_untraceable,
     build_triangle,
     classify_triangle,
     polar_triangle,
@@ -271,8 +270,7 @@ def cmd_plot(args) -> int:
     if len(docs) != 1:
         raise DocumentError("plot expects exactly one document")
     points = _document_points(docs[0])
-    segs = classify_triangle(*points).edges
-    _refuse_untraceable(segs)
+    segs = build_triangle(*points).edges
 
     # Orthographic projection dropping the time coordinate.
     polylines = []

@@ -63,8 +63,8 @@ class DegenerateTriangleError(GeometryError):
 class UnsupportedTriangleTypeError(GeometryError):
     """A triangle with a null or impossible edge: none of the four null-free types.
 
-    Base of NullEdgeError and ImpossibleEdgeError, which build_triangle and
-    triangles.triangle_name (the one type check of a triangle) raise.
+    Base of NullEdgeError and ImpossibleEdgeError, which making a
+    DeSitterTriangle raises (build_triangle's refusal included).
     """
 
     exit_code = 5

@@ -48,6 +48,7 @@ from .triangles import (
     _assemble,
     _check_not_collinear,
     _disk_name,
+    _worse,
     classify_triangle,
     tangent_normal_residual,
 )
@@ -389,6 +390,7 @@ def verify_type(target: ProperName, trials: int, seed: int,
     distinguished vertex.  A closed form that raises fails the shape check
     and skips the trial's later checks.  Each failure entry names its
     trial's generator seed, which `dstrig random --type T --seed S` replays.
+    Each worst value is the largest over the trials, and nan once any is nan.
     """
     if target not in _AREA_TYPES:
         raise ValueError(f"unsupported verification target: {target!r}")
@@ -422,7 +424,7 @@ def verify_type(target: ProperName, trials: int, seed: int,
         tri = random_triangle(cfg)
 
         resid = tangent_normal_residual(tri)
-        worst["tangent_normal_residual"] = max(worst["tangent_normal_residual"], resid)
+        worst["tangent_normal_residual"] = _worse(worst["tangent_normal_residual"], resid)
         tally("tangent_normal_identity", resid <= 1e-8, f"residual {resid:.3g}")
 
         try:
@@ -434,13 +436,13 @@ def verify_type(target: ProperName, trials: int, seed: int,
             continue
         nabla = res.complex_area
         shape = abs(nabla.real)
-        worst["complex_real_part"] = max(worst["complex_real_part"], shape)
+        worst["complex_real_part"] = _worse(worst["complex_real_part"], shape)
         tally("complex_area_shape",
               shape <= 1e-8 and nabla.imag > 0 and abs(nabla.imag - res.real_area) <= 1e-8,
               f"angle sum {nabla!r} vs area {res.real_area!r}")
 
         gap = abs(prod - res.real_area)
-        worst["product_formula_gap"] = max(worst["product_formula_gap"], gap)
+        worst["product_formula_gap"] = _worse(worst["product_formula_gap"], gap)
         tally("product_formula_agreement", gap <= 1e-9, f"gap {gap:.3g}")
 
         tally("type_structure", *_structure_ok(tri, target))
@@ -451,7 +453,7 @@ def verify_type(target: ProperName, trials: int, seed: int,
             tally("oracle_agreement", False, f"oracle failed: {exc}")
             continue
         disc = abs(res.real_area - orc.area)
-        worst["oracle_discrepancy"] = max(worst["oracle_discrepancy"], disc)
+        worst["oracle_discrepancy"] = _worse(worst["oracle_discrepancy"], disc)
         tally("oracle_agreement", disc <= 1e-10 * max(1.0, res.real_area),
               f"formula {res.real_area!r} vs oracle {orc.area!r} (est {orc.est_error:.3g})")
     return {

@@ -2,8 +2,8 @@
 
 A triangle is named by how many of its edges are space-like, time-like
 and light-like.  Triangles with a light-like or impossible edge are
-classified but never built: tangents and normals exist only for the
-four null-free types.
+classified, but no DeSitterTriangle holds one: tangents and normals
+exist only for the four null-free types.
 
 Vertex and edge indexing: edge j is the edge opposite vertex j, joining
 the other two vertices.  tangents[j, k] is the unit tangent at vertex j
@@ -27,6 +27,7 @@ for vertices UNIT_EPS off the quadric (see test_sign_matches_perimeter_rule).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -99,10 +100,14 @@ class TriangleClass:
 
 @dataclass(frozen=True, eq=False)
 class DeSitterTriangle:
+    """One of the four null-free types: making one with another edge kind raises."""
     points: tuple[DeSitterPoint, DeSitterPoint, DeSitterPoint]
     edges: tuple[GeodesicSegment, GeodesicSegment, GeodesicSegment]
     tangents: np.ndarray  # (3, 3, 3); [j, k] = unit tangent at j toward k
     normals: np.ndarray   # (3, 3);   [j] = unit outer normal of edge j
+
+    def __post_init__(self):
+        _refuse_untraceable(self.edges)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +150,7 @@ def _refuse_untraceable(edges) -> None:
 def _assemble(points, cls: TriangleClass) -> DeSitterTriangle:
     # Tangents and normals for a vertex triple that classify_triangle
     # has already checked for coincident, antipodal and collinear vertices.
+    # Refused before the tangents: tangent_toward has none for these edges.
     _refuse_untraceable(cls.edges)
     tangents = np.zeros((3, 3, 3))
     for j in range(3):
@@ -209,16 +215,8 @@ def classify_triangle(p1: DeSitterPoint, p2: DeSitterPoint, p3: DeSitterPoint) -
 
 
 def triangle_name(tri: DeSitterTriangle) -> ProperName:
-    """Proper name of a triangle: one of the four null-free types.
-
-    The one type check of a DeSitterTriangle.  build_triangle makes no
-    other type; a triangle assembled by hand with a null or impossible
-    edge raises build_triangle's NullEdgeError or ImpossibleEdgeError.
-    """
-    name = _NAME_TABLE.get(_counts(tri.edges))
-    if name not in _AREA_TYPES:
-        _refuse_untraceable(tri.edges)
-    return name
+    """Proper name of a triangle: one of the four null-free types, the only ones made."""
+    return _NAME_TABLE[_counts(tri.edges)]
 
 
 def is_contractible(tri: DeSitterTriangle) -> bool:
@@ -242,7 +240,6 @@ def _disk_name(tri: DeSitterTriangle) -> ProperName:
 
 def polar_triangle(tri: DeSitterTriangle) -> PolarTriangle:
     """The triangle's outer normals, tagged by which surface each lies on."""
-    triangle_name(tri)
     kinds = []
     for u in tri.normals.tolist():
         if mink_inner(u, u) > 0.0:
@@ -270,26 +267,30 @@ def distinguished_vertex(tri: DeSitterTriangle) -> int:
     if name is ProperName.CHRONOSCELES:
         return next(j for j in range(3) if tri.edges[j].kind is SegmentKind.ELLIPSE_PART)
     sign = -1.0 if name is ProperName.SPATIOLATERAL else 1.0
-    tangents = tri.tangents.tolist()
-    hits = []
-    for j in range(3):
-        k, l = _others(j)
-        if sign * mink_inner(tangents[j][k], tangents[j][l]) > 0.0:
-            hits.append(j)
+    hits = [j for j, g in enumerate(_vertex_products(tri)) if sign * g > 0.0]
     if len(hits) != 1:
         raise GeometryError(f"expected one distinguished vertex, found {hits!r}")
     return hits[0]
 
 
+def _vertex_products(tri: DeSitterTriangle) -> list[float]:
+    # <t_jk, t_jl> at vertex j = 0, 1, 2, with (k, l) = _others(j).
+    t = tri.tangents.tolist()
+    return [mink_inner(t[j][k], t[j][l]) for j, (k, l) in enumerate(map(_others, range(3)))]
+
+
+def _worse(a: float, b: float) -> float:
+    # max(a, b), except that a nan on either side wins: max() drops one.
+    return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
+
+
 def tangent_normal_residual(tri: DeSitterTriangle) -> float:
-    """Largest violation of <V_jk, V_jl> = <u_k, u_l> over the vertices."""
-    tangents, normals = tri.tangents.tolist(), tri.normals.tolist()
+    """Largest violation of <V_jk, V_jl> = <u_k, u_l> over the vertices; nan if any is nan."""
+    normals = tri.normals.tolist()
     worst = 0.0
-    for j in range(3):
+    for j, lhs in enumerate(_vertex_products(tri)):
         k, l = _others(j)
-        lhs = mink_inner(tangents[j][k], tangents[j][l])
-        rhs = mink_inner(normals[k], normals[l])
-        worst = max(worst, abs(lhs - rhs))
+        worst = _worse(worst, abs(lhs - mink_inner(normals[k], normals[l])))
     return worst
 
 

@@ -40,6 +40,17 @@ def corrupt_normals(monkeypatch):
 
 
 @pytest.fixture
+def nan_normals(monkeypatch):
+    """Make every normal of verify_type's triangles nan."""
+    generate = dstrig.oracle.random_triangle
+
+    def corrupted(cfg):
+        return dataclasses.replace(generate(cfg), normals=np.full((3, 3), np.nan))
+
+    monkeypatch.setattr(dstrig.oracle, "random_triangle", corrupted)
+
+
+@pytest.fixture
 def corrupt_tangent(monkeypatch):
     """Negate tangents[0, 1] of verify_type's triangles.
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dstrig.cli
+import dstrig.oracle
 from dstrig import errors
 from dstrig.cli import build_parser, main
 from dstrig.geodesics import DeSitterPoint
@@ -353,6 +354,26 @@ class TestVerifyCommand:
                                "chorosceles", "--trials", "2", "--seed", "3")
         assert code == 1
         assert json.loads(out)["passed"] is False
+
+    def test_worst_keeps_nan(self, capsys, monkeypatch):
+        # Only trial 1 of 3 has nan normals: max() would report trial 0's
+        # finite residual as the worst.
+        generate = dstrig.oracle.random_triangle
+        nan_seed = int(np.random.SeedSequence(0).generate_state(3)[1])
+
+        def nan_at_trial_1(cfg):
+            tri = generate(cfg)
+            if cfg.seed != nan_seed:
+                return tri
+            return DeSitterTriangle(tri.points, tri.edges, tri.tangents, np.full((3, 3), np.nan))
+
+        monkeypatch.setattr(dstrig.oracle, "random_triangle", nan_at_trial_1)
+        code, out, _ = run_cli(capsys, monkeypatch, "verify", "--type", "chorosceles",
+                               "--trials", "3", "--seed", "0")
+        assert code == 1
+        assert '"tangent_normal_residual": NaN' in out
+        rep = json.loads(out)["types"]["chorosceles"]
+        assert [(f["trial"], f["detail"]) for f in rep["failures"]] == [(1, "residual nan")]
 
     def test_corrupt_normals_failures_replay(self, capsys, monkeypatch, corrupt_normals):
         # Each failure names its trial's generator seed; `random --seed` on

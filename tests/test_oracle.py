@@ -8,6 +8,7 @@ import pytest
 
 from conftest import FROZEN_AREAS, chart_point
 from dstrig import oracle
+from dstrig.areas import girard_area
 from dstrig.errors import (
     DegenerateTriangleError,
     ExhaustedAttemptsError,
@@ -368,6 +369,13 @@ class TestIntegrateArea:
             integrated += want[0] == "ok"
         assert integrated >= 4 + 40
 
+    def test_referee_retries_failing_edge(self):
+        # An edge of this pool record misses the referee's error bound at
+        # its default 2 pieces (estimate 1.000000000000001e-30).
+        tri = _pool_triangle(ProperName.CHOROSCELES, 6.0, seed=51)
+        area = girard_area(tri).real_area
+        assert abs(stokes_area(tri.points) - area) <= 1e-12 * max(1.0, area)
+
     def test_sliver_matches_referee(self):
         # Thin spatiolateral slivers that build_triangle accepts, down to
         # |det| ~ 1e-12.
@@ -669,6 +677,13 @@ class TestVerifyType:
         assert rep["counts"] == {"oracle_agreement": 3, "tangent_normal_identity": 3,
                                  "complex_area_shape": 0, "product_formula_agreement": 3,
                                  "type_structure": 3}
+
+    def test_nan_normals_fail_every_trial(self, nan_normals):
+        rep = verify_type(ProperName.CHOROSCELES, trials=5, seed=0)
+        assert rep["passed"] is False
+        assert rep["counts"]["tangent_normal_identity"] == 0
+        assert [(f["trial"], f["check"], f["detail"]) for f in rep["failures"]] \
+            == [(i, "tangent_normal_identity", "residual nan") for i in range(5)]
 
     def test_null_target_rejected(self):
         with pytest.raises(ValueError, match="unsupported verification target"):

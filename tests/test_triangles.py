@@ -26,6 +26,7 @@ from dstrig.geodesics import DeSitterPoint, SegmentKind, classify_segment
 from dstrig.minkowski import CausalType, causal_type, mink_inner, random_lorentz, vec3
 from dstrig.oracle import GeneratorConfig, integrate_area, random_buildable_triangle, random_triangle
 from dstrig.triangles import (
+    DeSitterTriangle,
     PolarKind,
     ProperName,
     TriangleKind,
@@ -182,6 +183,14 @@ class TestIdentity:
                     chorosceles_points, chronosceles_points):
             tri = build_triangle(*pts)
             assert tangent_normal_residual(tri) <= 1e-10
+
+    @pytest.mark.parametrize("field, shape", [("normals", (3, 3)), ("tangents", (3, 3, 3))],
+                             ids=["normals", "tangents"])
+    def test_nan_residual_is_nan(self, chorosceles_points, field, shape):
+        # max() would drop the nan and report 0.0.
+        tri = build_triangle(*chorosceles_points)
+        blind = dataclasses.replace(tri, **{field: np.full(shape, np.nan)})
+        assert math.isnan(tangent_normal_residual(blind))
 
     @given(seed=seeds)
     @settings(max_examples=120, deadline=None)
@@ -502,6 +511,22 @@ class TestHandBuiltTriangles:
         why = "is a null line" if kind is SegmentKind.NULL_LINE else "admits no geodesic"
         with pytest.raises(UnsupportedTriangleTypeError, match=f"^edge opposite vertex 1 {why}$"):
             reader(dataclasses.replace(tri, edges=(edge,) + tri.edges[1:]))
+
+    @pytest.mark.parametrize("make", ["init", "replace"])
+    @pytest.mark.parametrize("kind, error, why", [
+        (SegmentKind.IMPOSSIBLE, ImpossibleEdgeError, "admits no geodesic"),
+        (SegmentKind.NULL_LINE, NullEdgeError, "is a null line")], ids=["impossible", "null"])
+    @pytest.mark.parametrize("name", ["spatiolateral", "tempolateral",
+                                      "chorosceles", "chronosceles"])
+    def test_unsupported_edge_refused_when_made(self, request, name, kind, error, why, make):
+        # The refusal is part of making a DeSitterTriangle, so no reader is reached.
+        tri = build_triangle(*request.getfixturevalue(f"{name}_points"))
+        edges = (dataclasses.replace(tri.edges[0], kind=kind),) + tri.edges[1:]
+        with pytest.raises(error, match=f"^edge opposite vertex 1 {why}$"):
+            if make == "init":
+                DeSitterTriangle(tri.points, edges, tri.tangents, tri.normals)
+            else:
+                dataclasses.replace(tri, edges=edges)
 
     def test_non_contractible_one_message(self):
         s3, c3 = math.sinh(0.3), math.cosh(0.3)
