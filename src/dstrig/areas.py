@@ -27,9 +27,9 @@ from .triangles import (
     DeSitterTriangle,
     ProperName,
     _disk_name,
+    _distinguished,
     _others,
     _vertex_products,
-    distinguished_vertex,
     triangle_name,
 )
 
@@ -75,7 +75,11 @@ class AreaResult:
 
 def interior_angles(tri: DeSitterTriangle) -> AngleSet:
     """Real and complex angle at each vertex between the two edge tangents."""
-    tangents = tri.tangents.tolist()
+    return _angles(tri.tangents.tolist())
+
+
+def _angles(tangents: list) -> AngleSet:
+    # interior_angles from tangents.tolist().
     thetas = []
     phis = []
     for j in range(3):
@@ -98,10 +102,11 @@ def complex_area(tri: DeSitterTriangle) -> complex:
 
 def girard_area(tri: DeSitterTriangle) -> AreaResult:
     """Signed angle-sum area for the four supported triangle types."""
-    name = triangle_name(tri)
-    d = distinguished_vertex(tri)
+    name = _disk_name(tri)
+    tangents = tri.tangents.tolist()
+    d = _distinguished(name, tri.edges, _vertex_products(tangents))
     k, l = _others(d)
-    angles = interior_angles(tri)
+    angles = _angles(tangents)
     formula, (s1, s2, s3) = _FORMULAS[name]
     area = s1 * angles.theta[d] + s2 * angles.theta[k] + s3 * angles.theta[l]
     nabla = _angle_sum(angles)
@@ -119,9 +124,10 @@ def _acosh_at_least_one(x: float) -> float:
 
 def _apex_products(tri: DeSitterTriangle) -> tuple[float, float, float]:
     # Tangent products at the distinguished vertex d, then at k and l.
-    d = distinguished_vertex(tri)
+    name = _disk_name(tri)
+    g = _vertex_products(tri.tangents.tolist())
+    d = _distinguished(name, tri.edges, g)
     k, l = _others(d)
-    g = _vertex_products(tri)
     return g[d], g[k], g[l]
 
 

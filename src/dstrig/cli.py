@@ -37,11 +37,11 @@ from .oracle import (
 )
 from .triangles import (
     _AREA_TYPES,
-    _assemble,
+    _normals,
     _others,
+    _polar_kinds,
     build_triangle,
     classify_triangle,
-    polar_triangle,
     triangle_name,
 )
 
@@ -171,11 +171,11 @@ def _classify_report(points) -> dict:
         "edges": _edge_report(kind.edges),
     }
     if kind.proper_name in _AREA_TYPES:
-        tri = _assemble(points, kind)
-        polar = polar_triangle(tri)
+        # polar_triangle's vertices and kinds, with no tangent computed.
+        normals = _normals(points)
         report["polar_triangle"] = {
-            "vertices": [v.tolist() for v in polar.vertices],
-            "kinds": [k.value for k in polar.kinds],
+            "vertices": normals,
+            "kinds": [k.value for k in _polar_kinds(normals)],
         }
     return report
 

@@ -21,7 +21,7 @@ from .errors import (
     NullTangentError,
     UnsupportedKindError,
 )
-from .minkowski import NULL_EPS, UNIT_EPS, ZERO_EPS, CausalType, as_vec3, mink_inner
+from .minkowski import NULL_EPS, UNIT_EPS, ZERO_EPS, CausalType, _float3, as_vec3, mink_inner
 
 
 class SegmentKind(Enum):
@@ -43,12 +43,12 @@ class DeSitterPoint:
     _x: tuple[float, float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        v = as_vec3(self.v).copy()
-        x = tuple(v.tolist())
+        x = _float3(self.v)
         q = mink_inner(x, x)
         # Negated so that a nan <v,v> (overflow of a huge vertex) fails too.
         if not abs(q - 1.0) <= UNIT_EPS:
             raise NotUnitError(f"point off the quadric: <v,v> = {q!r}")
+        v = np.array(x)
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "_x", x)

@@ -103,6 +103,14 @@ def as_vec3(value) -> np.ndarray:
     return v
 
 
+def _float3(value) -> tuple[float, float, float]:
+    # as_vec3(value) as Python floats; a list or tuple of three finite floats needs no array.
+    if type(value) in (list, tuple) and len(value) == 3 \
+            and all([type(c) is float and math.isfinite(c) for c in value]):
+        return tuple(value)
+    return tuple(as_vec3(value).tolist())
+
+
 def mink_inner(u, v) -> float:
     """Bilinear form -u0*v0 + u1*v1 + u2*v2."""
     # In Python floats, an overflow gives inf or nan without a numpy warning.
@@ -140,12 +148,16 @@ def pseudo_norm(u) -> complex:
 
 def lorentz_normalize(u) -> np.ndarray:
     """Scale u so abs(<u,u>) = 1; null input cannot be normalized."""
-    u = np.asarray(u, dtype=float)
-    x = u.tolist()
+    return np.array(_normalized(np.asarray(u, dtype=float).tolist()))
+
+
+def _normalized(x: list[float]) -> list[float]:
+    # lorentz_normalize on a list of Python floats.
     q = _finite(mink_inner(x, x), "<u,u>")
     if abs(q) <= ZERO_EPS:
         raise NullInputError("cannot normalize a (near-)null vector")
-    return u / math.sqrt(abs(q))
+    r = math.sqrt(abs(q))
+    return [c / r for c in x]
 
 
 def _require_unit(u, q, label: str) -> None:
@@ -236,10 +248,16 @@ def lorentz_cross(u, v) -> np.ndarray:
     """
     u0, u1, u2 = map(float, u)
     v0, v1, v2 = map(float, v)
+    return np.array(_cross((u0, u1, u2), (v0, v1, v2)))
+
+
+def _cross(u, v) -> list[float]:
+    # lorentz_cross on three Python floats each.
+    (u0, u1, u2), (v0, v1, v2) = u, v
     w = [u2 * v1 - u1 * v2, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0]
     if abs(_finite(mink_inner(w, w), "<w,w> of the cross product")) < ZERO_EPS * ZERO_EPS:
         raise DegeneratePairError("inputs span no definite normal direction")
-    return np.array(w)
+    return w
 
 
 def boost_matrix(rapidity: float) -> np.ndarray:

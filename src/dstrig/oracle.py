@@ -260,10 +260,16 @@ _BLOCK = 64
 # packed base 4: the sampler's prefilter sums per-edge codes 1, 4, 16,
 # and 64 for an impossible edge, which no name holds.
 _EDGE_CODES = {name: i + 4 * j + 16 * k for (i, j, k), name in _NAME_TABLE.items()}
-# Per generation target (None: any of the four null-free types): its names' codes.
-_TARGET_CODES = {t: frozenset(_EDGE_CODES[n] for n in (_AREA_TYPES if t is None else (t,)))
-                 for t in (None, *_AREA_TYPES)}
-_TARGET_TOP = {t: max(codes) for t, codes in _TARGET_CODES.items()}
+
+
+def _prefilter_rule(target: ProperName | None):
+    # A generation target's (None: any of the four null-free types) names'
+    # codes, the largest of them, and whether it must also be contractible.
+    codes = frozenset(_EDGE_CODES[n] for n in (_AREA_TYPES if target is None else (target,)))
+    return codes, max(codes), target is ProperName.SPATIOLATERAL
+
+
+_TARGET_RULES = {t: _prefilter_rule(t) for t in (None, *_AREA_TYPES)}
 
 
 def _attempts(rng: np.random.Generator, u_max: float, max_attempts: int):
@@ -285,8 +291,10 @@ def _attempts(rng: np.random.Generator, u_max: float, max_attempts: int):
         done += m
 
 
-def _maybe_accepted(pts, target: ProperName | None) -> bool:
+def _maybe_accepted(pts, rule) -> bool:
     """Whether random_triangle's scalar test may accept an attempt.
+
+    rule is _TARGET_RULES[target], looked up once per random_triangle call.
 
     False only where it surely rejects: a name other than the target's,
     or (spatiolateral) 1 + <p2,p3> + <p3,p1> + <p1,p2> <= 0.  A point off
@@ -301,7 +309,7 @@ def _maybe_accepted(pts, target: ProperName | None) -> bool:
             and abs(-(q0 * q0) + q1 * q1 + q2 * q2 - 1.0) <= UNIT_EPS
             and abs(-(r0 * r0) + r1 * r1 + r2 * r2 - 1.0) <= UNIT_EPS):
         return True
-    codes, top = _TARGET_CODES[target], _TARGET_TOP[target]
+    codes, top, contractible = rule
     code, total = 0, 1.0
     # Edge j joins vertices j+1 and j+2.  Codes only grow: stop past the top one.
     for c in (-(q0 * r0) + q1 * r1 + q2 * r2, -(r0 * p0) + r1 * p1 + r2 * p2,
@@ -311,7 +319,7 @@ def _maybe_accepted(pts, target: ProperName | None) -> bool:
         if code > top:
             return False
         total += c
-    return code in codes and (target is not ProperName.SPATIOLATERAL or not total <= 0.0)
+    return code in codes and (not contractible or not total <= 0.0)
 
 
 def _accepts(kind, target: ProperName | None) -> bool:
@@ -342,8 +350,9 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
     if cfg.target is not None and cfg.target not in _AREA_TYPES:
         raise ValueError(f"unsupported generation target: {cfg.target!r}")
     rng = np.random.default_rng(cfg.seed)
+    rule = _TARGET_RULES[cfg.target]
     for raw in _attempts(rng, cfg.u_max, cfg.max_attempts):
-        if not _maybe_accepted(raw, cfg.target):
+        if not _maybe_accepted(raw, rule):
             continue
         pts = tuple(map(DeSitterPoint, raw))
         try:

@@ -13,7 +13,9 @@ Every normals[j] points away from vertex j (<normals[j], pj> <= 0); when
 future-pointing instead.  The identity <tangents[j,k], tangents[j,l]> =
 <normals[k], normals[l]> at every vertex j follows from that orientation.
 The area path reads only tangents; only polar_triangle and the two checks
-tangent_normal_residual and normal_duality_holds read the normals.
+tangent_normal_residual and normal_duality_holds read a triangle's normals.
+The CLI's classify reports the polar triangle from _normals, which computes
+them from the vertices alone, so it builds no tangents and no triangle.
 
 Three space-like edges bound a disk (contractible) when their length sum
 is below 2*pi: S = 1 + c_23 + c_31 + c_12 > 0, c_ab = <p_a,p_b>.  On the
@@ -43,7 +45,7 @@ from .errors import (
     NullEdgeError,
 )
 from .geodesics import DeSitterPoint, GeodesicSegment, SegmentKind, _proportional, classify_segment, tangent_toward
-from .minkowski import ZERO_EPS, CausalType, causal_type, lorentz_cross, lorentz_normalize, mink_inner
+from .minkowski import ZERO_EPS, CausalType, _cross, _normalized, causal_type, mink_inner
 
 
 class TriangleKind(Enum):
@@ -121,8 +123,11 @@ def _others(j: int) -> tuple[int, int]:
 
 
 def _check_not_collinear(points) -> None:
-    # Three vertices on one non-null geodesic span a plane through the origin.
-    if abs(float(np.linalg.det(np.array([p._x for p in points])))) < ZERO_EPS:
+    # Three vertices on one non-null geodesic span a plane through the origin:
+    # det of the vertex rows, by cofactors along the first row.
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (p._x for p in points)
+    det = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+    if abs(det) < ZERO_EPS:
         raise DegenerateTriangleError("vertices lie on a single geodesic")
 
 
@@ -152,27 +157,26 @@ def _assemble(points, cls: TriangleClass) -> DeSitterTriangle:
     # has already checked for coincident, antipodal and collinear vertices.
     # Refused before the tangents: tangent_toward has none for these edges.
     _refuse_untraceable(cls.edges)
-    tangents = np.zeros((3, 3, 3))
-    for j in range(3):
-        for k in range(3):
-            if j != k:
-                tangents[j, k] = tangent_toward(points[j], points[k])
+    p0, p1, p2 = points
+    zero = (0.0, 0.0, 0.0)
+    tangents = np.array([[zero, tangent_toward(p0, p1), tangent_toward(p0, p2)],
+                         [tangent_toward(p1, p0), zero, tangent_toward(p1, p2)],
+                         [tangent_toward(p2, p0), tangent_toward(p2, p1), zero]])
+    normals = np.array(_normals(points))
+    tangents.setflags(write=False)
+    normals.setflags(write=False)
+    return DeSitterTriangle(points, cls.edges, tangents, normals)
 
-    raw = []
-    for j in range(3):
-        k, l = _others(j)
-        raw.append(lorentz_normalize(lorentz_cross(points[k]._x, points[l]._x)).tolist())
 
+def _normals(points) -> list[list[float]]:
+    # The outer normals of a null-free, non-collinear vertex triple, as Python floats.
+    raw = [_normalized(_cross(points[k]._x, points[l]._x)) for k, l in map(_others, range(3))]
     # One sign suffices: <axb, c> = det[c; a; b] gives every <raw[j], pj> the same sign, and
     # <axb, cxd> = <a,d><b,c> - <a,c><b,d> gives <raw[k], raw[l]> that of <t_jk, t_jl>.
     # Flip so edge 1's normal points away from vertex 1, else future-pointing if degenerate.
     anchor = mink_inner(raw[0], points[0]._x)
     flip = anchor > 0.0 if abs(anchor) > ZERO_EPS else raw[0][0] < 0.0
-    normals = -np.array(raw) if flip else np.array(raw)
-
-    tangents.setflags(write=False)
-    normals.setflags(write=False)
-    return DeSitterTriangle(points, cls.edges, tangents, normals)
+    return [[-c for c in u] for u in raw] if flip else raw
 
 
 def _counts(edges) -> tuple[int, int, int]:
@@ -240,16 +244,15 @@ def _disk_name(tri: DeSitterTriangle) -> ProperName:
 
 def polar_triangle(tri: DeSitterTriangle) -> PolarTriangle:
     """The triangle's outer normals, tagged by which surface each lies on."""
-    kinds = []
-    for u in tri.normals.tolist():
-        if mink_inner(u, u) > 0.0:
-            kinds.append(PolarKind.ON_DE_SITTER)
-        elif u[0] > 0.0:
-            kinds.append(PolarKind.ON_H2)
-        else:
-            kinds.append(PolarKind.ON_ANTI_H2)
     vertices = tuple(tri.normals[j].copy() for j in range(3))
-    return PolarTriangle(vertices, tuple(kinds))
+    return PolarTriangle(vertices, _polar_kinds(tri.normals.tolist()))
+
+
+def _polar_kinds(normals) -> tuple[PolarKind, PolarKind, PolarKind]:
+    # The surface each normal (three Python floats) lies on.
+    return tuple(PolarKind.ON_DE_SITTER if mink_inner(u, u) > 0.0
+                 else PolarKind.ON_H2 if u[0] > 0.0 else PolarKind.ON_ANTI_H2
+                 for u in normals)
 
 
 def distinguished_vertex(tri: DeSitterTriangle) -> int:
@@ -261,21 +264,24 @@ def distinguished_vertex(tri: DeSitterTriangle) -> int:
     a time cone.  Mixed types: the vertex opposite the odd edge out.
     Both same-kind rules read the sign of <t_jk, t_jl> = <n_k, n_l>.
     """
-    name = _disk_name(tri)
+    return _distinguished(_disk_name(tri), tri.edges, _vertex_products(tri.tangents.tolist()))
+
+
+def _distinguished(name: ProperName, edges, products: list[float]) -> int:
+    # distinguished_vertex for a disk name; only the same-kind rules read the products.
     if name is ProperName.CHOROSCELES:
-        return next(j for j in range(3) if tri.edges[j].kind is SegmentKind.HYPERBOLA_PART)
+        return next(j for j in range(3) if edges[j].kind is SegmentKind.HYPERBOLA_PART)
     if name is ProperName.CHRONOSCELES:
-        return next(j for j in range(3) if tri.edges[j].kind is SegmentKind.ELLIPSE_PART)
+        return next(j for j in range(3) if edges[j].kind is SegmentKind.ELLIPSE_PART)
     sign = -1.0 if name is ProperName.SPATIOLATERAL else 1.0
-    hits = [j for j, g in enumerate(_vertex_products(tri)) if sign * g > 0.0]
+    hits = [j for j, g in enumerate(products) if sign * g > 0.0]
     if len(hits) != 1:
         raise GeometryError(f"expected one distinguished vertex, found {hits!r}")
     return hits[0]
 
 
-def _vertex_products(tri: DeSitterTriangle) -> list[float]:
-    # <t_jk, t_jl> at vertex j = 0, 1, 2, with (k, l) = _others(j).
-    t = tri.tangents.tolist()
+def _vertex_products(t: list) -> list[float]:
+    # <t_jk, t_jl> at vertex j = 0, 1, 2, with (k, l) = _others(j), from tangents.tolist().
     return [mink_inner(t[j][k], t[j][l]) for j, (k, l) in enumerate(map(_others, range(3)))]
 
 
@@ -288,7 +294,7 @@ def tangent_normal_residual(tri: DeSitterTriangle) -> float:
     """Largest violation of <V_jk, V_jl> = <u_k, u_l> over the vertices; nan if any is nan."""
     normals = tri.normals.tolist()
     worst = 0.0
-    for j, lhs in enumerate(_vertex_products(tri)):
+    for j, lhs in enumerate(_vertex_products(tri.tangents.tolist())):
         k, l = _others(j)
         worst = _worse(worst, abs(lhs - mink_inner(normals[k], normals[l])))
     return worst

@@ -1,10 +1,13 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dstrig.areas
+import dstrig.triangles
 from conftest import FROZEN_AREAS, chart_point
 from dstrig.areas import (
     AngleSet,
@@ -26,6 +29,7 @@ from dstrig.triangles import (
 )
 
 seeds = st.integers(0, 10_000)
+FIXTURES = ("spatiolateral", "tempolateral", "chorosceles", "chronosceles")
 
 
 def _assert_single_pass(tri, res):
@@ -200,3 +204,43 @@ class TestProductForm:
         res = girard_area(tri)
         _assert_single_pass(tri, res)
         assert girard_area_from_products(tri) == pytest.approx(res.real_area, abs=1e-9)
+
+
+class _ListCounted(np.ndarray):
+    # An array view that counts its tolist() calls.
+    calls = 0
+
+    def tolist(self):
+        type(self).calls += 1
+        return super().tolist()
+
+
+class TestSinglePass:
+    """Each area path reads the tangents and their vertex products once."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_products_once_per_product_form(self, request, monkeypatch, name):
+        tri = build_triangle(*request.getfixturevalue(f"{name}_points"))
+        calls = []
+
+        def counting(tangents):
+            calls.append(1)
+            return products(tangents)
+
+        products = dstrig.triangles._vertex_products
+        monkeypatch.setattr(dstrig.triangles, "_vertex_products", counting)
+        monkeypatch.setattr(dstrig.areas, "_vertex_products", counting)
+        area = girard_area_from_products(tri)
+        assert len(calls) == 1
+        assert area == pytest.approx(FROZEN_AREAS[name], abs=1e-9)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_girard_area_reads_tangents_once(self, request, monkeypatch, name):
+        tri = build_triangle(*request.getfixturevalue(f"{name}_points"))
+        counted = dataclasses.replace(tri, tangents=tri.tangents.view(_ListCounted))
+        monkeypatch.setattr(_ListCounted, "calls", 0)
+        res = girard_area(counted)
+        assert _ListCounted.calls == 1
+        ref = girard_area(tri)
+        assert (res.real_area, res.complex_area, res.distinguished_vertex) \
+            == (ref.real_area, ref.complex_area, ref.distinguished_vertex)

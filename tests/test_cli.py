@@ -1,3 +1,4 @@
+import gzip
 import io
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 
 import dstrig.cli
 import dstrig.oracle
+import dstrig.triangles
 from dstrig import errors
 from dstrig.cli import build_parser, main
 from dstrig.geodesics import DeSitterPoint
@@ -20,8 +22,11 @@ from dstrig.triangles import (
     ProperName,
     build_triangle,
     distinguished_vertex,
+    polar_triangle,
     tangent_normal_residual,
 )
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "pool.jsonl.gz"
 
 
 def run_cli(capsys, monkeypatch, *args, stdin=None):
@@ -190,6 +195,52 @@ class TestClassifyCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+
+class TestClassifyPolar:
+    """classify reports build_triangle's polar triangle and computes no tangent."""
+
+    def test_matches_build_on_pool(self, monkeypatch):
+        with gzip.open(POOL, "rt", encoding="utf-8") as fh:
+            docs = [json.loads(line)["doc"] for line in list(fh)[1:]]  # line 1: metadata
+        assert len(docs) == 512
+        calls = []
+
+        def counting(p, q):
+            calls.append(1)
+            return tangent(p, q)
+
+        tangent = dstrig.triangles.tangent_toward
+        monkeypatch.setattr(dstrig.triangles, "tangent_toward", counting)
+        for doc in docs:
+            points = dstrig.cli._document_points(doc)
+            calls.clear()
+            got = dstrig.cli._classify_report(points)["polar_triangle"]
+            assert len(calls) == 0
+            ref = polar_triangle(build_triangle(*points))
+            assert len(calls) == 6
+            assert [[x.hex() for x in v] for v in got["vertices"]] \
+                == [[x.hex() for x in v.tolist()] for v in ref.vertices]
+            assert got["kinds"] == [k.value for k in ref.kinds]
+
+    def test_tangent_band_does_not_refuse(self, capsys, monkeypatch):
+        # Vertices 1 and 2 are 0.95e-9 off the quadric and <p1,p2> = 1 + 1.2e-9:
+        # a hyperbola arc, whose tangent direction q - <p,q> p has |<w,w>| below
+        # NULL_EPS, so build_triangle raises NullTangentError.  classify computes
+        # no tangent and names the triangle.
+        ep, c = 0.95e-9, 1.0 + 1.2e-9
+        b = c / math.sqrt(1.0 + ep)
+        rows = [[0.0, math.sqrt(1.0 + ep), 0.0], [math.sqrt(b * b - (1.0 + ep)), b, 0.0],
+                [0.0, 0.0, 1.0]]
+        with pytest.raises(errors.NullTangentError):
+            build_triangle(*map(DeSitterPoint, rows))
+        code, out, _ = run_cli(capsys, monkeypatch, "classify", "--input", "-",
+                               stdin=json.dumps({"schema": 1, "vertices": rows}))
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["proper_name"] == "chorosceles"
+        assert rep["polar_triangle"]["vertices"] \
+            == dstrig.triangles._normals(tuple(map(DeSitterPoint, rows)))
 
 
 class TestAreaCommand:

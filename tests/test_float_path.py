@@ -8,7 +8,10 @@ pairwise normal-sign solver that one orientation sign later replaced;
 it proves that replacement gives the same normals.
 """
 
+import gzip
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +28,13 @@ from dstrig.errors import (
     NullInputError,
     NullTangentError,
 )
-from dstrig.geodesics import DeSitterPoint, SegmentKind, classify_segment, tangent_toward
+from dstrig.geodesics import (
+    DeSitterPoint,
+    SegmentKind,
+    classify_segment,
+    project_to_quadric,
+    tangent_toward,
+)
 from dstrig.minkowski import (
     NULL_EPS,
     UNIT_EPS,
@@ -33,12 +42,14 @@ from dstrig.minkowski import (
     as_vec3,
     lorentz_cross,
     lorentz_normalize,
+    random_lorentz,
     vec3,
 )
 from dstrig.oracle import random_buildable_triangle
 from dstrig.triangles import build_triangle, classify_triangle
 
 _EDGE_PAIRS = ((1, 2), (2, 0), (0, 1))
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "pool.jsonl.gz"
 
 
 # -- the numpy references ----------------------------------------------------
@@ -378,3 +389,70 @@ class TestFloatPathReference:
             assert_same(_outcome(as_vec3, value), _outcome(_ref_vec3, value))
             if len(value) == 3:
                 assert_same(_outcome(vec3, *value), _outcome(_ref_vec3, value))
+
+
+# -- the collinearity decision -------------------------------------------------
+
+def _geodesic_triples(rng, count):
+    """2 * count triples of points on one geodesic, the first half on ellipses.
+
+    Each triple lies on the x0 = 0 circle or the x2 = 0 hyperbola, where its
+    det is exactly 0, and is followed by its image under a random_lorentz map.
+    """
+    circle = lambda t: np.array([0.0, math.cos(t), math.sin(t)])
+    hyperbola = lambda t: np.array([math.sinh(t), math.cosh(t), 0.0])
+    for i in range(count):
+        curve, ts = (circle, rng.uniform(0.0, 2.0 * math.pi, 3)) if i < count // 2 \
+            else (hyperbola, rng.uniform(-3.0, 3.0, 3))
+        rows = [curve(t) for t in ts]
+        m = random_lorentz(rng, 1.0)
+        yield rows
+        yield [m @ row for row in rows]
+
+
+def _pushed_off(rows, delta):
+    """rows with the third point moved delta along the Euclidean normal of the first two."""
+    n = np.cross(rows[0], rows[1])
+    return [rows[0], rows[1], project_to_quadric(rows[2] + delta * n / np.linalg.norm(n)).v]
+
+
+class TestCollinearDecision:
+    """The cofactor det decides |det| < ZERO_EPS as np.linalg.det did.
+
+    The two differ by rounding, about 1e-16 |p1||p2||p3|.  On a collinear
+    triple of larger vertices, rounding alone reaches ZERO_EPS: there both
+    rules miss some collinear triples, and not the same ones (ROADMAP aim 3's
+    absolute tolerances).  The triples below are mapped with max_rapidity 1,
+    with hyperbola parameters up to 3, where rounding stays below ZERO_EPS.
+    """
+
+    @staticmethod
+    def _check(rows):
+        points = tuple(map(DeSitterPoint, rows))
+        assert_same(_outcome(lambda: _edges(classify_triangle(*points))),
+                    _outcome(_ref_classify, points))
+        det = abs(float(np.linalg.det(np.array([p.v for p in points]))))
+        return det < ZERO_EPS, det
+
+    def test_pool(self):
+        with gzip.open(POOL, "rt", encoding="utf-8") as fh:
+            docs = [json.loads(line)["doc"] for line in list(fh)[1:]]  # line 1: metadata
+        assert not any(self._check(doc["vertices"])[0] for doc in docs)
+
+    def test_collinear_triples(self):
+        h = math.sqrt(0.5)
+        triples = [[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, h, h]]]  # tools/cli_digest.py's
+        triples += _geodesic_triples(np.random.default_rng(3), 400)
+        decided = [self._check(rows) for rows in triples]
+        assert all(collinear for collinear, _ in decided)
+        assert sum(det == 0.0 for _, det in decided) > 400
+
+    def test_pushed_off_collinear(self):
+        decided = []
+        for delta in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
+            rng = np.random.default_rng(int(-math.log10(delta)))
+            decided += [self._check(_pushed_off(rows, delta))
+                        for rows in _geodesic_triples(rng, 100)]
+        # Both decisions occur, and some kept triples lie within 10x of the band.
+        assert {collinear for collinear, _ in decided} == {True, False}
+        assert min(det for collinear, det in decided if not collinear) < 10.0 * ZERO_EPS

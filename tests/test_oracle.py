@@ -20,6 +20,7 @@ from dstrig.errors import (
 from dstrig.geodesics import DeSitterPoint, geodesic_point, project_to_quadric
 from dstrig.oracle import (
     _BLOCK,
+    _TARGET_RULES,
     GeneratorConfig,
     _attempts,
     _maybe_accepted,
@@ -561,7 +562,7 @@ class TestBlockSampler:
         kinds = [None if p is None else _scalar_class(p) for p in pts]
         classified = np.array([kind is not None for kind in kinds])
         for target in (*TARGETS, None):
-            kept = np.array([_maybe_accepted(raw, target) for raw in draws])
+            kept = np.array([_maybe_accepted(raw, _TARGET_RULES[target]) for raw in draws])
             accepted = np.array([_accepts(kind, target) for kind in kinds])
             assert not np.any(accepted & ~kept), target
             # Exact, not just safe, wherever the scalar body decides.
@@ -603,7 +604,7 @@ class TestAnyTarget:
 
     def test_prefilter_skips_only_unbuildable(self):
         draws = list(_attempts(np.random.default_rng(11), 6.0, 4000))
-        kept = np.array([_maybe_accepted(raw, None) for raw in draws])
+        kept = np.array([_maybe_accepted(raw, _TARGET_RULES[None]) for raw in draws])
         built = np.array([_outcome(build_triangle, *map(DeSitterPoint, raw))[0] == "ok"
                           for raw in draws])
         assert built.any()
