@@ -80,14 +80,10 @@ def _parse_documents(raw: str) -> list[dict]:
     if text.startswith("["):
         raise DocumentError("expected an object per document, not a JSON array")
     docs = []
-    if "\n" in text and not text.startswith("{\n"):
-        chunks = raw.splitlines()
-    else:
-        chunks = [text]
     try:
-        for lineno, chunk in enumerate(chunks, 1):
-            if chunk.strip():
-                docs.append(json.loads(chunk))
+        for lineno, line in enumerate(raw.splitlines(), 1):
+            if line.strip():
+                docs.append(json.loads(line))
     except json.JSONDecodeError as exc:
         if docs:  # earlier lines parsed alone: a JSONL stream
             raise DocumentError(

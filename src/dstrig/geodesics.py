@@ -130,7 +130,7 @@ def classify_segment(p: DeSitterPoint, q: DeSitterPoint) -> GeodesicSegment:
     if c > 1.0:
         return GeodesicSegment(p, q, SegmentKind.HYPERBOLA_PART, math.acosh(c))
     if c > -1.0 + NULL_EPS:
-        return GeodesicSegment(p, q, SegmentKind.ELLIPSE_PART, math.acos(max(c, -1.0)))
+        return GeodesicSegment(p, q, SegmentKind.ELLIPSE_PART, math.acos(c))
     return GeodesicSegment(p, q, SegmentKind.IMPOSSIBLE, 0.0)
 
 

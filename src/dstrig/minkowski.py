@@ -160,7 +160,7 @@ def _normalized(x: list[float]) -> list[float]:
     return [c / r for c in x]
 
 
-def _require_unit(u, q, label: str) -> None:
+def _require_unit(q, label: str) -> None:
     # Negated so that a nan <v,v> (overflow of a huge vector) fails too.
     if not abs(abs(q) - 1.0) <= UNIT_EPS:
         raise NotUnitError(f"{label} has <v,v> = {q!r}, expected magnitude 1")
@@ -189,8 +189,8 @@ def _checked_angle(u, v, what: str) -> tuple[PseudoAngle, float]:
     # A nan <v,v> is not null: the unit check rejects it.
     if abs(qu) <= NULL_EPS or abs(qv) <= NULL_EPS:
         raise NullInputError(f"{what} requires non-null vectors")
-    _require_unit(u, qu, "u")
-    _require_unit(v, qv, "v")
+    _require_unit(qu, "u")
+    _require_unit(qv, "v")
     g = mink_inner(u, v)
 
     if qu > 0.0 and qv > 0.0:

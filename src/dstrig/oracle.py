@@ -75,7 +75,7 @@ _GL_WEIGHTS = np.array([
 _MAX_PANELS = 4096
 # The largest n whose starting panels' halves, 6 * (n // 8), fit under
 # _MAX_PANELS; every larger n would raise NonConvergentError at once.
-_MAX_GRID = 5463
+_MAX_GRID = 8 * (_MAX_PANELS // 6) + 7
 _EPS = float(np.finfo(float).eps)
 
 _DEFAULT_CHECK_GRID = 64
@@ -292,17 +292,17 @@ def _attempts(rng: np.random.Generator, u_max: float, max_attempts: int):
 
 
 def _maybe_accepted(pts, rule) -> bool:
-    """Whether random_triangle's scalar test may accept an attempt.
+    """random_triangle's acceptance rule for one attempt.
 
     rule is _TARGET_RULES[target], looked up once per random_triangle call.
 
-    False only where it surely rejects: a name other than the target's,
-    or (spatiolateral) 1 + <p2,p3> + <p3,p1> + <p1,p2> <= 0.  A point off
-    the quadric (or with a nan <p,p>) keeps the attempt, so the scalar body
-    raises as before.  The inner products, bands and sum are mink_inner's,
-    classify_segment's and triangles._contractible's, in their operation
-    order, so each decision is the scalar one.  Coincident or antipodal
-    vertices are left to the scalar body, which rejects them.
+    False where the edge kinds name a type other than the target's, or
+    (spatiolateral) 1 + <p2,p3> + <p3,p1> + <p1,p2> <= 0.  The inner
+    products, bands and sum are mink_inner's, classify_segment's and
+    triangles._contractible's, in their operation order, so each decision
+    is classify_triangle's.  A point off the quadric (or with a nan <p,p>)
+    keeps the attempt, so DeSitterPoint raises as before; classify_triangle
+    rejects coincident, antipodal or collinear vertices.
     """
     (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = pts
     if not (abs(-(p0 * p0) + p1 * p1 + p2 * p2 - 1.0) <= UNIT_EPS
@@ -322,12 +322,6 @@ def _maybe_accepted(pts, rule) -> bool:
     return code in codes and (not contractible or not total <= 0.0)
 
 
-def _accepts(kind, target: ProperName | None) -> bool:
-    if target is None:
-        return kind.proper_name in _AREA_TYPES
-    return kind.proper_name is target and kind.contractible is not False
-
-
 def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
     """Rejection-sample a triangle of the requested type.
 
@@ -343,9 +337,9 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
     u = -u_max + (u_max - -u_max) * r[:3] and psi = 2*pi * r[3:]; these
     are the values rng.uniform(-u_max, u_max, 3), rng.uniform(0, 2*pi, 3)
     give for each attempt in turn.  Attempts are taken one at a time on
-    Python floats: a prefilter skips only sure rejects, and every other
-    attempt goes through the scalar classify-and-test body, which alone
-    accepts or raises.
+    Python floats: _maybe_accepted decides acceptance from the attempt's
+    inner products, and classify_triangle then only rejects a degenerate
+    triple (or DeSitterPoint raises on a point off the quadric).
     """
     if cfg.target is not None and cfg.target not in _AREA_TYPES:
         raise ValueError(f"unsupported generation target: {cfg.target!r}")
@@ -359,8 +353,7 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
             kind = classify_triangle(*pts)
         except GeometryError:
             continue
-        if _accepts(kind, cfg.target):
-            return _assemble(pts, kind)
+        return _assemble(pts, kind)
     what = "buildable" if cfg.target is None else cfg.target.value
     raise ExhaustedAttemptsError(f"no {what} triangle in {cfg.max_attempts} attempts")
 

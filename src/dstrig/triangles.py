@@ -209,11 +209,11 @@ def classify_triangle(p1: DeSitterPoint, p2: DeSitterPoint, p3: DeSitterPoint) -
             raise DegenerateTriangleError(f"vertices {i} and {j} are {_proportional(a, b)}") from None
     edges = tuple(edges)
     i, j, k = _counts(edges)
-    if any(e.kind is SegmentKind.IMPOSSIBLE for e in edges):
+    name = _NAME_TABLE.get((i, j, k))
+    if name is None:  # every count triple summing to 3 is named; an impossible edge is in no count
         return TriangleClass(TriangleKind.IMPOSSIBLE, (i, j, k), ProperName.NONE, None, edges)
     if k == 0:
         _check_not_collinear(points)
-    name = _NAME_TABLE[(i, j, k)]
     contractible = _contractible(points) if name is ProperName.SPATIOLATERAL else None
     return TriangleClass(TriangleKind.PROPER_DE_SITTER, (i, j, k), name, contractible, edges)
 

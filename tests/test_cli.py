@@ -95,6 +95,18 @@ class TestClassifyCommand:
         assert out == ""
         assert err == "error: not valid JSON on line 3: Expecting ',' delimiter at column 43\n"
 
+    def test_pretty_printed_document(self, capsys, monkeypatch, chorosceles_doc):
+        # One document over many lines parses whole, also when its first
+        # key sits on the opening brace's line.
+        doc = json.loads(chorosceles_doc)
+        first_key_on_line_1 = json.dumps(doc, indent=1).replace("{\n ", "{", 1)
+        for text in (json.dumps(doc, indent=2), first_key_on_line_1):
+            code, out, _ = run_cli(capsys, monkeypatch, "classify", "--input", "-",
+                                   stdin=text)
+            assert code == 0
+            assert [json.loads(line)["proper_name"] for line in out.splitlines()] \
+                == ["chorosceles"]
+
     def test_bad_schema(self, capsys, monkeypatch):
         code, _, err = run_cli(capsys, monkeypatch, "classify", "--input", "-",
                                stdin='{"schema": 9, "vertices": []}')
@@ -187,8 +199,13 @@ class TestClassifyCommand:
          "vertex row 3 has non-finite components"),
         (["plot", "--out", "-"], f"{json.dumps(_GOOD)}\n{json.dumps(_GOOD)}\n",
          "plot expects exactly one document"),
+        # A malformed or repeated pretty-printed document is reported as the whole text.
+        (["classify"], json.dumps(_GOOD, indent=2)[:-2],
+         "not valid JSON: Expecting ',' delimiter: line 19 column 4 (char 156)"),
+        (["classify"], f"{json.dumps(_GOOD, indent=2)}\n{json.dumps(_GOOD, indent=2)}",
+         "not valid JSON: Extra data: line 21 column 1 (char 159)"),
     ], ids=["empty", "json-array", "jsonl-non-object", "signature", "two-rows", "nan",
-            "plot-two-documents"])
+            "plot-two-documents", "pretty-truncated", "pretty-two-documents"])
     def test_document_rejected(self, capsys, monkeypatch, argv, stdin, message):
         code, out, err = run_cli(capsys, monkeypatch, argv[0], "--input", "-", *argv[1:],
                                  stdin=stdin)
