@@ -5,6 +5,11 @@ with signature (-, +, +).  The package classifies geodesic triangles by
 the causal character of their edges, computes interior pseudo-angles,
 evaluates the closed-form areas, and cross-checks them against a direct
 surface integral.
+
+Importing the package loads no numpy: classification runs on Python
+floats, and numpy is imported by the first call that builds an array
+(a triangle's tangents and normals, DeSitterPoint.v, METRIC, the
+oracle and the sampler).
 """
 
 from .areas import (
@@ -51,7 +56,6 @@ from .geodesics import (
     tangent_toward,
 )
 from .minkowski import (
-    METRIC,
     NULL_EPS,
     UNIT_EPS,
     ZERO_EPS,
@@ -96,6 +100,16 @@ from .triangles import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # METRIC is minkowski's, built on first access (see minkowski.__getattr__).
+    if name == "METRIC":
+        from . import minkowski
+
+        return minkowski.METRIC
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AREA_SHAPE_TOL",

@@ -21,8 +21,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .areas import girard_area
 from .errors import GeometryError, NotUnitError
 from .geodesics import DeSitterPoint, SegmentKind, geodesic_point
@@ -235,7 +233,7 @@ def cmd_random(args) -> int:
         sys.stdout.write(",".join(header) + "\n")
         for tri, meta in rows:
             cells = [meta["name"], str(meta["seed"]), meta["type"]]
-            cells += [repr(float(x)) for p in tri.points for x in p.v]
+            cells += [repr(x) for p in tri.points for x in p._x]
             sys.stdout.write(",".join(cells) + "\n")
     else:
         for tri, meta in rows:
@@ -262,6 +260,8 @@ _EDGE_STYLE = {
 
 
 def cmd_plot(args) -> int:
+    import numpy as np
+
     docs = _parse_documents(_read_text(args.input))
     if len(docs) != 1:
         raise DocumentError("plot expects exactly one document")

@@ -9,10 +9,9 @@ connecting geodesic at all below -1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     CoincidentPointsError,
@@ -23,6 +22,9 @@ from .errors import (
 )
 from .minkowski import NULL_EPS, UNIT_EPS, ZERO_EPS, CausalType, _float3, as_vec3, mink_inner
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 class SegmentKind(Enum):
     ELLIPSE_PART = "ellipse_part"
@@ -31,27 +33,41 @@ class SegmentKind(Enum):
     IMPOSSIBLE = "impossible"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class DeSitterPoint:
-    """Position on the quadric; the stored array is read-only.
+    """Position on the quadric, made from three components: DeSitterPoint(v).
 
-    _x holds the same coordinates as Python floats, which the scalar
-    code reads instead of indexing the array.
+    _x holds the coordinates as Python floats, which the scalar code
+    reads.  v is the same coordinates as a read-only numpy array, built
+    on first access and then cached, so a point that is only classified
+    never loads numpy.
     """
 
-    v: np.ndarray
-    _x: tuple[float, float, float] = field(init=False, repr=False)
+    v: InitVar[object]
+    _x: tuple[float, float, float] = field(init=False)
 
-    def __post_init__(self):
-        x = _float3(self.v)
+    def __post_init__(self, v):
+        # The whole validation, which perfbench's tracer times as DeSitterPoint.
+        x = _float3(v)
         q = mink_inner(x, x)
         # Negated so that a nan <v,v> (overflow of a huge vertex) fails too.
         if not abs(q - 1.0) <= UNIT_EPS:
             raise NotUnitError(f"point off the quadric: <v,v> = {q!r}")
-        v = np.array(x)
+        object.__setattr__(self, "_x", x)
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: v before its first read.
+        if name != "v":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        import numpy as np
+
+        v = np.array(self._x)
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "_x", x)
+        return v
+
+    def __repr__(self) -> str:
+        return f"DeSitterPoint({list(self._x)!r})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +103,8 @@ def tangent_toward(p: DeSitterPoint, q: DeSitterPoint) -> np.ndarray:
     The direction q - <p,q> p is null (no unit tangent) when <p,q> = 1 in
     the band; coincident and antipodal points land there too and are named.
     """
+    import numpy as np
+
     c = mink_inner(p._x, q._x)
     w = [b - c * a for a, b in zip(p._x, q._x)]
     ww = mink_inner(w, w)

@@ -1,11 +1,14 @@
 """Arithmetic in 3D Minkowski space with signature (-,+,+).
 
 The first coordinate x0 is the time coordinate; "future" means x0 > 0.
-Vectors are plain numpy arrays of shape (3,); the scalar work on them
-runs on Python floats, in mink_inner's operation order.  Angles between
-unit vectors are complex in general: real for a space-like pair in the
-same sector, otherwise carrying an imaginary hyperbolic part whose
-branch is tracked explicitly.
+The scalar functions take any three-component sequence (a list, a tuple
+or a numpy array of shape (3,)) and compute on Python floats, in
+mink_inner's operation order.  Only the functions that return a vector
+or a matrix build numpy arrays, and numpy is imported by their first
+call, so importing the module does not load it.  Angles between unit
+vectors are complex in general: real for a space-like pair in the same
+sector, otherwise carrying an imaginary hyperbolic part whose branch is
+tracked explicitly.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegeneratePairError,
@@ -26,6 +28,9 @@ from .errors import (
     ZeroVectorError,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # Width of the null band on <u,u>: values inside are treated as null and
 # rejected loudly by operations that need a definite causal type.
 NULL_EPS = 1e-9
@@ -34,7 +39,18 @@ UNIT_EPS = 1e-9
 # Hard zero for component-level degeneracy checks.
 ZERO_EPS = 1e-12
 
-METRIC = np.diag([-1.0, 1.0, 1.0])
+
+def __getattr__(name: str):
+    # METRIC, the read-only diag(-1, 1, 1), is built on first access: importing
+    # this module loads no numpy.
+    if name == "METRIC":
+        import numpy as np
+
+        metric = np.diag([-1.0, 1.0, 1.0])
+        metric.setflags(write=False)
+        globals()["METRIC"] = metric
+        return metric
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CausalType(Enum):
@@ -92,6 +108,8 @@ def vec3(x0: float, x1: float, x2: float) -> np.ndarray:
 
 
 def as_vec3(value) -> np.ndarray:
+    import numpy as np
+
     try:
         v = np.asarray(value, dtype=float)
     except OverflowError:
@@ -148,6 +166,8 @@ def pseudo_norm(u) -> complex:
 
 def lorentz_normalize(u) -> np.ndarray:
     """Scale u so abs(<u,u>) = 1; null input cannot be normalized."""
+    import numpy as np
+
     return np.array(_normalized(np.asarray(u, dtype=float).tolist()))
 
 
@@ -246,6 +266,8 @@ def lorentz_cross(u, v) -> np.ndarray:
     Components: (u2*v1 - u1*v2, u2*v0 - u0*v2, u0*v1 - u1*v0).  Raises
     when the result is (near-)zero, i.e. the inputs are parallel.
     """
+    import numpy as np
+
     u0, u1, u2 = map(float, u)
     v0, v1, v2 = map(float, v)
     return np.array(_cross((u0, u1, u2), (v0, v1, v2)))
@@ -262,6 +284,8 @@ def _cross(u, v) -> list[float]:
 
 def boost_matrix(rapidity: float) -> np.ndarray:
     """Boost in the (x0, x1) plane; preserves the form and time orientation."""
+    import numpy as np
+
     try:
         ch, sh = math.cosh(_finite(rapidity, "rapidity")), math.sinh(rapidity)
     except OverflowError:
@@ -271,6 +295,8 @@ def boost_matrix(rapidity: float) -> np.ndarray:
 
 def rotation_matrix(angle: float) -> np.ndarray:
     """Rotation in the (x1, x2) plane."""
+    import numpy as np
+
     c, s = math.cos(_finite(angle, "angle")), math.sin(angle)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 

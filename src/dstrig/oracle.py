@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .areas import _apex_products, girard_area, girard_area_from_products
 from .errors import ExhaustedAttemptsError, GeometryError, NonConvergentError
@@ -53,30 +53,33 @@ from .triangles import (
     tangent_normal_residual,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # The 20-node Gauss-Legendre rule on [0, 1]: leggauss(20) mapped by
-# (x + 1) / 2 and w / 2, written out so that importing the module does
-# not load numpy.polynomial.
-_GL_NODES = np.array([
+# (x + 1) / 2 and w / 2, written out so that importing the module loads
+# no numpy (_gl_rule makes the arrays).
+_GL_NODES = (
     0.003435700407452502, 0.018014036361043095, 0.04388278587433703, 0.08044151408889061,
     0.1268340467699246, 0.1819731596367425, 0.24456649902458644, 0.3131469556422902,
     0.38610707442917747, 0.46173673943325133, 0.5382632605667487, 0.6138929255708225,
     0.6868530443577098, 0.7554335009754136, 0.8180268403632576, 0.8731659532300754,
     0.9195584859111094, 0.956117214125663, 0.981985963638957, 0.9965642995925474,
-])
-_GL_WEIGHTS = np.array([
+)
+_GL_WEIGHTS = (
     0.008807003569575447, 0.020300714900193223, 0.031336024167054395, 0.04163837078835236,
     0.05096505990862035, 0.0590972659807593, 0.06584431922458844, 0.0710480546591912,
     0.07458649323630212, 0.07637669356536314, 0.07637669356536314, 0.07458649323630212,
     0.0710480546591912, 0.06584431922458844, 0.0590972659807593, 0.05096505990862035,
     0.04163837078835236, 0.031336024167054395, 0.020300714900193223, 0.008807003569575447,
-])
+)
 # Most panels one integration may hold.  The stop rule is relative, so
 # only round-off that keeps a panel's halves and whole apart reaches it.
 _MAX_PANELS = 4096
 # The largest n whose starting panels' halves, 6 * (n // 8), fit under
 # _MAX_PANELS; every larger n would raise NonConvergentError at once.
 _MAX_GRID = 8 * (_MAX_PANELS // 6) + 7
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 _DEFAULT_CHECK_GRID = 64
 
@@ -111,6 +114,16 @@ class GeneratorConfig:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts!r}")
 
 
+@functools.cache
+def _gl_rule():
+    # _GL_NODES and _GL_WEIGHTS as read-only arrays, made on first use.
+    import numpy as np
+
+    nodes, weights = np.array(_GL_NODES), np.array(_GL_WEIGHTS)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _loop_edges(pts):
     """Per-edge constants of the loop pts[0] -> pts[1] -> pts[2] -> pts[0].
 
@@ -122,6 +135,8 @@ def _loop_edges(pts):
     flags and a (10, 3) table whose column j holds edge j's
     d, S(d), p0, q0, p1, q1, p2, q2, k and |k|.
     """
+    import numpy as np
+
     rows = np.asarray(pts, dtype=float).tolist()
     ell, cols = [], []
     for p, q in zip(rows, rows[1:] + rows[:1]):
@@ -141,7 +156,9 @@ def _loop_edges(pts):
 
 def _node_fractions(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     # (1 - s, s) at the nodes s of the panels [a, a + w], shape (2, N, 20).
-    s = a[:, None] + w[:, None] * _GL_NODES
+    import numpy as np
+
+    s = a[:, None] + w[:, None] * _gl_rule()[0]
     return np.stack([1.0 - s, s])
 
 
@@ -158,6 +175,8 @@ def _panels(edges, e: np.ndarray, a: np.ndarray, w: np.ndarray):
 
 def _node_sums(edges, e: np.ndarray, frac: np.ndarray, w: np.ndarray):
     # _panels with the node fractions given.
+    import numpy as np
+
     ell, table = edges
     g = table[:, e]
     args = frac * g[0, :, None]
@@ -173,7 +192,7 @@ def _node_sums(edges, e: np.ndarray, frac: np.ndarray, w: np.ndarray):
     fr = np.stack([x[0, 0] + x[0, 1], x0[0] + x0[1]])
     fr *= g[8:10, :, None]
     fr /= rho2
-    fr *= _GL_WEIGHTS
+    fr *= _gl_rule()[1]
     f, r = fr.sum(axis=2)
     return w * f, w * r
 
@@ -200,6 +219,8 @@ def integrate_area(tri: DeSitterTriangle, n: int = _DEFAULT_CHECK_GRID) -> Oracl
     u_max 6 seed 59 it reports 1.4e-13 while the 40-digit referee is
     4.8e-13 away.
     """
+    import numpy as np
+
     if n < 8:
         raise ValueError(f"grid must be at least 8, got {n!r}")
     if n > _MAX_GRID:
@@ -236,6 +257,8 @@ def integrate_area(tri: DeSitterTriangle, n: int = _DEFAULT_CHECK_GRID) -> Oracl
 
 def _level_rows(e: np.ndarray, a: np.ndarray, w: np.ndarray):
     # _node_sums arguments: panels [a, a + w] of edges e, left halves, right halves.
+    import numpy as np
+
     h = w / 2.0
     w3 = np.concatenate([w, h, h])
     return np.tile(e, 3), _node_fractions(np.concatenate([a, a, a + h]), w3), w3
@@ -245,6 +268,8 @@ def _level_rows(e: np.ndarray, a: np.ndarray, w: np.ndarray):
 def _start_layout(m: int):
     """(e, a, w, rows) of the n // 8 = m starting panels per edge, read-only: rows
     feeds level 1's one _node_sums call, on these panels and both of their halves."""
+    import numpy as np
+
     e = np.repeat(np.arange(3), m)
     a = np.tile(np.arange(m) / m, 3)
     w = np.full(3 * m, 1.0 / m)
@@ -341,6 +366,8 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
     inner products, and classify_triangle then only rejects a degenerate
     triple (or DeSitterPoint raises on a point off the quadric).
     """
+    import numpy as np
+
     if cfg.target is not None and cfg.target not in _AREA_TYPES:
         raise ValueError(f"unsupported generation target: {cfg.target!r}")
     rng = np.random.default_rng(cfg.seed)
@@ -394,6 +421,8 @@ def verify_type(target: ProperName, trials: int, seed: int,
     trial's generator seed, which `dstrig random --type T --seed S` replays.
     Each worst value is the largest over the trials, and nan once any is nan.
     """
+    import numpy as np
+
     if target not in _AREA_TYPES:
         raise ValueError(f"unsupported verification target: {target!r}")
     if trials < 1:

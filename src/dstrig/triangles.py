@@ -30,10 +30,10 @@ for vertices UNIT_EPS off the quadric (see test_sign_matches_perimeter_rule).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     CoincidentPointsError,
@@ -46,6 +46,9 @@ from .errors import (
 )
 from .geodesics import DeSitterPoint, GeodesicSegment, SegmentKind, _proportional, classify_segment, tangent_toward
 from .minkowski import ZERO_EPS, CausalType, _cross, _normalized, causal_type, mink_inner
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class TriangleKind(Enum):
@@ -122,12 +125,21 @@ def _others(j: int) -> tuple[int, int]:
     return (j + 1) % 3, (j + 2) % 3
 
 
+# Band on |det P| / (|p1| |p2| |p3|), Euclidean norms, for the collinearity
+# test: 1.4e-14.  Rounding takes collinear triples mapped with rapidity up
+# to 8 to at most 1.2e-14; the benchmark pool's triangles are all above 7.9e-5.
+_COLLINEAR_EPS = 64.0 * sys.float_info.epsilon
+
+
 def _check_not_collinear(points) -> None:
     # Three vertices on one non-null geodesic span a plane through the origin:
-    # det of the vertex rows, by cofactors along the first row.
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (p._x for p in points)
+    # det of the vertex rows, by cofactors along the first row, against a
+    # band that grows with the rows' rounding (ZERO_EPS at the least).
+    a, b, c = (p._x for p in points)
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a, b, c
     det = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
-    if abs(det) < ZERO_EPS:
+    scale = math.hypot(*a) * math.hypot(*b) * math.hypot(*c)
+    if abs(det) < max(ZERO_EPS, _COLLINEAR_EPS * scale):
         raise DegenerateTriangleError("vertices lie on a single geodesic")
 
 
@@ -155,6 +167,8 @@ def _refuse_untraceable(edges) -> None:
 def _assemble(points, cls: TriangleClass) -> DeSitterTriangle:
     # Tangents and normals for a vertex triple that classify_triangle
     # has already checked for coincident, antipodal and collinear vertices.
+    import numpy as np
+
     # Refused before the tangents: tangent_toward has none for these edges.
     _refuse_untraceable(cls.edges)
     p0, p1, p2 = points

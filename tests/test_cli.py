@@ -588,12 +588,32 @@ class TestModuleEntry:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["proper_name"] == "chorosceles"
 
-    def test_import_skips_numpy_polynomial(self):
-        # The oracle's quadrature rule is written out; loading
-        # numpy.polynomial would add its import time to every CLI process.
+    def test_import_and_classify_load_no_numpy(self, chorosceles_doc):
+        # Classification runs on Python floats; numpy (numpy.polynomial too, whose
+        # import the oracle's written-out quadrature rule avoids) loads at the
+        # first array, which is METRIC's or v's here.
         src = Path(__file__).resolve().parents[1] / "src"
-        code = "import sys, dstrig.cli; print('numpy.polynomial' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+        code = "\n".join([
+            "import io, json, sys",
+            "import dstrig, dstrig.cli",
+            "from dstrig.geodesics import DeSitterPoint",
+            "sys.stdin = io.StringIO(sys.argv[1])",
+            "rc = dstrig.cli.main(['classify', '--input', '-'])",
+            "seen = {'rc': rc, 'numpy_after_classify': 'numpy' in sys.modules}",
+            "p = DeSitterPoint([0.0, 0.6, 0.8])",
+            "seen['metric'] = [dstrig.METRIC is dstrig.minkowski.METRIC,",
+            "                  dstrig.METRIC is dstrig.METRIC,",
+            "                  dstrig.METRIC.flags.writeable, dstrig.METRIC.tolist()]",
+            "seen['v'] = [p.v is p.v, type(p.v).__name__, p.v.flags.writeable, p.v.tolist()]",
+            "print(json.dumps(seen))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code, chorosceles_doc], capture_output=True,
                               text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        report, seen = proc.stdout.splitlines()
+        assert json.loads(report)["proper_name"] == "chorosceles"
+        assert json.loads(seen) == {
+            "rc": 0, "numpy_after_classify": False,
+            "metric": [True, True, False, [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]],
+            "v": [True, "ndarray", False, [0.0, 0.6, 0.8]],
+        }

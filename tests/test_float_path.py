@@ -137,10 +137,17 @@ def _ref_classify(points):
     edges = [_ref_segment(points[k], points[l]) for k, l in _EDGE_PAIRS]
     kinds = [kind for kind, _ in edges]
     if SegmentKind.IMPOSSIBLE not in kinds and SegmentKind.NULL_LINE not in kinds:
-        det = float(np.linalg.det(np.stack([p.v for p in points])))
-        if abs(det) < ZERO_EPS:
+        det, band = _ref_det_band(points)
+        if abs(det) < band:
             raise DegenerateTriangleError("vertices lie on a single geodesic")
     return edges
+
+
+def _ref_det_band(points):
+    """det P and the collinearity band max(ZERO_EPS, 64 eps |p1| |p2| |p3|)."""
+    rows = np.stack([p.v for p in points])
+    scale = float(np.prod(np.linalg.norm(rows, axis=1)))
+    return float(np.linalg.det(rows)), max(ZERO_EPS, 64.0 * np.finfo(float).eps * scale)
 
 
 # The earlier solver's cut: a tangent or normal product below it left a
@@ -393,7 +400,7 @@ class TestFloatPathReference:
 
 # -- the collinearity decision -------------------------------------------------
 
-def _geodesic_triples(rng, count):
+def _geodesic_triples(rng, count, max_rapidity=1.0):
     """2 * count triples of points on one geodesic, the first half on ellipses.
 
     Each triple lies on the x0 = 0 circle or the x2 = 0 hyperbola, where its
@@ -405,7 +412,7 @@ def _geodesic_triples(rng, count):
         curve, ts = (circle, rng.uniform(0.0, 2.0 * math.pi, 3)) if i < count // 2 \
             else (hyperbola, rng.uniform(-3.0, 3.0, 3))
         rows = [curve(t) for t in ts]
-        m = random_lorentz(rng, 1.0)
+        m = random_lorentz(rng, max_rapidity)
         yield rows
         yield [m @ row for row in rows]
 
@@ -417,22 +424,23 @@ def _pushed_off(rows, delta):
 
 
 class TestCollinearDecision:
-    """The cofactor det decides |det| < ZERO_EPS as np.linalg.det did.
+    """The cofactor det decides collinearity as np.linalg.det does.
 
-    The two differ by rounding, about 1e-16 |p1||p2||p3|.  On a collinear
-    triple of larger vertices, rounding alone reaches ZERO_EPS: there both
-    rules miss some collinear triples, and not the same ones (ROADMAP aim 3's
-    absolute tolerances).  The triples below are mapped with max_rapidity 1,
-    with hyperbola parameters up to 3, where rounding stays below ZERO_EPS.
+    The two differ by rounding, about 1e-16 |p1||p2||p3|, so the band
+    scales with |p1||p2||p3| (Euclidean norms): an absolute ZERO_EPS band
+    missed collinear triples of larger vertices, each det missing others.
+    The comparisons below map with max_rapidity 1, with hyperbola
+    parameters up to 3; test_collinear_at_rapidity maps up to 8.
     """
 
     @staticmethod
     def _check(rows):
+        """(decided collinear, |det| / band) for a vertex triple."""
         points = tuple(map(DeSitterPoint, rows))
         assert_same(_outcome(lambda: _edges(classify_triangle(*points))),
                     _outcome(_ref_classify, points))
-        det = abs(float(np.linalg.det(np.array([p.v for p in points]))))
-        return det < ZERO_EPS, det
+        det, band = _ref_det_band(points)
+        return abs(det) < band, abs(det) / band
 
     def test_pool(self):
         with gzip.open(POOL, "rt", encoding="utf-8") as fh:
@@ -447,6 +455,19 @@ class TestCollinearDecision:
         assert all(collinear for collinear, _ in decided)
         assert sum(det == 0.0 for _, det in decided) > 400
 
+    @pytest.mark.parametrize("rapidity", [1.0, 3.0, 6.0, 8.0])
+    def test_collinear_at_rapidity(self, rapidity):
+        # Of these 2000 triples, the absolute band |det| < ZERO_EPS let through
+        # 0, 10, 230 and 353; 54 at rapidity 8 have a point off the quadric.
+        decided = []
+        for rows in _geodesic_triples(np.random.default_rng(0), 1000, rapidity):
+            try:
+                decided.append(self._check(rows))
+            except NotUnitError:  # the absolute unit band at large rapidity: ROADMAP item 4
+                continue
+        assert len(decided) >= 1900
+        assert all(collinear for collinear, _ in decided)
+
     def test_pushed_off_collinear(self):
         decided = []
         for delta in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
@@ -455,4 +476,4 @@ class TestCollinearDecision:
                         for rows in _geodesic_triples(rng, 100)]
         # Both decisions occur, and some kept triples lie within 10x of the band.
         assert {collinear for collinear, _ in decided} == {True, False}
-        assert min(det for collinear, det in decided if not collinear) < 10.0 * ZERO_EPS
+        assert min(ratio for collinear, ratio in decided if not collinear) < 10.0

@@ -4,8 +4,8 @@
 
 Imports `dstrig` from `<checkout>/src` (default: the checkout holding this
 script) and reads the 512 documents of `perfbench/data/pool.jsonl.gz` from
-the checkout holding this script.  Every call is in-process and timed with
-`time.perf_counter`:
+the checkout holding this script.  Every call but the `import` rows' is
+in-process, and all are timed with `time.perf_counter`:
 
 - `DeSitterPoint` on each vertex row as the CLI passes it (a list of
   floats), per point, and `classify_triangle`, `build_triangle`,
@@ -20,11 +20,19 @@ the checkout holding this script.  Every call is in-process and timed with
   median and nearest-rank p90 of the accepted attempt's index (1 for the
   first attempt), found by replaying the documented seed stream one
   attempt at a time with `rng.uniform` and the public `classify_triangle`;
-  the replay must give the sampler's own vertices, or the script exits 1.
+  the replay must give the sampler's own vertices, or the script exits 1;
+- two `import` rows, from fresh interpreters with `<checkout>/src` on
+  `PYTHONPATH`: `import dstrig.cli` alone, and `import dstrig.cli` plus one
+  `dstrig.cli.main` classify call on the pool's first document (what
+  perfbench's set-up probe does on `stream`), each from spawn to exit.
+  The two alternate for 16 starts each; the first of each, which may
+  compile bytecode caches, is dropped.  Each row also records whether
+  numpy was in `sys.modules` when its process finished.
 
 Per row it prints and writes the median and nearest-rank p90 of those best
-times in microseconds, over the documents, chunks or seeds.  The JSON also
-holds the Python and NumPy versions.  Run it on two checkouts in turn, on
+times in microseconds, over the documents, chunks or seeds (for the
+`import` rows: of the wall times of the starts).  The JSON also holds the
+Python and NumPy versions.  Run it on two checkouts in turn, on
 an otherwise idle machine, to compare them.
 """
 
@@ -36,8 +44,10 @@ import gzip
 import io
 import json
 import math
+import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -47,6 +57,16 @@ REPEATS = 20
 CHUNK = 8
 SEEDS = range(32)
 SAMPLER_REPEATS = 5
+STARTS = 16
+# Fresh-interpreter rows: each program prints, last, whether numpy was loaded.
+PROCESSES = {
+    "import dstrig.cli": "import sys, dstrig.cli\nprint('numpy' in sys.modules)",
+    "import + classify 1 document": (
+        "import sys, dstrig.cli\n"
+        "if dstrig.cli.main(['classify', '--input', '-']) != 0:\n"
+        "    sys.exit('dstrig classify failed on the first pool document')\n"
+        "print('numpy' in sys.modules)"),
+}
 
 
 def best_us(fn, *args, repeats: int = REPEATS) -> float:
@@ -73,6 +93,16 @@ def cli_call(main, command: str, text: str) -> None:
                 raise RuntimeError(f"dstrig {command} failed on a pool chunk")
     finally:
         sys.stdin = saved
+
+
+def process_us(src: Path, code: str, text: str) -> tuple[float, bool]:
+    """Wall time of one fresh interpreter running code, and its numpy flag."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code], input=text, capture_output=True,
+                          text=True, env=env, check=True)
+    seconds = time.perf_counter() - t0
+    return seconds * 1e6, proc.stdout.splitlines()[-1] == "True"
 
 
 def accepted_index(seed: int, name, u_max: float):
@@ -122,6 +152,14 @@ def main() -> int:
     with gzip.open(POOL, "rt", encoding="utf-8") as fh:
         records = [json.loads(line) for line in list(fh)[1:]]  # line 1: metadata
 
+    first_doc = json.dumps(records[0]["doc"]) + "\n"
+    starts = {name: [] for name in PROCESSES}
+    numpy_loaded = {}
+    for _ in range(STARTS):
+        for name, code in PROCESSES.items():
+            us, numpy_loaded[name] = process_us(src, code, first_doc)
+            starts[name].append(us)
+
     times = {name: [] for name in ("DeSitterPoint", "classify_triangle", "build_triangle",
                                    "interior_angles", "girard_area", "integrate_area(n=64)")}
     for rec in records:
@@ -160,6 +198,7 @@ def main() -> int:
                          f"differs from random_triangle")
             attempts[row].append(i)
 
+    times.update((name, values[1:]) for name, values in starts.items())
     layers = {}
     for name, values in times.items():
         layer = layers[name] = {"median_us": statistics.median(values),
@@ -170,10 +209,14 @@ def main() -> int:
             layer["attempt_median"] = statistics.median(attempts[name])
             layer["attempt_p90"] = nearest_rank(attempts[name], 0.9)
             line += f"  attempt median {layer['attempt_median']:6.1f}  p90 {layer['attempt_p90']}"
+        if name in numpy_loaded:
+            layer["numpy_loaded"] = numpy_loaded[name]
+            line += f"  numpy loaded: {numpy_loaded[name]}"
         print(line)
     args.out.write_text(json.dumps({
         "repeats": REPEATS, "documents": len(records), "chunk": CHUNK,
         "sampler_seeds": [SEEDS.start, SEEDS.stop - 1], "sampler_repeats": SAMPLER_REPEATS,
+        "starts": STARTS - 1,
         "python": platform.python_version(), "numpy": np.__version__,
         "layers": layers}, indent=1) + "\n")
     return 0
