@@ -45,7 +45,6 @@ from .triangles import (
     ProperName,
     _AREA_TYPES,
     _NAME_TABLE,
-    _assemble,
     _check_not_collinear,
     _disk_name,
     _worse,
@@ -380,7 +379,7 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
             kind = classify_triangle(*pts)
         except GeometryError:
             continue
-        return _assemble(pts, kind)
+        return DeSitterTriangle(pts, kind.edges)
     what = "buildable" if cfg.target is None else cfg.target.value
     raise ExhaustedAttemptsError(f"no {what} triangle in {cfg.max_attempts} attempts")
 

@@ -3,7 +3,8 @@
 A triangle is named by how many of its edges are space-like, time-like
 and light-like.  Triangles with a light-like or impossible edge are
 classified, but no DeSitterTriangle holds one: tangents and normals
-exist only for the four null-free types.
+exist only for the four null-free types.  A DeSitterTriangle is its
+vertices and edges, and derives its tangents and normals on first read.
 
 Vertex and edge indexing: edge j is the edge opposite vertex j, joining
 the other two vertices.  tangents[j, k] is the unit tangent at vertex j
@@ -29,6 +30,7 @@ for vertices UNIT_EPS off the quadric (see test_sign_matches_perimeter_rule).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -105,14 +107,40 @@ class TriangleClass:
 
 @dataclass(frozen=True, eq=False)
 class DeSitterTriangle:
-    """One of the four null-free types: making one with another edge kind raises."""
+    """One of the four null-free types: making one with another edge kind raises.
+
+    tangents and normals are read-only arrays, derived from points on first read.
+    """
     points: tuple[DeSitterPoint, DeSitterPoint, DeSitterPoint]
     edges: tuple[GeodesicSegment, GeodesicSegment, GeodesicSegment]
-    tangents: np.ndarray  # (3, 3, 3); [j, k] = unit tangent at j toward k
-    normals: np.ndarray   # (3, 3);   [j] = unit outer normal of edge j
 
     def __post_init__(self):
-        _refuse_untraceable(self.edges)
+        # The one refusal of a null or impossible edge: neither has unit tangents.
+        for j, seg in enumerate(self.edges):
+            if seg.kind is SegmentKind.IMPOSSIBLE:
+                raise ImpossibleEdgeError(f"edge opposite vertex {j + 1} admits no geodesic")
+            if seg.kind is SegmentKind.NULL_LINE:
+                raise NullEdgeError(f"edge opposite vertex {j + 1} is a null line")
+
+    @functools.cached_property
+    def tangents(self) -> np.ndarray:
+        import numpy as np
+
+        p0, p1, p2 = self.points
+        zero = (0.0, 0.0, 0.0)
+        tangents = np.array([[zero, tangent_toward(p0, p1), tangent_toward(p0, p2)],
+                             [tangent_toward(p1, p0), zero, tangent_toward(p1, p2)],
+                             [tangent_toward(p2, p0), tangent_toward(p2, p1), zero]])
+        tangents.setflags(write=False)
+        return tangents
+
+    @functools.cached_property
+    def normals(self) -> np.ndarray:
+        import numpy as np
+
+        normals = np.array(_normals(self.points))
+        normals.setflags(write=False)
+        return normals
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +172,7 @@ def _check_not_collinear(points) -> None:
 
 
 def build_triangle(p1: DeSitterPoint, p2: DeSitterPoint, p3: DeSitterPoint) -> DeSitterTriangle:
-    """Assemble a triangle with tangents and outer normals.
+    """The triangle on three vertices; its tangents and normals come on first read.
 
     Every normals[j] points away from vertex j (see the module docstring).
 
@@ -152,34 +180,7 @@ def build_triangle(p1: DeSitterPoint, p2: DeSitterPoint, p3: DeSitterPoint) -> D
     and collinear vertex triples are rejected.
     """
     points = (p1, p2, p3)
-    return _assemble(points, classify_triangle(*points))
-
-
-def _refuse_untraceable(edges) -> None:
-    # The one refusal of a null or impossible edge: neither has unit tangents.
-    for j, seg in enumerate(edges):
-        if seg.kind is SegmentKind.IMPOSSIBLE:
-            raise ImpossibleEdgeError(f"edge opposite vertex {j + 1} admits no geodesic")
-        if seg.kind is SegmentKind.NULL_LINE:
-            raise NullEdgeError(f"edge opposite vertex {j + 1} is a null line")
-
-
-def _assemble(points, cls: TriangleClass) -> DeSitterTriangle:
-    # Tangents and normals for a vertex triple that classify_triangle
-    # has already checked for coincident, antipodal and collinear vertices.
-    import numpy as np
-
-    # Refused before the tangents: tangent_toward has none for these edges.
-    _refuse_untraceable(cls.edges)
-    p0, p1, p2 = points
-    zero = (0.0, 0.0, 0.0)
-    tangents = np.array([[zero, tangent_toward(p0, p1), tangent_toward(p0, p2)],
-                         [tangent_toward(p1, p0), zero, tangent_toward(p1, p2)],
-                         [tangent_toward(p2, p0), tangent_toward(p2, p1), zero]])
-    normals = np.array(_normals(points))
-    tangents.setflags(write=False)
-    normals.setflags(write=False)
-    return DeSitterTriangle(points, cls.edges, tangents, normals)
+    return DeSitterTriangle(points, classify_triangle(*points).edges)
 
 
 def _normals(points) -> list[list[float]]:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 
 import dstrig.oracle
 from dstrig.geodesics import DeSitterPoint
+from dstrig.triangles import DeSitterTriangle
 
 # One line per acceptance criterion, printed at the end of the run.
 ACCEPTANCE_LINES = []
@@ -16,6 +16,31 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+def with_arrays(tri: DeSitterTriangle, **arrays) -> DeSitterTriangle:
+    """tri's vertices and edges, with the given tangents or normals in place of its own.
+
+    cached_property looks in the instance dict first, so an array written
+    there is what every reader of that attribute gets.
+    """
+    assert set(arrays) <= {"tangents", "normals"}, sorted(arrays)
+    made = DeSitterTriangle(tri.points, tri.edges)
+    vars(made).update(arrays)
+    return made
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Replace module.<name> by a wrapper; returns the list of its calls' arguments."""
+    calls = []
+    wrapped = getattr(module, name)
+
+    def count(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(module, name, count)
+    return calls
 
 
 def chart_point(u: float, psi: float) -> DeSitterPoint:
@@ -34,7 +59,7 @@ def corrupt_normals(monkeypatch):
 
     def corrupted(cfg):
         tri = generate(cfg)
-        return dataclasses.replace(tri, normals=tri.normals + 1e-3)
+        return with_arrays(tri, normals=tri.normals + 1e-3)
 
     monkeypatch.setattr(dstrig.oracle, "random_triangle", corrupted)
 
@@ -45,7 +70,7 @@ def nan_normals(monkeypatch):
     generate = dstrig.oracle.random_triangle
 
     def corrupted(cfg):
-        return dataclasses.replace(generate(cfg), normals=np.full((3, 3), np.nan))
+        return with_arrays(generate(cfg), normals=np.full((3, 3), np.nan))
 
     monkeypatch.setattr(dstrig.oracle, "random_triangle", corrupted)
 
@@ -63,7 +88,7 @@ def corrupt_tangent(monkeypatch):
         tri = generate(cfg)
         tangents = tri.tangents.copy()
         tangents[0, 1] = -tangents[0, 1]
-        return dataclasses.replace(tri, tangents=tangents)
+        return with_arrays(tri, tangents=tangents)
 
     monkeypatch.setattr(dstrig.oracle, "random_triangle", corrupted)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 import dstrig.areas
 import dstrig.triangles
-from conftest import FROZEN_AREAS, chart_point
+from conftest import FROZEN_AREAS, chart_point, with_arrays
 from dstrig.areas import (
     AngleSet,
     GirardFormula,
@@ -164,7 +163,7 @@ class TestGirardArea:
         tangents = tri.tangents.copy()
         tangents[0, 1] = -tangents[0, 1]
         with pytest.raises(GeometryError, match="angle sum .* inconsistent with signed area"):
-            girard_area(dataclasses.replace(tri, tangents=tangents))
+            girard_area(with_arrays(tri, tangents=tangents))
 
     def test_small_triangle_small_area(self):
         tri = build_triangle(chart_point(0, 0), chart_point(0, 0.01),
@@ -237,7 +236,7 @@ class TestSinglePass:
     @pytest.mark.parametrize("name", FIXTURES)
     def test_girard_area_reads_tangents_once(self, request, monkeypatch, name):
         tri = build_triangle(*request.getfixturevalue(f"{name}_points"))
-        counted = dataclasses.replace(tri, tangents=tri.tangents.view(_ListCounted))
+        counted = with_arrays(tri, tangents=tri.tangents.view(_ListCounted))
         monkeypatch.setattr(_ListCounted, "calls", 0)
         res = girard_area(counted)
         assert _ListCounted.calls == 1

@@ -13,12 +13,12 @@ import pytest
 import dstrig.cli
 import dstrig.oracle
 import dstrig.triangles
+from conftest import count_calls, with_arrays
 from dstrig import errors
 from dstrig.cli import build_parser, main
 from dstrig.geodesics import DeSitterPoint
 from dstrig.oracle import GeneratorConfig, random_triangle
 from dstrig.triangles import (
-    DeSitterTriangle,
     ProperName,
     build_triangle,
     distinguished_vertex,
@@ -215,7 +215,7 @@ class TestClassifyCommand:
 
 
 class TestClassifyPolar:
-    """classify reports build_triangle's polar triangle and computes no tangent."""
+    """classify reports build_triangle's polar triangle; neither computes a tangent."""
 
     def test_matches_build_on_pool(self, monkeypatch):
         with gzip.open(POOL, "rt", encoding="utf-8") as fh:
@@ -235,7 +235,7 @@ class TestClassifyPolar:
             got = dstrig.cli._classify_report(points)["polar_triangle"]
             assert len(calls) == 0
             ref = polar_triangle(build_triangle(*points))
-            assert len(calls) == 6
+            assert len(calls) == 0
             assert [[x.hex() for x in v] for v in got["vertices"]] \
                 == [[x.hex() for x in v.tolist()] for v in ref.vertices]
             assert got["kinds"] == [k.value for k in ref.kinds]
@@ -243,21 +243,54 @@ class TestClassifyPolar:
     def test_tangent_band_does_not_refuse(self, capsys, monkeypatch):
         # Vertices 1 and 2 are 0.95e-9 off the quadric and <p1,p2> = 1 + 1.2e-9:
         # a hyperbola arc, whose tangent direction q - <p,q> p has |<w,w>| below
-        # NULL_EPS, so build_triangle raises NullTangentError.  classify computes
-        # no tangent and names the triangle.
+        # NULL_EPS, so tangent_toward raises NullTangentError.  build_triangle,
+        # classify and plot compute no tangent; area reads them and still refuses.
         ep, c = 0.95e-9, 1.0 + 1.2e-9
         b = c / math.sqrt(1.0 + ep)
         rows = [[0.0, math.sqrt(1.0 + ep), 0.0], [math.sqrt(b * b - (1.0 + ep)), b, 0.0],
                 [0.0, 0.0, 1.0]]
-        with pytest.raises(errors.NullTangentError):
-            build_triangle(*map(DeSitterPoint, rows))
-        code, out, _ = run_cli(capsys, monkeypatch, "classify", "--input", "-",
-                               stdin=json.dumps({"schema": 1, "vertices": rows}))
+        build_triangle(*map(DeSitterPoint, rows))
+        doc = json.dumps({"schema": 1, "vertices": rows})
+        code, out, _ = run_cli(capsys, monkeypatch, "classify", "--input", "-", stdin=doc)
         assert code == 0
         rep = json.loads(out)
         assert rep["proper_name"] == "chorosceles"
         assert rep["polar_triangle"]["vertices"] \
             == dstrig.triangles._normals(tuple(map(DeSitterPoint, rows)))
+        code, out, _ = run_cli(capsys, monkeypatch, "plot", "--input", "-", "--out", "-",
+                               stdin=doc)
+        assert code == 0
+        assert out.startswith("<svg")
+        code, out, err = run_cli(capsys, monkeypatch, "area", "--input", "-", stdin=doc)
+        assert (code, out, err) == (1, "", "error: null direction: <p,q> = 1.0000000012\n")
+
+
+class TestCommandArrays:
+    """Only the commands that read a triangle's tangents or normals compute them."""
+
+    @pytest.fixture(scope="class")
+    def pool_text(self):
+        with gzip.open(POOL, "rt", encoding="utf-8") as fh:
+            docs = [json.loads(line)["doc"] for line in list(fh)[1:]]  # line 1: metadata
+        assert len(docs) == 512
+        return "".join(json.dumps(doc) + "\n" for doc in docs)
+
+    def test_random_and_classify_compute_no_tangent(self, capsys, monkeypatch, pool_text):
+        tangent_calls = count_calls(monkeypatch, dstrig.triangles, "tangent_toward")
+        for name in ("spatiolateral", "tempolateral", "chorosceles", "chronosceles"):
+            code, out, _ = run_cli(capsys, monkeypatch, "random", "--type", name,
+                                   "--seed", "0", "--count", "4")
+            assert code == 0 and len(out.splitlines()) == 4
+        code, out, _ = run_cli(capsys, monkeypatch, "classify", "--input", "-", stdin=pool_text)
+        assert code == 0 and len(out.splitlines()) == 512
+        assert tangent_calls == []
+
+    def test_area_computes_tangents_and_no_normals(self, capsys, monkeypatch, pool_text):
+        tangent_calls = count_calls(monkeypatch, dstrig.triangles, "tangent_toward")
+        normal_calls = count_calls(monkeypatch, dstrig.triangles, "_normals")
+        code, out, _ = run_cli(capsys, monkeypatch, "area", "--input", "-", stdin=pool_text)
+        assert code == 0 and len(out.splitlines()) == 512
+        assert (len(tangent_calls), len(normal_calls)) == (6 * 512, 0)
 
 
 class TestAreaCommand:
@@ -433,7 +466,7 @@ class TestVerifyCommand:
             tri = generate(cfg)
             if cfg.seed != nan_seed:
                 return tri
-            return DeSitterTriangle(tri.points, tri.edges, tri.tangents, np.full((3, 3), np.nan))
+            return with_arrays(tri, normals=np.full((3, 3), np.nan))
 
         monkeypatch.setattr(dstrig.oracle, "random_triangle", nan_at_trial_1)
         code, out, _ = run_cli(capsys, monkeypatch, "verify", "--type", "chorosceles",
@@ -462,7 +495,7 @@ class TestVerifyCommand:
             trial = random_triangle(GeneratorConfig(f["seed"], ProperName.CHOROSCELES))
             assert vertices == [[float(x) for x in p.v] for p in trial.points]
             tri = build_triangle(*(DeSitterPoint(np.array(v)) for v in vertices))
-            tri = DeSitterTriangle(tri.points, tri.edges, tri.tangents, tri.normals + 1e-3)
+            tri = with_arrays(tri, normals=tri.normals + 1e-3)
             assert f["detail"] == f"residual {tangent_normal_residual(tri):.3g}"
 
     def test_closed_form_failure_exit_1(self, capsys, monkeypatch, corrupt_tangent):

@@ -1,7 +1,10 @@
 import dataclasses
+import gzip
 import itertools
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 import dstrig.geodesics
 import dstrig.triangles
-from conftest import chart_point
+from conftest import chart_point, count_calls, with_arrays
 from dstrig.areas import complex_area, girard_area, girard_area_from_products, interior_angles
 from dstrig.errors import (
     DegenerateTriangleError,
@@ -43,6 +46,7 @@ from dstrig.triangles import (
 )
 
 seeds = st.integers(0, 10_000)
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "pool.jsonl.gz"
 
 
 def _p(x0, x1, x2):
@@ -153,7 +157,7 @@ class TestVertexPairs:
         with pytest.raises(DegenerateTriangleError, match=f"^{message}$"):
             fn(*(_p(*row) for row in rows))
 
-    @pytest.mark.parametrize("fn, tangent_calls", [(classify_triangle, 0), (build_triangle, 6)])
+    @pytest.mark.parametrize("fn, tangent_calls", [(classify_triangle, 0), (build_triangle, 0)])
     @pytest.mark.parametrize("name", ["spatiolateral", "tempolateral",
                                       "chorosceles", "chronosceles"])
     def test_one_coincidence_test_per_pair(self, request, monkeypatch, name, fn, tangent_calls):
@@ -176,6 +180,76 @@ class TestVertexPairs:
         assert calls.count("tangent") == tangent_calls
 
 
+def _assembled(points):
+    """(tangents, normals) as the eager build computed them for every triangle made."""
+    tangent_toward = dstrig.geodesics.tangent_toward
+    p0, p1, p2 = points
+    zero = (0.0, 0.0, 0.0)
+    tangents = np.array([[zero, tangent_toward(p0, p1), tangent_toward(p0, p2)],
+                         [tangent_toward(p1, p0), zero, tangent_toward(p1, p2)],
+                         [tangent_toward(p2, p0), tangent_toward(p2, p1), zero]])
+    return tangents, np.array(dstrig.triangles._normals(points))
+
+
+def _assert_assembled_bits(tri):
+    for got, want in zip((tri.tangents, tri.normals), _assembled(tri.points)):
+        assert got.flags.writeable is False
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+class TestDerivedArrays:
+    """A triangle is its vertices and edges; tangents and normals come on first read."""
+
+    def test_init_fields(self):
+        assert [f.name for f in dataclasses.fields(DeSitterTriangle)] == ["points", "edges"]
+
+    def test_pool_bits(self):
+        with gzip.open(POOL, "rt", encoding="utf-8") as fh:
+            docs = [json.loads(line)["doc"] for line in list(fh)[1:]]  # line 1: metadata
+        assert len(docs) == 512
+        for doc in docs:
+            _assert_assembled_bits(build_triangle(*map(DeSitterPoint, doc["vertices"])))
+
+    @pytest.mark.parametrize("u_max", [2.0, 6.0, 8.0])
+    def test_random_bits(self, u_max):
+        built = 0
+        for seed in range(200):
+            try:
+                tri = random_buildable_triangle(seed, u_max=u_max)
+            except NotUnitError:
+                continue  # a chart draw off the quadric
+            built += 1
+            _assert_assembled_bits(tri)
+        assert built >= 190
+
+    @pytest.mark.parametrize("name", ["spatiolateral", "tempolateral",
+                                      "chorosceles", "chronosceles"])
+    def test_computed_once_on_read(self, request, monkeypatch, name):
+        tangent_calls = count_calls(monkeypatch, dstrig.triangles, "tangent_toward")
+        normal_calls = count_calls(monkeypatch, dstrig.triangles, "_normals")
+        tri = build_triangle(*request.getfixturevalue(f"{name}_points"))
+        assert (len(tangent_calls), len(normal_calls)) == (0, 0)
+        tangents = tri.tangents
+        index = {id(p): j for j, p in enumerate(tri.points)}
+        assert [(index[id(p)], index[id(q)]) for p, q in tangent_calls] \
+            == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+        assert tri.tangents is tangents
+        normals = tri.normals
+        assert tri.normals is normals
+        assert (len(tangent_calls), len(normal_calls)) == (6, 1)
+
+    def test_replace_derives_from_new_points(self, spatiolateral_points):
+        # The arrays of the old points are read first, so a kept copy would show.
+        tri = build_triangle(*spatiolateral_points)
+        old = tri.tangents.tobytes(), tri.normals.tobytes()
+        p0, p1, p2 = spatiolateral_points
+        moved = dataclasses.replace(tri, points=(p1, p2, p0))
+        ref = build_triangle(p1, p2, p0)
+        assert (moved.tangents.tobytes(), moved.normals.tobytes()) \
+            == (ref.tangents.tobytes(), ref.normals.tobytes())
+        assert moved.tangents.tobytes() != old[0] and moved.normals.tobytes() != old[1]
+
+
 class TestIdentity:
     def test_fixture_residuals(self, spatiolateral_points, tempolateral_points,
                                chorosceles_points, chronosceles_points):
@@ -189,7 +263,7 @@ class TestIdentity:
     def test_nan_residual_is_nan(self, chorosceles_points, field, shape):
         # max() would drop the nan and report 0.0.
         tri = build_triangle(*chorosceles_points)
-        blind = dataclasses.replace(tri, **{field: np.full(shape, np.nan)})
+        blind = with_arrays(tri, **{field: np.full(shape, np.nan)})
         assert math.isnan(tangent_normal_residual(blind))
 
     @given(seed=seeds)
@@ -210,7 +284,7 @@ class TestIdentity:
         normals = tri.normals.copy()
         normals[0] = tri.tangents[1, 2]
         assert normal_duality_holds(tri)
-        assert not normal_duality_holds(dataclasses.replace(tri, normals=normals))
+        assert not normal_duality_holds(with_arrays(tri, normals=normals))
 
 
 class TestClassify:
@@ -489,7 +563,7 @@ class TestDistinguishedVertex:
             tangents[j, m] = -tangents[j, m]
             why = re.escape(f"expected one distinguished vertex, found {hits!r}")
             with pytest.raises(GeometryError, match=f"^{why}$"):
-                distinguished_vertex(dataclasses.replace(tri, tangents=tangents))
+                distinguished_vertex(with_arrays(tri, tangents=tangents))
 
 
 class TestHandBuiltTriangles:
@@ -524,7 +598,7 @@ class TestHandBuiltTriangles:
         edges = (dataclasses.replace(tri.edges[0], kind=kind),) + tri.edges[1:]
         with pytest.raises(error, match=f"^edge opposite vertex 1 {why}$"):
             if make == "init":
-                DeSitterTriangle(tri.points, edges, tri.tangents, tri.normals)
+                DeSitterTriangle(tri.points, edges)
             else:
                 dataclasses.replace(tri, edges=edges)
 

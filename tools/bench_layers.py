@@ -11,6 +11,9 @@ in-process, and all are timed with `time.perf_counter`:
   floats), per point, and `classify_triangle`, `build_triangle`,
   `interior_angles`, `girard_area` and `integrate_area(tri, n=64)` on the
   document's points or triangle: each document's best of 20 calls;
+- `tangents (first read)` and `normals (first read)`: reading the attribute
+  once on a triangle that `build_triangle` has just made (the build is not
+  timed), each document's best of 20 such triangles;
 - `cli classify` and `cli area`: `dstrig.cli.main` on 8-document JSONL
   calls, one document per pool stratum (the `stream` workload's chunks),
   per document: each chunk's best of 20 calls divided by 8;
@@ -75,6 +78,17 @@ def best_us(fn, *args, repeats: int = REPEATS) -> float:
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn(*args)
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e6
+
+
+def first_read_us(build, points, name: str) -> float:
+    """Best of REPEATS first reads of attribute name of build(*points), in microseconds."""
+    best = math.inf
+    for _ in range(REPEATS):
+        tri = build(*points)
+        t0 = time.perf_counter()
+        getattr(tri, name)
         best = min(best, time.perf_counter() - t0)
     return best * 1e6
 
@@ -161,6 +175,7 @@ def main() -> int:
             starts[name].append(us)
 
     times = {name: [] for name in ("DeSitterPoint", "classify_triangle", "build_triangle",
+                                   "tangents (first read)", "normals (first read)",
                                    "interior_angles", "girard_area", "integrate_area(n=64)")}
     for rec in records:
         rows = [[float(x) for x in row] for row in rec["doc"]["vertices"]]
@@ -169,6 +184,8 @@ def main() -> int:
         tri = build_triangle(*points)
         times["classify_triangle"].append(best_us(classify_triangle, *points))
         times["build_triangle"].append(best_us(build_triangle, *points))
+        for name in ("tangents", "normals"):
+            times[f"{name} (first read)"].append(first_read_us(build_triangle, points, name))
         times["interior_angles"].append(best_us(interior_angles, tri))
         times["girard_area"].append(best_us(girard_area, tri))
         times["integrate_area(n=64)"].append(best_us(integrate_area, tri, 64))
