@@ -75,11 +75,11 @@ class AreaResult:
 
 def interior_angles(tri: DeSitterTriangle) -> AngleSet:
     """Real and complex angle at each vertex between the two edge tangents."""
-    return _angles(tri.tangents.tolist())
+    return _angles(tri._tangent_rows)
 
 
 def _angles(tangents: list) -> AngleSet:
-    # interior_angles from tangents.tolist().
+    # interior_angles from a triangle's _tangent_rows.
     thetas = []
     phis = []
     for j in range(3):
@@ -103,7 +103,7 @@ def complex_area(tri: DeSitterTriangle) -> complex:
 def girard_area(tri: DeSitterTriangle) -> AreaResult:
     """Signed angle-sum area for the four supported triangle types."""
     name = _disk_name(tri)
-    tangents = tri.tangents.tolist()
+    tangents = tri._tangent_rows
     d = _distinguished(name, tri.edges, _vertex_products(tangents))
     k, l = _others(d)
     angles = _angles(tangents)
@@ -125,7 +125,7 @@ def _acosh_at_least_one(x: float) -> float:
 def _apex_products(tri: DeSitterTriangle) -> tuple[float, float, float]:
     # Tangent products at the distinguished vertex d, then at k and l.
     name = _disk_name(tri)
-    g = _vertex_products(tri.tangents.tolist())
+    g = _vertex_products(tri._tangent_rows)
     d = _distinguished(name, tri.edges, g)
     k, l = _others(d)
     return g[d], g[k], g[l]

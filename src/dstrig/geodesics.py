@@ -105,7 +105,11 @@ def tangent_toward(p: DeSitterPoint, q: DeSitterPoint) -> np.ndarray:
     """
     import numpy as np
 
-    c = mink_inner(p._x, q._x)
+    return np.array(_tangent(p, q, mink_inner(p._x, q._x)))
+
+
+def _tangent(p: DeSitterPoint, q: DeSitterPoint, c: float) -> list[float]:
+    # tangent_toward(p, q) as Python floats, given c = <p,q>.
     w = [b - c * a for a, b in zip(p._x, q._x)]
     ww = mink_inner(w, w)
     if abs(ww) <= NULL_EPS:
@@ -114,7 +118,7 @@ def tangent_toward(p: DeSitterPoint, q: DeSitterPoint) -> np.ndarray:
             raise CoincidentPointsError(f"{how} points admit no tangent direction")
         raise NullTangentError(f"null direction: <p,q> = {c!r}")
     r = math.sqrt(abs(ww))
-    return np.array([x / r for x in w])
+    return [x / r for x in w]
 
 
 def classify_span(p: DeSitterPoint, q: DeSitterPoint) -> CausalType:

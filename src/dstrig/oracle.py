@@ -296,54 +296,58 @@ def _prefilter_rule(target: ProperName | None):
 _TARGET_RULES = {t: _prefilter_rule(t) for t in (None, *_AREA_TYPES)}
 
 
-def _attempts(rng: np.random.Generator, u_max: float, max_attempts: int):
-    """Yield random_triangle's max_attempts attempts in seed-stream order,
-    each as three chart points (sinh u, cosh u cos psi, cosh u sin psi):
-    tuples of floats computed with math."""
+def _kept_attempts(rng: np.random.Generator, u_max: float, max_attempts: int, rule):
+    """Yield the attempts, of random_triangle's max_attempts in seed-stream
+    order, that pass its acceptance rule, each as three chart points
+    (sinh u, cosh u cos psi, cosh u sin psi): tuples of floats computed
+    with math.
+
+    rule is _TARGET_RULES[target].  An attempt is dropped where the edge
+    kinds name a type other than the target's, or (spatiolateral)
+    1 + <p2,p3> + <p3,p1> + <p1,p2> <= 0.  The inner products, bands and
+    sum are mink_inner's, classify_segment's and triangles._contractible's,
+    in their operation order, so each decision is classify_triangle's.  An
+    attempt with a point off the quadric (or with a nan <p,p>) is kept, so
+    DeSitterPoint raises on it; classify_triangle rejects coincident,
+    antipodal or collinear vertices.
+    """
+    codes, top, contractible = rule
     lo, span, turn = -u_max, u_max - -u_max, 2.0 * math.pi
     sinh, cosh, cos, sin = math.sinh, math.cosh, math.cos, math.sin
+    unit, null, impossible = UNIT_EPS, NULL_EPS, -1.0 + NULL_EPS
     done = 0
     while done < max_attempts:
         m = min(_BLOCK, max_attempts - done)
-        for r0, r1, r2, r3, r4, r5 in rng.random((m, 6)).tolist():
-            u0, u1, u2 = lo + span * r0, lo + span * r1, lo + span * r2
-            a0, a1, a2 = turn * r3, turn * r4, turn * r5
+        for w0, w1, w2, w3, w4, w5 in rng.random((m, 6)).tolist():
+            u0, u1, u2 = lo + span * w0, lo + span * w1, lo + span * w2
+            a0, a1, a2 = turn * w3, turn * w4, turn * w5
             c0, c1, c2 = cosh(u0), cosh(u1), cosh(u2)
-            yield ((sinh(u0), c0 * cos(a0), c0 * sin(a0)),
-                   (sinh(u1), c1 * cos(a1), c1 * sin(a1)),
-                   (sinh(u2), c2 * cos(a2), c2 * sin(a2)))
+            p0, p1, p2 = sinh(u0), c0 * cos(a0), c0 * sin(a0)
+            q0, q1, q2 = sinh(u1), c1 * cos(a1), c1 * sin(a1)
+            r0, r1, r2 = sinh(u2), c2 * cos(a2), c2 * sin(a2)
+            if (abs(-(p0 * p0) + p1 * p1 + p2 * p2 - 1.0) <= unit
+                    and abs(-(q0 * q0) + q1 * q1 + q2 * q2 - 1.0) <= unit
+                    and abs(-(r0 * r0) + r1 * r1 + r2 * r2 - 1.0) <= unit):
+                # Edge j joins vertices j+1 and j+2, coded 1 (space-like), 4
+                # (time-like), 16 (null) or 64 (impossible); codes only grow,
+                # so stop past the top one.
+                e0 = -(q0 * r0) + q1 * r1 + q2 * r2
+                code = (16 if abs(e0 - 1.0) <= null else 4 if e0 > 1.0
+                        else 1 if e0 > impossible else 64)
+                if code > top:
+                    continue
+                e1 = -(r0 * p0) + r1 * p1 + r2 * p2
+                code += (16 if abs(e1 - 1.0) <= null else 4 if e1 > 1.0
+                         else 1 if e1 > impossible else 64)
+                if code > top:
+                    continue
+                e2 = -(p0 * q0) + p1 * q1 + p2 * q2
+                code += (16 if abs(e2 - 1.0) <= null else 4 if e2 > 1.0
+                         else 1 if e2 > impossible else 64)
+                if code not in codes or (contractible and 1.0 + e0 + e1 + e2 <= 0.0):
+                    continue
+            yield (p0, p1, p2), (q0, q1, q2), (r0, r1, r2)
         done += m
-
-
-def _maybe_accepted(pts, rule) -> bool:
-    """random_triangle's acceptance rule for one attempt.
-
-    rule is _TARGET_RULES[target], looked up once per random_triangle call.
-
-    False where the edge kinds name a type other than the target's, or
-    (spatiolateral) 1 + <p2,p3> + <p3,p1> + <p1,p2> <= 0.  The inner
-    products, bands and sum are mink_inner's, classify_segment's and
-    triangles._contractible's, in their operation order, so each decision
-    is classify_triangle's.  A point off the quadric (or with a nan <p,p>)
-    keeps the attempt, so DeSitterPoint raises as before; classify_triangle
-    rejects coincident, antipodal or collinear vertices.
-    """
-    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = pts
-    if not (abs(-(p0 * p0) + p1 * p1 + p2 * p2 - 1.0) <= UNIT_EPS
-            and abs(-(q0 * q0) + q1 * q1 + q2 * q2 - 1.0) <= UNIT_EPS
-            and abs(-(r0 * r0) + r1 * r1 + r2 * r2 - 1.0) <= UNIT_EPS):
-        return True
-    codes, top, contractible = rule
-    code, total = 0, 1.0
-    # Edge j joins vertices j+1 and j+2.  Codes only grow: stop past the top one.
-    for c in (-(q0 * r0) + q1 * r1 + q2 * r2, -(r0 * p0) + r1 * p1 + r2 * p2,
-              -(p0 * q0) + p1 * q1 + p2 * q2):
-        code += (16 if abs(c - 1.0) <= NULL_EPS else 4 if c > 1.0
-                 else 1 if c > -1.0 + NULL_EPS else 64)
-        if code > top:
-            return False
-        total += c
-    return code in codes and (not contractible or not total <= 0.0)
 
 
 def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
@@ -361,19 +365,18 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
     u = -u_max + (u_max - -u_max) * r[:3] and psi = 2*pi * r[3:]; these
     are the values rng.uniform(-u_max, u_max, 3), rng.uniform(0, 2*pi, 3)
     give for each attempt in turn.  Attempts are taken one at a time on
-    Python floats: _maybe_accepted decides acceptance from the attempt's
-    inner products, and classify_triangle then only rejects a degenerate
-    triple (or DeSitterPoint raises on a point off the quadric).
+    Python floats by one loop, _kept_attempts, whose prefilter is the
+    acceptance rule: it drops an attempt at the first edge that rules the
+    target out, and yields the others.  classify_triangle then only
+    rejects a degenerate triple (or DeSitterPoint raises on a point off
+    the quadric).
     """
     import numpy as np
 
     if cfg.target is not None and cfg.target not in _AREA_TYPES:
         raise ValueError(f"unsupported generation target: {cfg.target!r}")
     rng = np.random.default_rng(cfg.seed)
-    rule = _TARGET_RULES[cfg.target]
-    for raw in _attempts(rng, cfg.u_max, cfg.max_attempts):
-        if not _maybe_accepted(raw, rule):
-            continue
+    for raw in _kept_attempts(rng, cfg.u_max, cfg.max_attempts, _TARGET_RULES[cfg.target]):
         pts = tuple(map(DeSitterPoint, raw))
         try:
             kind = classify_triangle(*pts)

@@ -13,8 +13,10 @@ Every normals[j] points away from vertex j (<normals[j], pj> <= 0); when
 <normals[0], p0> is within ZERO_EPS of zero, normals[0] is made
 future-pointing instead.  The identity <tangents[j,k], tangents[j,l]> =
 <normals[k], normals[l]> at every vertex j follows from that orientation.
-The area path reads only tangents; only polar_triangle and the two checks
-tangent_normal_residual and normal_duality_holds read a triangle's normals.
+The area path reads only tangents, as the Python-float rows _tangent_rows
+that the tangents array is made from, so it loads no numpy; only
+polar_triangle and the two checks tangent_normal_residual and
+normal_duality_holds read a triangle's normals.
 The CLI's classify reports the polar triangle from _normals, which computes
 them from the vertices alone, so it builds no tangents and no triangle.
 
@@ -46,7 +48,7 @@ from .errors import (
     NotSpatiolateralError,
     NullEdgeError,
 )
-from .geodesics import DeSitterPoint, GeodesicSegment, SegmentKind, _proportional, classify_segment, tangent_toward
+from .geodesics import DeSitterPoint, GeodesicSegment, SegmentKind, _proportional, _tangent, classify_segment
 from .minkowski import ZERO_EPS, CausalType, _cross, _normalized, causal_type, mink_inner
 
 if TYPE_CHECKING:
@@ -126,13 +128,21 @@ class DeSitterTriangle:
     def tangents(self) -> np.ndarray:
         import numpy as np
 
-        p0, p1, p2 = self.points
-        zero = (0.0, 0.0, 0.0)
-        tangents = np.array([[zero, tangent_toward(p0, p1), tangent_toward(p0, p2)],
-                             [tangent_toward(p1, p0), zero, tangent_toward(p1, p2)],
-                             [tangent_toward(p2, p0), tangent_toward(p2, p1), zero]])
+        tangents = np.array(self._tangent_rows)
         tangents.setflags(write=False)
         return tangents
+
+    @functools.cached_property
+    def _tangent_rows(self) -> list:
+        # tangents as Python floats, which the area path and the checks read.  Each
+        # pair's <p,q> is computed once: float products commute, so <q,p> is the same.
+        p0, p1, p2 = self.points
+        c01, c02, c12 = mink_inner(p0._x, p1._x), mink_inner(p0._x, p2._x), mink_inner(p1._x, p2._x)
+        zero = [0.0, 0.0, 0.0]
+        t01, t02 = _tangent(p0, p1, c01), _tangent(p0, p2, c02)
+        t10, t12 = _tangent(p1, p0, c01), _tangent(p1, p2, c12)
+        t20, t21 = _tangent(p2, p0, c02), _tangent(p2, p1, c12)
+        return [[zero, t01, t02], [t10, zero, t12], [t20, t21, zero]]
 
     @functools.cached_property
     def normals(self) -> np.ndarray:
@@ -201,7 +211,7 @@ def _counts(edges) -> tuple[int, int, int]:
 
 
 def _contractible(points) -> bool:
-    # S > 0 (module docstring); the sampler's oracle._maybe_accepted sums S alike, per attempt.
+    # S > 0 (module docstring); the sampler's oracle._kept_attempts sums S alike, per attempt.
     x0, x1, x2 = (p._x for p in points)
     return 1.0 + mink_inner(x1, x2) + mink_inner(x2, x0) + mink_inner(x0, x1) > 0.0
 
@@ -279,7 +289,7 @@ def distinguished_vertex(tri: DeSitterTriangle) -> int:
     a time cone.  Mixed types: the vertex opposite the odd edge out.
     Both same-kind rules read the sign of <t_jk, t_jl> = <n_k, n_l>.
     """
-    return _distinguished(_disk_name(tri), tri.edges, _vertex_products(tri.tangents.tolist()))
+    return _distinguished(_disk_name(tri), tri.edges, _vertex_products(tri._tangent_rows))
 
 
 def _distinguished(name: ProperName, edges, products: list[float]) -> int:
@@ -296,7 +306,7 @@ def _distinguished(name: ProperName, edges, products: list[float]) -> int:
 
 
 def _vertex_products(t: list) -> list[float]:
-    # <t_jk, t_jl> at vertex j = 0, 1, 2, with (k, l) = _others(j), from tangents.tolist().
+    # <t_jk, t_jl> at vertex j = 0, 1, 2, with (k, l) = _others(j), from _tangent_rows.
     return [mink_inner(t[j][k], t[j][l]) for j, (k, l) in enumerate(map(_others, range(3)))]
 
 
@@ -309,7 +319,7 @@ def tangent_normal_residual(tri: DeSitterTriangle) -> float:
     """Largest violation of <V_jk, V_jl> = <u_k, u_l> over the vertices; nan if any is nan."""
     normals = tri.normals.tolist()
     worst = 0.0
-    for j, lhs in enumerate(_vertex_products(tri.tangents.tolist())):
+    for j, lhs in enumerate(_vertex_products(tri._tangent_rows)):
         k, l = _others(j)
         worst = _worse(worst, abs(lhs - mink_inner(normals[k], normals[l])))
     return worst
@@ -317,7 +327,7 @@ def tangent_normal_residual(tri: DeSitterTriangle) -> float:
 
 def normal_duality_holds(tri: DeSitterTriangle) -> bool:
     """Tangents along an edge are time-like iff the edge's normal is space-like."""
-    tangents, normals = tri.tangents.tolist(), tri.normals.tolist()
+    tangents, normals = tri._tangent_rows, tri.normals.tolist()
     for m in range(3):
         j, k = _others(m)
         u_space = causal_type(normals[m]) is CausalType.SPACE_LIKE

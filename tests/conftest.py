@@ -22,11 +22,14 @@ def with_arrays(tri: DeSitterTriangle, **arrays) -> DeSitterTriangle:
     """tri's vertices and edges, with the given tangents or normals in place of its own.
 
     cached_property looks in the instance dict first, so an array written
-    there is what every reader of that attribute gets.
+    there is what every reader of that attribute gets.  Given tangents are
+    also written as _tangent_rows, the float rows the area path reads.
     """
     assert set(arrays) <= {"tangents", "normals"}, sorted(arrays)
     made = DeSitterTriangle(tri.points, tri.edges)
     vars(made).update(arrays)
+    if "tangents" in arrays:
+        vars(made)["_tangent_rows"] = arrays["tangents"].tolist()
     return made
 
 

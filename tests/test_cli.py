@@ -223,12 +223,12 @@ class TestClassifyPolar:
         assert len(docs) == 512
         calls = []
 
-        def counting(p, q):
+        def counting(*args):
             calls.append(1)
-            return tangent(p, q)
+            return tangent(*args)
 
-        tangent = dstrig.triangles.tangent_toward
-        monkeypatch.setattr(dstrig.triangles, "tangent_toward", counting)
+        tangent = dstrig.triangles._tangent
+        monkeypatch.setattr(dstrig.triangles, "_tangent", counting)
         for doc in docs:
             points = dstrig.cli._document_points(doc)
             calls.clear()
@@ -276,7 +276,7 @@ class TestCommandArrays:
         return "".join(json.dumps(doc) + "\n" for doc in docs)
 
     def test_random_and_classify_compute_no_tangent(self, capsys, monkeypatch, pool_text):
-        tangent_calls = count_calls(monkeypatch, dstrig.triangles, "tangent_toward")
+        tangent_calls = count_calls(monkeypatch, dstrig.triangles, "_tangent")
         for name in ("spatiolateral", "tempolateral", "chorosceles", "chronosceles"):
             code, out, _ = run_cli(capsys, monkeypatch, "random", "--type", name,
                                    "--seed", "0", "--count", "4")
@@ -286,7 +286,7 @@ class TestCommandArrays:
         assert tangent_calls == []
 
     def test_area_computes_tangents_and_no_normals(self, capsys, monkeypatch, pool_text):
-        tangent_calls = count_calls(monkeypatch, dstrig.triangles, "tangent_toward")
+        tangent_calls = count_calls(monkeypatch, dstrig.triangles, "_tangent")
         normal_calls = count_calls(monkeypatch, dstrig.triangles, "_normals")
         code, out, _ = run_cli(capsys, monkeypatch, "area", "--input", "-", stdin=pool_text)
         assert code == 0 and len(out.splitlines()) == 512
@@ -650,3 +650,21 @@ class TestModuleEntry:
             "metric": [True, True, False, [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]],
             "v": [True, "ndarray", False, [0.0, 0.6, 0.8]],
         }
+
+    def test_area_loads_no_numpy(self):
+        # The area path reads the tangents as Python floats: no array on any of
+        # the pool's 512 documents, all four types at u_max 2 and 6.
+        with gzip.open(POOL, "rt", encoding="utf-8") as fh:
+            text = "".join(json.dumps(json.loads(line)["doc"]) + "\n"
+                           for line in list(fh)[1:])  # line 1: metadata
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "\n".join([
+            "import sys, dstrig.cli",
+            "rc = dstrig.cli.main(['area', '--input', '-'])",
+            "print(rc, 'numpy' in sys.modules, file=sys.stderr)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], input=text, capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 512
+        assert proc.stderr == "0 False\n"

@@ -1,6 +1,9 @@
+import collections
 import dataclasses
+import hashlib
 import itertools
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -22,8 +25,7 @@ from dstrig.oracle import (
     _BLOCK,
     _TARGET_RULES,
     GeneratorConfig,
-    _attempts,
-    _maybe_accepted,
+    _kept_attempts,
     integrate_area,
     random_buildable_triangle,
     random_triangle,
@@ -81,6 +83,17 @@ def _accepts(kind, target):
     if kind is None or kind.proper_name is not target:
         return False
     return target is not ProperName.SPATIOLATERAL or kind.contractible is True
+
+
+# A sampler rule that keeps every attempt: every edge-code sum (at most
+# 3 * 64) is a target code, and none must be contractible.
+_KEEP_ALL = (frozenset(range(193)), 192, False)
+
+
+def _kept_mask(draws, rng, u_max, target):
+    """Which of draws, all attempts of rng's stream, the sampler keeps for target."""
+    kept = set(_kept_attempts(rng, u_max, len(draws), _TARGET_RULES[target]))
+    return np.array([raw in kept for raw in draws])
 
 
 def _per_attempt_draws(seed, u_max, max_attempts):
@@ -508,7 +521,7 @@ class TestBlockSampler:
             psis = rng.uniform(0.0, 2.0 * math.pi, 3).tolist()
             expected.append([(math.sinh(u), math.cosh(u) * math.cos(psi),
                               math.cosh(u) * math.sin(psi)) for u, psi in zip(us, psis)])
-        got = list(_attempts(np.random.default_rng(3), u_max, max_attempts))
+        got = list(_kept_attempts(np.random.default_rng(3), u_max, max_attempts, _KEEP_ALL))
         assert len(got) == max_attempts
         assert np.array(got).tobytes() == np.array(expected).tobytes()
 
@@ -556,13 +569,13 @@ class TestBlockSampler:
     def test_prefilter_skips_only_rejects(self, u_max):
         # 10000 draws, each classified once by the scalar body.  At u_max 8
         # and 12 some have a point off the quadric, where that body raises.
-        draws = list(_attempts(np.random.default_rng(7), u_max, 10000))
+        draws = list(_kept_attempts(np.random.default_rng(7), u_max, 10000, _KEEP_ALL))
         pts = [_quadric_points(raw) for raw in draws]
         off = np.array([p is None for p in pts])
         kinds = [None if p is None else _scalar_class(p) for p in pts]
         classified = np.array([kind is not None for kind in kinds])
         for target in (*TARGETS, None):
-            kept = np.array([_maybe_accepted(raw, _TARGET_RULES[target]) for raw in draws])
+            kept = _kept_mask(draws, np.random.default_rng(7), u_max, target)
             accepted = np.array([_accepts(kind, target) for kind in kinds])
             assert not np.any(accepted & ~kept), target
             # Exact, not just safe, wherever the scalar body decides.
@@ -574,6 +587,30 @@ class TestBlockSampler:
                 # Judged where no point is off the quadric: at u_max 12
                 # most attempts have one, and all of those are kept.
                 assert kept[~off].mean() < 0.5, target
+
+
+class TestOutcomeDigest:
+    """Every random_triangle outcome over a fixed grid, hashed: a change to the
+    seed stream, the acceptance rule or the budget moves the digest."""
+
+    def test_outcomes_unchanged(self):
+        digest, tally = hashlib.sha256(), collections.Counter()
+        for target in (*TARGETS, None):
+            for u_max in (0.5, 2.0, 6.0, 7.0, 8.0, 12.0):
+                for seed in range(60):
+                    try:
+                        tri = random_triangle(GeneratorConfig(seed, target, u_max, 3000))
+                    except GeometryError as exc:
+                        what = type(exc).__name__
+                        digest.update(what.encode() + b"\n")
+                    else:
+                        what = "ok"
+                        digest.update(struct.pack("<9d", *(x for p in tri.points for x in p._x)))
+                    tally[what] += 1
+        # NotUnitError: a kept draw has a point off the quadric (294 at u_max 12, 80 at 8).
+        assert tally == {"ok": 1426, "NotUnitError": 374}
+        assert digest.hexdigest() \
+            == "dc515c5ae995e085ee9a387cd131a52619de8c313fb1386f67d0d6c367b2ebef"
 
 
 class TestAnyTarget:
@@ -603,8 +640,8 @@ class TestAnyTarget:
             assert ExhaustedAttemptsError in outcomes
 
     def test_prefilter_skips_only_unbuildable(self):
-        draws = list(_attempts(np.random.default_rng(11), 6.0, 4000))
-        kept = np.array([_maybe_accepted(raw, _TARGET_RULES[None]) for raw in draws])
+        draws = list(_kept_attempts(np.random.default_rng(11), 6.0, 4000, _KEEP_ALL))
+        kept = _kept_mask(draws, np.random.default_rng(11), 6.0, None)
         built = np.array([_outcome(build_triangle, *map(DeSitterPoint, raw))[0] == "ok"
                           for raw in draws])
         assert built.any()

@@ -173,8 +173,8 @@ class TestVertexPairs:
         proportional = counting(dstrig.geodesics._proportional, "proportional")
         monkeypatch.setattr(dstrig.geodesics, "_proportional", proportional)
         monkeypatch.setattr(dstrig.triangles, "_proportional", proportional)
-        monkeypatch.setattr(dstrig.triangles, "tangent_toward",
-                            counting(dstrig.triangles.tangent_toward, "tangent"))
+        monkeypatch.setattr(dstrig.triangles, "_tangent",
+                            counting(dstrig.triangles._tangent, "tangent"))
         fn(*points)
         assert calls.count("proportional") == 3
         assert calls.count("tangent") == tangent_calls
@@ -225,13 +225,13 @@ class TestDerivedArrays:
     @pytest.mark.parametrize("name", ["spatiolateral", "tempolateral",
                                       "chorosceles", "chronosceles"])
     def test_computed_once_on_read(self, request, monkeypatch, name):
-        tangent_calls = count_calls(monkeypatch, dstrig.triangles, "tangent_toward")
+        tangent_calls = count_calls(monkeypatch, dstrig.triangles, "_tangent")
         normal_calls = count_calls(monkeypatch, dstrig.triangles, "_normals")
         tri = build_triangle(*request.getfixturevalue(f"{name}_points"))
         assert (len(tangent_calls), len(normal_calls)) == (0, 0)
         tangents = tri.tangents
         index = {id(p): j for j, p in enumerate(tri.points)}
-        assert [(index[id(p)], index[id(q)]) for p, q in tangent_calls] \
+        assert [(index[id(p)], index[id(q)]) for p, q, _ in tangent_calls] \
             == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
         assert tri.tangents is tangents
         normals = tri.normals

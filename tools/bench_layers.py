@@ -23,7 +23,9 @@ in-process, and all are timed with `time.perf_counter`:
   median and nearest-rank p90 of the accepted attempt's index (1 for the
   first attempt), found by replaying the documented seed stream one
   attempt at a time with `rng.uniform` and the public `classify_triangle`;
-  the replay must give the sampler's own vertices, or the script exits 1;
+  the replay must give the sampler's own vertices, or the script exits 1.
+  Their `us_per_attempt` is the median over the seeds of each seed's best
+  time divided by its accepted attempt's index;
 - two `import` rows, from fresh interpreters with `<checkout>/src` on
   `PYTHONPATH`: `import dstrig.cli` alone, and `import dstrig.cli` plus one
   `dstrig.cli.main` classify call on the pool's first document (what
@@ -225,7 +227,10 @@ def main() -> int:
         if name in attempts:
             layer["attempt_median"] = statistics.median(attempts[name])
             layer["attempt_p90"] = nearest_rank(attempts[name], 0.9)
-            line += f"  attempt median {layer['attempt_median']:6.1f}  p90 {layer['attempt_p90']}"
+            layer["us_per_attempt"] = statistics.median(
+                t / i for t, i in zip(values, attempts[name]))
+            line += (f"  attempt median {layer['attempt_median']:6.1f}  p90 {layer['attempt_p90']}"
+                     f"  {layer['us_per_attempt']:.2f} us/attempt")
         if name in numpy_loaded:
             layer["numpy_loaded"] = numpy_loaded[name]
             line += f"  numpy loaded: {numpy_loaded[name]}"
