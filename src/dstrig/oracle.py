@@ -21,11 +21,16 @@ max(1e-12 * S * width, 64 * eps * R): S is the sum of |value| over the
 starting panels of all three edges, width is the panel's share of its
 edge, and R is the halves' integral of the round-off scale
 |k| (|A p0| + |B q0|) / (x1^2 + x2^2).  A rejected panel's halves are
-tested in turn at the next bisection level.  One numpy call per level
+tested in turn at the next bisection level.  One kernel call per level
 evaluates its pending panels (at level 1 the starting ones) and both of
-their halves.  A panel's sums depend on its own nodes alone, not on
-which panels share its call.  The per-edge constants are computed on
-Python floats.
+their halves.  The kernel lays every array out per node: the per-edge
+constants are repeated to each of a panel's 20 nodes, so each numpy
+operation on them is one contiguous loop, and each panel's sum runs over
+its 20 adjacent nodes.  Where all three edges are of one kind (spatiolateral:
+ellipses, tempolateral: hyperbolas) it makes one sin or sinh call;
+mixed loops apply both under an ellipse mask.  A panel's sums depend on
+its own nodes alone, not on which panels share its call.  The per-edge
+constants are computed on Python floats.
 """
 
 from __future__ import annotations
@@ -109,6 +114,8 @@ class GeneratorConfig:
         if not self.u_max <= _MATH_RAPIDITY_LIMIT:
             raise ValueError(
                 f"u_max must be at most {_MATH_RAPIDITY_LIMIT}, got {self.u_max!r}")
+        if not isinstance(self.max_attempts, int) or isinstance(self.max_attempts, bool):
+            raise TypeError(f"max_attempts must be an int, got {self.max_attempts!r}")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts!r}")
 
@@ -130,15 +137,16 @@ def _loop_edges(pts):
     x(s) = S((1-s)d) p/S(d) + S(sd) q/S(d), S = sin on an ellipse
     (<p,q> < 1) and sinh on a hyperbola, d the edge length.  k is the
     edge's x1 x2' - x2 x1' = (d/S(d)) (p1 q2 - p2 q1), the same at every s.
-    The constants are computed on Python floats.  Returns the ellipse
-    flags and a (10, 3) table whose column j holds edge j's
-    d, S(d), p0, q0, p1, q1, p2, q2, k and |k|.
+    The constants are computed on Python floats.  Returns the edges' S
+    and a (10, 3) table whose column j holds edge j's d, S(d), p0, q0,
+    p1, q1, p2, q2, k and |k|.  S is np.sin when every edge is an
+    ellipse (spatiolateral), np.sinh when every edge is a hyperbola
+    (tempolateral), and otherwise the (3,) array of ellipse flags.
     """
     import numpy as np
 
-    rows = np.asarray(pts, dtype=float).tolist()
     ell, cols = [], []
-    for p, q in zip(rows, rows[1:] + rows[:1]):
+    for p, q in zip(pts, [*pts[1:], pts[0]]):
         c = -(p[0] * q[0]) + p[1] * q[1] + p[2] * q[2]
         if c < 1.0:
             d = math.acos(max(c, -1.0))
@@ -150,14 +158,16 @@ def _loop_edges(pts):
         k = (p[1] * q[2] - p[2] * q[1]) * d / sd if sd else math.nan
         ell.append(c < 1.0)
         cols.append((d, sd, p[0], q[0], p[1], q[1], p[2], q[2], k, abs(k)))
-    return np.array(ell), np.array(cols).T
+    kind = np.sin if all(ell) else np.sinh if not any(ell) else np.array(ell)
+    return kind, np.array(cols).T
 
 
 def _node_fractions(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # (1 - s, s) at the nodes s of the panels [a, a + w], shape (2, N, 20).
+    # (1 - s, s) at the nodes s of the panels [a, a + w], shape (2, 20 N):
+    # panel i's nodes are columns 20 i to 20 i + 19.
     import numpy as np
 
-    s = a[:, None] + w[:, None] * _gl_rule()[0]
+    s = (a[:, None] + w[:, None] * _gl_rule()[0]).ravel()
     return np.stack([1.0 - s, s])
 
 
@@ -173,24 +183,38 @@ def _panels(edges, e: np.ndarray, a: np.ndarray, w: np.ndarray):
 
 
 def _node_sums(edges, e: np.ndarray, frac: np.ndarray, w: np.ndarray):
-    # _panels with the node fractions given.
+    # _panels with the node fractions given, (2, 20 N).  g repeats each
+    # panel's edge constants to its 20 nodes, so that every operation up
+    # to the weights is one contiguous loop.
     import numpy as np
 
-    ell, table = edges
-    g = table[:, e]
-    args = frac * g[0, :, None]
-    on_ellipse = ell[e][None, :, None]
-    ab = np.empty_like(args)
-    np.sin(args, out=ab, where=on_ellipse)
-    np.sinh(args, out=ab, where=~on_ellipse)
-    ab /= g[1, :, None]
-    # x[i, 0] = A p_i and x[i, 1] = B q_i at every node.
-    x = ab * g[2:8].reshape(3, 2, -1, 1)
-    rho2 = (x[1, 0] + x[1, 1]) ** 2 + (x[2, 0] + x[2, 1]) ** 2
-    x0 = np.abs(x[0])
-    fr = np.stack([x[0, 0] + x[0, 1], x0[0] + x0[1]])
-    fr *= g[8:10, :, None]
+    kind, table = edges
+    nodes = len(_GL_NODES)
+    g = np.repeat(table[:, e], nodes, axis=1)
+    ab = frac * g[0]
+    if isinstance(kind, np.ufunc):
+        kind(ab, out=ab)
+    else:
+        on_ellipse = np.repeat(kind[e], nodes)
+        np.sin(ab, out=ab, where=on_ellipse)
+        np.sinh(ab, out=ab, where=~on_ellipse)
+    ab /= g[1]
+    a, b = ab
+    # x0 = A p0 + B q0, x1 = A p1 + B q1 and x2 = A p2 + B q2 at every node.
+    x0 = ab * g[2:4]
+    x1 = a * g[4]
+    x1 += b * g[5]
+    x2 = a * g[6]
+    x2 += b * g[7]
+    rho2 = np.square(x1, out=x1)
+    rho2 += np.square(x2, out=x2)
+    fr = np.empty_like(x0)
+    np.add(x0[0], x0[1], out=fr[0])
+    np.abs(x0, out=x0)
+    np.add(x0[0], x0[1], out=fr[1])
+    fr *= g[8:10]
     fr /= rho2
+    fr = fr.reshape(2, -1, nodes)
     fr *= _gl_rule()[1]
     f, r = fr.sum(axis=2)
     return w * f, w * r
@@ -204,8 +228,9 @@ def integrate_area(tri: DeSitterTriangle, n: int = _DEFAULT_CHECK_GRID) -> Oracl
     no disk, raises NonContractibleError; vertices on one geodesic raise
     DegenerateTriangleError.  Each edge starts as n // 8 panels of the
     20-node Gauss-Legendre rule, and a panel is split in two until its
-    halves match it (module docstring); n outside [8, 5463] raises
-    ValueError.  grid is (n, n); refinements is the deepest bisection
+    halves match it (module docstring); an n that is not an int (or is a
+    bool) raises TypeError, and one outside [8, 5463] ValueError, both
+    before any work.  grid is (n, n); refinements is the deepest bisection
     level (1: every starting panel matched its halves); est_error is the
     sum of the accepted panels' |halves - whole|, floored at the sum of
     their round-off floors 64 * eps * R (> 0 for non-collinear vertices).
@@ -220,6 +245,8 @@ def integrate_area(tri: DeSitterTriangle, n: int = _DEFAULT_CHECK_GRID) -> Oracl
     """
     import numpy as np
 
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"n must be an int, got {n!r}")
     if n < 8:
         raise ValueError(f"grid must be at least 8, got {n!r}")
     if n > _MAX_GRID:
@@ -234,18 +261,22 @@ def integrate_area(tri: DeSitterTriangle, n: int = _DEFAULT_CHECK_GRID) -> Oracl
         if sum(map(len, kept)) + 2 * e.size > _MAX_PANELS:
             raise NonConvergentError(f"more than {_MAX_PANELS} panels at bisection level {level}")
         vals, scales = _node_sums(edges, *rows)
-        whole, halves = vals[:e.size], vals[e.size:].reshape(2, -1)
+        m = e.size
+        whole, left, right = vals[:m], vals[m:2 * m], vals[2 * m:]
         if level == 1:
-            scale = float(np.sum(np.abs(whole)))
-        gap = np.abs(halves.sum(axis=0) - whole)
-        roundoff = 64.0 * _EPS * scales[e.size:].reshape(2, -1).sum(axis=0)
+            scale = float(np.abs(whole).sum())
+        gap = np.abs(left + right - whole)
+        roundoff = 64.0 * _EPS * (scales[m:2 * m] + scales[2 * m:])
         ok = gap <= np.maximum(1e-12 * scale * w, roundoff)
-        kept.append(halves[:, ok].ravel())
-        est += float(np.sum(gap[ok]))
-        floor += float(np.sum(roundoff[ok]))
-        bad = ~ok
-        if not bad.any():
+        if ok.all():
+            kept.append(vals[m:])
+            est += float(gap.sum())
+            floor += float(roundoff.sum())
             break
+        kept += left[ok], right[ok]
+        est += float(gap[ok].sum())
+        floor += float(roundoff[ok].sum())
+        bad = ~ok
         h = w[bad] / 2.0
         e, a, w = np.tile(e[bad], 2), np.concatenate([a[bad], a[bad] + h]), np.tile(h, 2)
         rows = _level_rows(e, a, w)

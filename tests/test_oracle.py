@@ -1,15 +1,18 @@
 import collections
 import dataclasses
+import gzip
 import hashlib
 import itertools
+import json
 import math
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import FROZEN_AREAS, chart_point, with_arrays
+from conftest import FROZEN_AREAS, chart_point, count_calls, with_arrays
 from dstrig import oracle
 from dstrig.areas import girard_area
 from dstrig.errors import (
@@ -40,6 +43,7 @@ from dstrig.triangles import (
 )
 from referee import stokes_area
 
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "pool.jsonl.gz"
 TARGETS = (ProperName.SPATIOLATERAL, ProperName.TEMPOLATERAL,
            ProperName.CHOROSCELES, ProperName.CHRONOSCELES)
 # The benchmark pool's eight strata: each area type at u_max 2 and 6.
@@ -51,6 +55,14 @@ over_pool_strata = pytest.mark.parametrize(
 def _pool_triangle(target, u_max, seed=0):
     # The pool document `dstrig random --type T --u-max U --seed S` emits.
     return random_triangle(GeneratorConfig(seed, target, u_max=u_max))
+
+
+def _pool_triangles():
+    # The 512 documents of the benchmark pool, built as the CLI builds them.
+    with gzip.open(POOL, "rt", encoding="utf-8") as fh:
+        docs = [json.loads(line)["doc"] for line in list(fh)[1:]]  # line 1: metadata
+    assert len(docs) == 512
+    return [build_triangle(*map(DeSitterPoint, doc["vertices"])) for doc in docs]
 
 
 def _starting_panels(m):
@@ -145,6 +157,48 @@ def _outcome(fn, *args):
     return "ok", [p.v.tobytes() for p in tri.points]
 
 
+def _ref_loop_edges(pts):
+    """_loop_edges as it was before the kernel moved to a per-node layout:
+    the per-edge ellipse flags and the (10, 3) table of edge constants."""
+    rows = np.asarray(pts, dtype=float).tolist()
+    ell, cols = [], []
+    for p, q in zip(rows, rows[1:] + rows[:1]):
+        c = -(p[0] * q[0]) + p[1] * q[1] + p[2] * q[2]
+        if c < 1.0:
+            d = math.acos(max(c, -1.0))
+            sd = math.sin(d)
+        else:
+            d = math.acosh(c)
+            sd = math.sinh(d)
+        k = (p[1] * q[2] - p[2] * q[1]) * d / sd if sd else math.nan
+        ell.append(c < 1.0)
+        cols.append((d, sd, p[0], q[0], p[1], q[1], p[2], q[2], k, abs(k)))
+    return np.array(ell), np.array(cols).T
+
+
+def _ref_node_sums(edges, e, frac, w):
+    """_node_sums as it was before the per-node layout: frac is (2, N, 20),
+    each per-edge constant is broadcast over a panel's 20 nodes, and sin and
+    sinh are both applied under an ellipse mask."""
+    ell, table = edges
+    g = table[:, e]
+    args = frac * g[0, :, None]
+    on_ellipse = ell[e][None, :, None]
+    ab = np.empty_like(args)
+    np.sin(args, out=ab, where=on_ellipse)
+    np.sinh(args, out=ab, where=~on_ellipse)
+    ab /= g[1, :, None]
+    x = ab * g[2:8].reshape(3, 2, -1, 1)
+    rho2 = (x[1, 0] + x[1, 1]) ** 2 + (x[2, 0] + x[2, 1]) ** 2
+    x0 = np.abs(x[0])
+    fr = np.stack([x[0, 0] + x[0, 1], x0[0] + x0[1]])
+    fr *= g[8:10, :, None]
+    fr /= rho2
+    fr *= np.array(oracle._GL_WEIGHTS)
+    f, r = fr.sum(axis=2)
+    return w * f, w * r
+
+
 def _carried_whole_area(tri, n):
     """(area, est_error, grid, refinements) from the loop integrate_area
     ran before each level re-evaluated its pending panels: level 1 takes
@@ -210,6 +264,14 @@ class TestIntegrateArea:
         tri = build_triangle(*chorosceles_points)
         with pytest.raises(ValueError):
             integrate_area(tri, n=4)
+
+    @pytest.mark.parametrize("n", [64.0, 8.5, True, "64"])
+    def test_grid_must_be_int(self, n):
+        # Checked before any work: this triangle bounds no disk, which would
+        # raise NonContractibleError.
+        tri = random_buildable_triangle(18, u_max=2.0)
+        with pytest.raises(TypeError, match=f"^n must be an int, got {n!r}$"):
+            integrate_area(tri, n)
 
     def test_large_grid_rejected(self, chorosceles_points, monkeypatch):
         # A fixed ceiling, not one derived from the panel cap.
@@ -418,6 +480,83 @@ class TestIntegrateArea:
         np.testing.assert_array_equal(oracle._GL_WEIGHTS, w / 2.0)
 
 
+class TestKernelReference:
+    """_node_sums against the broadcast kernel it replaced (_ref_node_sums),
+    bit for bit, on the rows integrate_area evaluates."""
+
+    @staticmethod
+    def _assert_matches(tri, e, frac, w):
+        pts = [p._x for p in tri.points]
+        got = oracle._node_sums(oracle._loop_edges(pts), e, frac, w)
+        want = _ref_node_sums(_ref_loop_edges(pts), e, frac.reshape(2, e.size, -1), w)
+        for g, r in zip(got, want):
+            assert g.tobytes() == r.tobytes()
+
+    @over_pool_strata
+    def test_level_one_rows(self, target, u_max):
+        # Spatiolateral edges are all ellipses and tempolateral ones all
+        # hyperbolas, so those take one unmasked call; the others keep the mask.
+        tri = _pool_triangle(target, u_max)
+        kind = oracle._loop_edges([p._x for p in tri.points])[0]
+        one_kind = {ProperName.SPATIOLATERAL: np.sin, ProperName.TEMPOLATERAL: np.sinh}
+        if target in one_kind:
+            assert kind is one_kind[target]
+        else:
+            assert kind.any() and not kind.all()
+        for m in (1, 8, 16, 25):
+            self._assert_matches(tri, *oracle._level_rows(*_starting_panels(m)))
+
+    def test_later_level_rows(self, monkeypatch):
+        calls = count_calls(monkeypatch, oracle, "_node_sums")
+        later = []
+        for target, seeds in DEEP_SEEDS.items():
+            for seed in seeds:
+                tri = _pool_triangle(target, 6.0, seed)
+                calls.clear()
+                assert integrate_area(tri, 64).refinements == len(calls) >= 3
+                later += [(tri, *args[1:]) for args in calls[1:]]
+        monkeypatch.undo()
+        for tri, e, frac, w in later:
+            self._assert_matches(tri, e, frac, w)
+
+    def test_one_call_per_level_on_pool(self, monkeypatch):
+        calls = count_calls(monkeypatch, oracle, "_node_sums")
+        levels = collections.Counter()
+        for tri in _pool_triangles():
+            calls.clear()
+            res = integrate_area(tri, 64)
+            assert len(calls) == res.refinements
+            levels[res.refinements] += 1
+        # Most pool triangles finish at level 1, where every panel passes.
+        assert levels[1] == 483
+
+
+class TestOracleDigest:
+    """integrate_area's (area, est_error, grid, refinements) over fixed
+    inputs, hashed: a change to the kernel's arithmetic, the stop rule or
+    the level loop moves the digest."""
+
+    @staticmethod
+    def _digest(tris):
+        digest = hashlib.sha256()
+        for n in (8, 16, 64, 200, 1000):
+            for tri in tris:
+                res = integrate_area(tri, n)
+                digest.update(struct.pack("<2d3q", res.area, res.est_error, *res.grid,
+                                          res.refinements))
+        return digest.hexdigest()
+
+    def test_pool_unchanged(self):
+        assert self._digest(_pool_triangles()) \
+            == "9dd4bcda2556364da7e1283b45a634ea0d285f5350942671059c62fe66c91157"
+
+    def test_seeded_draws_unchanged(self):
+        tris = [random_triangle(GeneratorConfig(seed, target, u_max))
+                for target in TARGETS for u_max in (0.5, 2.0, 4.0, 7.0) for seed in range(40)]
+        assert self._digest(tris) \
+            == "a947e91d620da7ede3468ac7cc9dbf4dbcf0bf34350faa28c07ca6e5d07a6c7e"
+
+
 class TestGeneratorConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -440,6 +579,15 @@ class TestGeneratorConfig:
             GeneratorConfig(seed=0, target=ProperName.SPATIOLATERAL,
                             max_attempts=max_attempts)
         with pytest.raises(ValueError, match=msg):
+            random_buildable_triangle(0, max_attempts=max_attempts)
+
+    @pytest.mark.parametrize("max_attempts", [2.5, 20000.0, True, "20"])
+    def test_max_attempts_must_be_int(self, max_attempts):
+        msg = f"^max_attempts must be an int, got {max_attempts!r}$"
+        with pytest.raises(TypeError, match=msg):
+            GeneratorConfig(seed=0, target=ProperName.SPATIOLATERAL,
+                            max_attempts=max_attempts)
+        with pytest.raises(TypeError, match=msg):
             random_buildable_triangle(0, max_attempts=max_attempts)
 
     def test_null_target_rejected(self):

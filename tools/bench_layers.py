@@ -9,8 +9,12 @@ in-process, and all are timed with `time.perf_counter`:
 
 - `DeSitterPoint` on each vertex row as the CLI passes it (a list of
   floats), per point, and `classify_triangle`, `build_triangle`,
-  `interior_angles`, `girard_area` and `integrate_area(tri, n=64)` on the
-  document's points or triangle: each document's best of 20 calls;
+  `interior_angles` and `girard_area` on the document's points or
+  triangle: each document's best of 20 calls;
+- one `integrate_area(n=64)` row per pool stratum (four area types x
+  `u_max` 2 and 6, 64 documents each): `integrate_area(tri, 64)`, each
+  document's best of 20 calls.  Spatiolateral edges are all ellipses and
+  tempolateral ones all hyperbolas; the other two types mix the kinds;
 - `tangents (first read)` and `normals (first read)`: reading the attribute
   once on a triangle that `build_triangle` has just made (the build is not
   timed), each document's best of 20 such triangles;
@@ -178,7 +182,7 @@ def main() -> int:
 
     times = {name: [] for name in ("DeSitterPoint", "classify_triangle", "build_triangle",
                                    "tangents (first read)", "normals (first read)",
-                                   "interior_angles", "girard_area", "integrate_area(n=64)")}
+                                   "interior_angles", "girard_area")}
     for rec in records:
         rows = [[float(x) for x in row] for row in rec["doc"]["vertices"]]
         times["DeSitterPoint"].append(sum(best_us(DeSitterPoint, row) for row in rows) / 3)
@@ -190,7 +194,8 @@ def main() -> int:
             times[f"{name} (first read)"].append(first_read_us(build_triangle, points, name))
         times["interior_angles"].append(best_us(interior_angles, tri))
         times["girard_area"].append(best_us(girard_area, tri))
-        times["integrate_area(n=64)"].append(best_us(integrate_area, tri, 64))
+        row = f"integrate_area(n=64) {rec['type']} u_max {float(rec['u_max']):g}"
+        times.setdefault(row, []).append(best_us(integrate_area, tri, 64))
 
     strata = {}
     for rec in records:
@@ -222,7 +227,7 @@ def main() -> int:
     for name, values in times.items():
         layer = layers[name] = {"median_us": statistics.median(values),
                                 "p90_us": nearest_rank(values, 0.9), "samples": len(values)}
-        line = (f"{name:38s} {layer['median_us']:9.1f} us  "
+        line = (f"{name:44s} {layer['median_us']:9.1f} us  "
                 f"p90 {layer['p90_us']:9.1f} us  ({len(values)} samples)")
         if name in attempts:
             layer["attempt_median"] = statistics.median(attempts[name])
