@@ -100,6 +100,26 @@ class OracleResult:
 _MATH_RAPIDITY_LIMIT = 710.0
 
 
+def _check_int(name: str, value) -> None:
+    # Integer parameters take an int, not a bool or a float of integral value.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def _check_seed(seed) -> None:
+    _check_int("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
+
+
+def _check_grid(name: str, n) -> None:
+    _check_int(name, n)
+    if n < 8:
+        raise ValueError(f"grid must be at least 8, got {n!r}")
+    if n > _MAX_GRID:
+        raise ValueError(f"grid must be at most {_MAX_GRID}, got {n!r}")
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     seed: int
@@ -108,14 +128,14 @@ class GeneratorConfig:
     max_attempts: int = 20000
 
     def __post_init__(self):
+        _check_seed(self.seed)
         # Negated comparisons: nan fails the first test and inf the second.
         if not self.u_max > 0:
             raise ValueError(f"u_max must be positive, got {self.u_max!r}")
         if not self.u_max <= _MATH_RAPIDITY_LIMIT:
             raise ValueError(
                 f"u_max must be at most {_MATH_RAPIDITY_LIMIT}, got {self.u_max!r}")
-        if not isinstance(self.max_attempts, int) or isinstance(self.max_attempts, bool):
-            raise TypeError(f"max_attempts must be an int, got {self.max_attempts!r}")
+        _check_int("max_attempts", self.max_attempts)
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts!r}")
 
@@ -245,12 +265,7 @@ def integrate_area(tri: DeSitterTriangle, n: int = _DEFAULT_CHECK_GRID) -> Oracl
     """
     import numpy as np
 
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"n must be an int, got {n!r}")
-    if n < 8:
-        raise ValueError(f"grid must be at least 8, got {n!r}")
-    if n > _MAX_GRID:
-        raise ValueError(f"grid must be at most {_MAX_GRID}, got {n!r}")
+    _check_grid("n", n)
     _disk_name(tri)
     _check_not_collinear(tri.points)
 
@@ -309,8 +324,16 @@ def _start_layout(m: int):
     return e, a, w, rows
 
 
-# Sampler attempts are drawn this many at a time.
+# Sampler attempts are drawn _FIRST_BLOCK at a time at the start of a
+# call, where most calls accept, and _BLOCK at a time after that.
+_FIRST_BLOCK = 16
 _BLOCK = 64
+# Up to this rapidity a chart point's unit check cannot fail.  With
+# sinh and cosh within 2 ulp and sin and cos within 1 ulp (glibc's
+# documented bounds), |<p,p> - 1| is at most about 13.5 eps cosh^2 u, and
+# 32 eps cosh^2 u is UNIT_EPS here (u ~ 6.62).  Seeded draws reach
+# 5.4 eps cosh^2 u.
+_UNIT_SAFE_U = math.acosh(math.sqrt(UNIT_EPS / (32.0 * _EPS)))
 # Each proper name's (space-like, time-like, light-like) edge counts
 # packed base 4: the sampler's prefilter sums per-edge codes 1, 4, 16,
 # and 64 for an impossible edge, which no name holds.
@@ -341,30 +364,42 @@ def _kept_attempts(rng: np.random.Generator, u_max: float, max_attempts: int, ru
     attempt with a point off the quadric (or with a nan <p,p>) is kept, so
     DeSitterPoint raises on it; classify_triangle rejects coincident,
     antipodal or collinear vertices.
+
+    A vertex's unit check cannot fail where |u| <= _UNIT_SAFE_U, so it is
+    made only above that rapidity, and always before any edge is coded.
+    Vertices 2 and 3 come first, and edge e0 = <p2,p3> is coded from them
+    alone; vertex 1 is computed only when e0 passes or its |u| is above
+    _UNIT_SAFE_U.  So the loop keeps and drops the attempts that coding
+    all three points and checking them first would.
     """
     codes, top, contractible = rule
     lo, span, turn = -u_max, u_max - -u_max, 2.0 * math.pi
     sinh, cosh, cos, sin = math.sinh, math.cosh, math.cos, math.sin
     unit, null, impossible = UNIT_EPS, NULL_EPS, -1.0 + NULL_EPS
-    done = 0
+    safe, low = _UNIT_SAFE_U, -_UNIT_SAFE_U
+    done, m = 0, _FIRST_BLOCK
     while done < max_attempts:
-        m = min(_BLOCK, max_attempts - done)
+        m = min(m, max_attempts - done)
         for w0, w1, w2, w3, w4, w5 in rng.random((m, 6)).tolist():
             u0, u1, u2 = lo + span * w0, lo + span * w1, lo + span * w2
-            a0, a1, a2 = turn * w3, turn * w4, turn * w5
-            c0, c1, c2 = cosh(u0), cosh(u1), cosh(u2)
-            p0, p1, p2 = sinh(u0), c0 * cos(a0), c0 * sin(a0)
+            a1, a2 = turn * w4, turn * w5
+            c1, c2 = cosh(u1), cosh(u2)
             q0, q1, q2 = sinh(u1), c1 * cos(a1), c1 * sin(a1)
             r0, r1, r2 = sinh(u2), c2 * cos(a2), c2 * sin(a2)
-            if (abs(-(p0 * p0) + p1 * p1 + p2 * p2 - 1.0) <= unit
-                    and abs(-(q0 * q0) + q1 * q1 + q2 * q2 - 1.0) <= unit
-                    and abs(-(r0 * r0) + r1 * r1 + r2 * r2 - 1.0) <= unit):
+            on = ((low <= u1 <= safe or abs(-(q0 * q0) + q1 * q1 + q2 * q2 - 1.0) <= unit)
+                  and (low <= u2 <= safe or abs(-(r0 * r0) + r1 * r1 + r2 * r2 - 1.0) <= unit))
+            if on:
                 # Edge j joins vertices j+1 and j+2, coded 1 (space-like), 4
                 # (time-like), 16 (null) or 64 (impossible); codes only grow,
                 # so stop past the top one.
                 e0 = -(q0 * r0) + q1 * r1 + q2 * r2
                 code = (16 if abs(e0 - 1.0) <= null else 4 if e0 > 1.0
                         else 1 if e0 > impossible else 64)
+                if code > top and low <= u0 <= safe:
+                    continue
+            a0, c0 = turn * w3, cosh(u0)
+            p0, p1, p2 = sinh(u0), c0 * cos(a0), c0 * sin(a0)
+            if on and (low <= u0 <= safe or abs(-(p0 * p0) + p1 * p1 + p2 * p2 - 1.0) <= unit):
                 if code > top:
                     continue
                 e1 = -(r0 * p0) + r1 * p1 + r2 * p2
@@ -379,6 +414,7 @@ def _kept_attempts(rng: np.random.Generator, u_max: float, max_attempts: int, ru
                     continue
             yield (p0, p1, p2), (q0, q1, q2), (r0, r1, r2)
         done += m
+        m = _BLOCK
 
 
 def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
@@ -392,15 +428,17 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
     seed stream.  Identical seeds give identical output.
 
     Seed stream: attempt i is row i of rng.random((m, 6)) from
-    default_rng(seed), drawn in blocks of m rows, mapped by
+    default_rng(seed), drawn in blocks of m rows (16, then 64), mapped by
     u = -u_max + (u_max - -u_max) * r[:3] and psi = 2*pi * r[3:]; these
     are the values rng.uniform(-u_max, u_max, 3), rng.uniform(0, 2*pi, 3)
-    give for each attempt in turn.  Attempts are taken one at a time on
-    Python floats by one loop, _kept_attempts, whose prefilter is the
-    acceptance rule: it drops an attempt at the first edge that rules the
-    target out, and yields the others.  classify_triangle then only
-    rejects a degenerate triple (or DeSitterPoint raises on a point off
-    the quadric).
+    give for each attempt in turn, whatever the block sizes.  Attempts are
+    taken one at a time on Python floats by one loop, _kept_attempts,
+    whose prefilter is the acceptance rule: it codes the edge <p2,p3>
+    before it computes vertex 1, drops an attempt at the first edge that
+    rules the target out, and yields the others.  classify_triangle then
+    only rejects a degenerate triple (or DeSitterPoint raises on a point
+    off the quadric).  A seed that is not an int (or is a bool) raises
+    TypeError, and a negative one ValueError, when cfg is made.
     """
     import numpy as np
 
@@ -453,13 +491,19 @@ def verify_type(target: ProperName, trials: int, seed: int,
     and skips the trial's later checks.  Each failure entry names its
     trial's generator seed, which `dstrig random --type T --seed S` replays.
     Each worst value is the largest over the trials, and nan once any is nan.
+    trials, seed and grid are checked before the first trial: one that is
+    not an int (or is a bool) raises TypeError, and trials below 1, a
+    negative seed or a grid outside [8, 5463] raise ValueError.
     """
     import numpy as np
 
     if target not in _AREA_TYPES:
         raise ValueError(f"unsupported verification target: {target!r}")
+    _check_int("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
+    _check_seed(seed)
+    _check_grid("grid", grid)
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials)
     counts = {
         "oracle_agreement": 0,

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import struct
 import warnings
 from pathlib import Path
@@ -24,9 +25,12 @@ from dstrig.errors import (
     NotUnitError,
 )
 from dstrig.geodesics import DeSitterPoint, geodesic_point, project_to_quadric
+from dstrig.minkowski import NULL_EPS, UNIT_EPS
 from dstrig.oracle import (
     _BLOCK,
+    _FIRST_BLOCK,
     _TARGET_RULES,
+    _UNIT_SAFE_U,
     GeneratorConfig,
     _kept_attempts,
     integrate_area,
@@ -197,6 +201,45 @@ def _ref_node_sums(edges, e, frac, w):
     fr *= np.array(oracle._GL_WEIGHTS)
     f, r = fr.sum(axis=2)
     return w * f, w * r
+
+
+def _ref_kept_attempts(rng, u_max, max_attempts, rule):
+    """_kept_attempts as it was before vertex 1 waited for edge e0: every
+    block 64 rows, all three chart points and unit checks before any edge."""
+    codes, top, contractible = rule
+    lo, span, turn = -u_max, u_max - -u_max, 2.0 * math.pi
+    sinh, cosh, cos, sin = math.sinh, math.cosh, math.cos, math.sin
+    unit, null, impossible = UNIT_EPS, NULL_EPS, -1.0 + NULL_EPS
+    done = 0
+    while done < max_attempts:
+        m = min(64, max_attempts - done)
+        for w0, w1, w2, w3, w4, w5 in rng.random((m, 6)).tolist():
+            u0, u1, u2 = lo + span * w0, lo + span * w1, lo + span * w2
+            a0, a1, a2 = turn * w3, turn * w4, turn * w5
+            c0, c1, c2 = cosh(u0), cosh(u1), cosh(u2)
+            p0, p1, p2 = sinh(u0), c0 * cos(a0), c0 * sin(a0)
+            q0, q1, q2 = sinh(u1), c1 * cos(a1), c1 * sin(a1)
+            r0, r1, r2 = sinh(u2), c2 * cos(a2), c2 * sin(a2)
+            if (abs(-(p0 * p0) + p1 * p1 + p2 * p2 - 1.0) <= unit
+                    and abs(-(q0 * q0) + q1 * q1 + q2 * q2 - 1.0) <= unit
+                    and abs(-(r0 * r0) + r1 * r1 + r2 * r2 - 1.0) <= unit):
+                e0 = -(q0 * r0) + q1 * r1 + q2 * r2
+                code = (16 if abs(e0 - 1.0) <= null else 4 if e0 > 1.0
+                        else 1 if e0 > impossible else 64)
+                if code > top:
+                    continue
+                e1 = -(r0 * p0) + r1 * p1 + r2 * p2
+                code += (16 if abs(e1 - 1.0) <= null else 4 if e1 > 1.0
+                         else 1 if e1 > impossible else 64)
+                if code > top:
+                    continue
+                e2 = -(p0 * q0) + p1 * q1 + p2 * q2
+                code += (16 if abs(e2 - 1.0) <= null else 4 if e2 > 1.0
+                         else 1 if e2 > impossible else 64)
+                if code not in codes or (contractible and 1.0 + e0 + e1 + e2 <= 0.0):
+                    continue
+            yield (p0, p1, p2), (q0, q1, q2), (r0, r1, r2)
+        done += m
 
 
 def _carried_whole_area(tri, n):
@@ -590,6 +633,26 @@ class TestGeneratorConfig:
         with pytest.raises(TypeError, match=msg):
             random_buildable_triangle(0, max_attempts=max_attempts)
 
+    @pytest.mark.parametrize("seed", [True, False, 1.5, 0.0, "0", np.int64(3)])
+    def test_seed_must_be_int(self, seed):
+        # True ran seed 1 and 1.5 failed inside SeedSequence.
+        msg = f"^{re.escape(f'seed must be an int, got {seed!r}')}$"
+        with pytest.raises(TypeError, match=msg):
+            GeneratorConfig(seed=seed, target=ProperName.SPATIOLATERAL)
+        with pytest.raises(TypeError, match=msg):
+            random_buildable_triangle(seed)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_seed_must_be_non_negative(self, seed):
+        msg = f"^seed must be >= 0, got {seed}$"
+        with pytest.raises(ValueError, match=msg):
+            GeneratorConfig(seed=seed, target=ProperName.SPATIOLATERAL)
+        with pytest.raises(ValueError, match=msg):
+            random_buildable_triangle(seed)
+
+    def test_large_seed_accepted(self):
+        assert triangle_name(random_buildable_triangle(2**70)) in TARGETS
+
     def test_null_target_rejected(self):
         with pytest.raises(ValueError):
             random_triangle(GeneratorConfig(seed=0, target=ProperName.LUCILATERAL))
@@ -659,7 +722,7 @@ class TestBlockSampler:
     a reference loop over rng.uniform draws made one attempt at a time."""
 
     @pytest.mark.parametrize("u_max", (0.5, 2.0, 6.0, 12.0, 710.0))
-    @pytest.mark.parametrize("max_attempts", (1, 63, 64, 65, 129))
+    @pytest.mark.parametrize("max_attempts", (1, 15, 16, 17, 63, 64, 65, 129))
     def test_attempts_follow_seed_stream(self, max_attempts, u_max):
         # Raw floats: DeSitterPoint raises off the quadric at u_max 12 and 710.
         rng = np.random.default_rng(3)
@@ -735,6 +798,46 @@ class TestBlockSampler:
                 # Judged where no point is off the quadric: at u_max 12
                 # most attempts have one, and all of those are kept.
                 assert kept[~off].mean() < 0.5, target
+
+
+class TestSamplerReference:
+    """_kept_attempts against the loop it replaced (_ref_kept_attempts),
+    which computed vertex 1 and all three unit checks before any edge and
+    drew 64-row blocks from the start: the same attempts, bit for bit."""
+
+    @pytest.mark.parametrize("u_max", (0.5, 2.0, 6.0, _UNIT_SAFE_U - 1e-9, _UNIT_SAFE_U + 1e-9,
+                                       7.0, 8.0, 12.0, 710.0))
+    def test_same_attempts(self, u_max):
+        rules = [*(_TARGET_RULES[t] for t in (*TARGETS, None)), _KEEP_ALL]
+        for rule, seed, budget in itertools.product(
+                rules, range(16), (1, _FIRST_BLOCK - 1, _FIRST_BLOCK, _FIRST_BLOCK + 1,
+                                   _FIRST_BLOCK + _BLOCK, _FIRST_BLOCK + _BLOCK + 1, 3000)):
+            got = list(_kept_attempts(np.random.default_rng(seed), u_max, budget, rule))
+            want = list(_ref_kept_attempts(np.random.default_rng(seed), u_max, budget, rule))
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (rule, seed, budget)
+            assert len(got) == len(want)
+
+    def test_unit_safe_u_is_its_formula(self):
+        # Derived from UNIT_EPS, so a change to the unit band moves it.
+        eps = np.finfo(float).eps
+        assert _UNIT_SAFE_U == math.acosh(math.sqrt(UNIT_EPS / (32.0 * eps)))
+        assert 6.6 < _UNIT_SAFE_U < 6.65
+
+    def test_unit_check_cannot_fail_below_safe_u(self):
+        # Seeded draws with |u| <= _UNIT_SAFE_U, and u = +-_UNIT_SAFE_U on a
+        # psi grid, stay within a quarter of the unit band.
+        rng = np.random.default_rng(0)
+        us = rng.uniform(-_UNIT_SAFE_U, _UNIT_SAFE_U, 100_000).tolist()
+        psis = rng.uniform(0.0, 2.0 * math.pi, 100_000).tolist()
+        grid = [2.0 * math.pi * k / 4096 for k in range(4096)]
+        pairs = [*zip(us, psis), *((u, psi) for u in (-_UNIT_SAFE_U, _UNIT_SAFE_U)
+                                  for psi in grid)]
+        worst = 0.0
+        for u, psi in pairs:
+            c = math.cosh(u)
+            p0, p1, p2 = math.sinh(u), c * math.cos(psi), c * math.sin(psi)
+            worst = max(worst, abs(-(p0 * p0) + p1 * p1 + p2 * p2 - 1.0))
+        assert worst <= UNIT_EPS / 4
 
 
 class TestOutcomeDigest:
@@ -889,3 +992,20 @@ class TestVerifyType:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             verify_type(ProperName.CHOROSCELES, trials=0, seed=1)
+
+    @pytest.mark.parametrize("kwargs, error, msg", [
+        ({"trials": 2.5}, TypeError, "trials must be an int, got 2.5"),
+        ({"trials": True}, TypeError, "trials must be an int, got True"),
+        ({"seed": 1.5}, TypeError, "seed must be an int, got 1.5"),
+        ({"seed": -1}, ValueError, "seed must be >= 0, got -1"),
+        ({"grid": 64.0}, TypeError, "grid must be an int, got 64.0"),
+        ({"grid": True}, TypeError, "grid must be an int, got True"),
+        ({"grid": 7}, ValueError, "grid must be at least 8, got 7"),
+        ({"grid": 5464}, ValueError, "grid must be at most 5463, got 5464"),
+    ])
+    def test_arguments_checked_before_first_trial(self, monkeypatch, kwargs, error, msg):
+        calls = count_calls(monkeypatch, oracle, "random_triangle")
+        args = {"trials": 2, "seed": 3, "grid": 64, **kwargs}
+        with pytest.raises(error, match=f"^{re.escape(msg)}$"):
+            verify_type(ProperName.CHOROSCELES, **args)
+        assert calls == []

@@ -29,7 +29,11 @@ in-process, and all are timed with `time.perf_counter`:
   attempt at a time with `rng.uniform` and the public `classify_triangle`;
   the replay must give the sampler's own vertices, or the script exits 1.
   Their `us_per_attempt` is the median over the seeds of each seed's best
-  time divided by its accepted attempt's index;
+  time divided by its accepted attempt's index, and `first_edge_share` is
+  the share of all the seeds' attempts, up to each accepted one, that the
+  first edge <p2,p3> rules out alone: its kind's code (1 space-like, 4
+  time-like, 16 null, 64 impossible) is above the sum of the target's
+  three edge codes, which is the sampler's stop rule;
 - two `import` rows, from fresh interpreters with `<checkout>/src` on
   `PYTHONPATH`: `import dstrig.cli` alone, and `import dstrig.cli` plus one
   `dstrig.cli.main` classify call on the pool's first document (what
@@ -126,25 +130,33 @@ def process_us(src: Path, code: str, text: str) -> tuple[float, bool]:
 
 
 def accepted_index(seed: int, name, u_max: float):
-    """(index, vertices) of the first attempt random_triangle accepts."""
+    """(index, vertices) of the first attempt random_triangle accepts, and
+    how many attempts up to it the first edge rules out alone."""
     import numpy as np
 
     from dstrig.errors import GeometryError
-    from dstrig.geodesics import DeSitterPoint
-    from dstrig.triangles import classify_triangle
+    from dstrig.geodesics import DeSitterPoint, SegmentKind, classify_segment
+    from dstrig.triangles import _NAME_TABLE, classify_triangle
 
+    code = {SegmentKind.ELLIPSE_PART: 1, SegmentKind.HYPERBOLA_PART: 4,
+            SegmentKind.NULL_LINE: 16, SegmentKind.IMPOSSIBLE: 64}
+    # The target's (space-like, time-like, null) edge counts, coded.
+    top = next(i + 4 * j + 16 * k for (i, j, k), n in _NAME_TABLE.items() if n is name)
     rng = np.random.default_rng(seed)
+    decided = 0
     for i in range(1, 20001):
         u = rng.uniform(-u_max, u_max, 3).tolist()
         psi = rng.uniform(0.0, 2.0 * math.pi, 3).tolist()
         rows = [(math.sinh(a), math.cosh(a) * math.cos(b), math.cosh(a) * math.sin(b))
                 for a, b in zip(u, psi)]
         try:
-            kind = classify_triangle(*map(DeSitterPoint, rows))
+            points = tuple(map(DeSitterPoint, rows))
+            decided += code[classify_segment(points[1], points[2]).kind] > top
+            kind = classify_triangle(*points)
         except GeometryError:
             continue
         if kind.proper_name is name and kind.contractible is not False:
-            return i, rows
+            return i, rows, decided
     raise RuntimeError(f"no {name.value} triangle for seed {seed} at u_max {u_max}")
 
 
@@ -208,19 +220,20 @@ def main() -> int:
         times[f"cli {command}"] = [best_us(cli_call, cli_main, command, text) / CHUNK
                                    for text in chunks]
 
-    attempts = {}
+    attempts, first_edge = {}, {}
     for type_name, u_max in strata:
         row = f"random_triangle {type_name} u_max {u_max:g}"
         name = ProperName(type_name)
-        times[row], attempts[row] = [], []
+        times[row], attempts[row], first_edge[row] = [], [], 0
         for seed in SEEDS:
             cfg = GeneratorConfig(seed, name, u_max)
             times[row].append(best_us(random_triangle, cfg, repeats=SAMPLER_REPEATS))
-            i, rows = accepted_index(seed, name, u_max)
+            i, rows, decided = accepted_index(seed, name, u_max)
             if [p.v.tolist() for p in random_triangle(cfg).points] != [list(r) for r in rows]:
                 sys.exit(f"replay of {type_name} seed {seed} at u_max {u_max:g} "
                          f"differs from random_triangle")
             attempts[row].append(i)
+            first_edge[row] += decided
 
     times.update((name, values[1:]) for name, values in starts.items())
     layers = {}
@@ -234,8 +247,10 @@ def main() -> int:
             layer["attempt_p90"] = nearest_rank(attempts[name], 0.9)
             layer["us_per_attempt"] = statistics.median(
                 t / i for t, i in zip(values, attempts[name]))
+            layer["first_edge_share"] = first_edge[name] / sum(attempts[name])
             line += (f"  attempt median {layer['attempt_median']:6.1f}  p90 {layer['attempt_p90']}"
-                     f"  {layer['us_per_attempt']:.2f} us/attempt")
+                     f"  {layer['us_per_attempt']:.2f} us/attempt"
+                     f"  first edge decides {layer['first_edge_share']:.1%}")
         if name in numpy_loaded:
             layer["numpy_loaded"] = numpy_loaded[name]
             line += f"  numpy loaded: {numpy_loaded[name]}"
