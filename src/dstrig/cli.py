@@ -58,7 +58,12 @@ class DocumentError(Exception):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    # On a ValueError argparse would print this function's name; text that
+    # is no int is refused with the wording below, as 0 is.
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value

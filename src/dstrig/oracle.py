@@ -334,6 +334,15 @@ _BLOCK = 64
 # 32 eps cosh^2 u is UNIT_EPS here (u ~ 6.62).  Seeded draws reach
 # 5.4 eps cosh^2 u.
 _UNIT_SAFE_U = math.acosh(math.sqrt(UNIT_EPS / (32.0 * _EPS)))
+# <p2,p3> of chart points (u1, a1), (u2, a2) is
+# ((1 + cos d) cm - (1 - cos d) cp) / 2, d = a1 - a2, cm = cosh(u1 - u2),
+# cp = cosh(u1 + u2): three math calls where the loop's e0 takes eight.
+# Each term of either sum is at most (cm + cp) / 2 in size.  With glibc's
+# documented bounds, and |u| <= _UNIT_SAFE_U (the rounding of u1 +- u2 and
+# of d included), this form is within about 12 eps (cm + cp) of the exact
+# value and e0 within about 11, so past 1 + 64 eps (cm + cp) in size e0 is
+# past 1 as well.  300,000 seeded draws reach 6.2 eps (cm + cp).
+_FIRST_EDGE_MARGIN = 64.0 * _EPS
 # Each proper name's (space-like, time-like, light-like) edge counts
 # packed base 4: the sampler's prefilter sums per-edge codes 1, 4, 16,
 # and 64 for an impossible edge, which no name holds.
@@ -366,28 +375,40 @@ def _kept_attempts(rng: np.random.Generator, u_max: float, max_attempts: int, ru
     antipodal or collinear vertices.
 
     A vertex's unit check cannot fail where |u| <= _UNIT_SAFE_U, so it is
-    made only above that rapidity, and always before any edge is coded.
-    Vertices 2 and 3 come first, and edge e0 = <p2,p3> is coded from them
-    alone; vertex 1 is computed only when e0 passes or its |u| is above
-    _UNIT_SAFE_U.  So the loop keeps and drops the attempts that coding
-    all three points and checking them first would.
+    made only above that rapidity, and always before any edge is coded;
+    where u_max <= _UNIT_SAFE_U no draw is above it, and the range tests
+    are skipped too.  Vertices 2 and 3 come first, and edge e0 = <p2,p3>
+    is coded from them alone; vertex 1 is computed only when e0 passes or
+    its |u| is above _UNIT_SAFE_U.  Where only three space-like edges pass
+    (top < 4) and u_max <= _UNIT_SAFE_U, an attempt whose <p2,p3> from
+    three math calls is past 1 + _FIRST_EDGE_MARGIN (cm + cp) in size is
+    dropped before vertices 2 and 3: its e0 codes above 3.  So the loop
+    keeps and drops the attempts that coding all three points and checking
+    them first would.
     """
     codes, top, contractible = rule
     lo, span, turn = -u_max, u_max - -u_max, 2.0 * math.pi
     sinh, cosh, cos, sin = math.sinh, math.cosh, math.cos, math.sin
     unit, null, impossible = UNIT_EPS, NULL_EPS, -1.0 + NULL_EPS
     safe, low = _UNIT_SAFE_U, -_UNIT_SAFE_U
+    # -u_max + 2 u_max w rounds into [-u_max, u_max], so here no check can fail.
+    free = u_max <= safe
+    bound, margin = free and top < 4, _FIRST_EDGE_MARGIN
     done, m = 0, _FIRST_BLOCK
     while done < max_attempts:
         m = min(m, max_attempts - done)
         for w0, w1, w2, w3, w4, w5 in rng.random((m, 6)).tolist():
-            u0, u1, u2 = lo + span * w0, lo + span * w1, lo + span * w2
-            a1, a2 = turn * w4, turn * w5
+            u1, u2, a1, a2 = lo + span * w1, lo + span * w2, turn * w4, turn * w5
+            if bound:
+                cm, cp, cd = cosh(u1 - u2), cosh(u1 + u2), cos(a1 - a2)
+                if abs((1.0 + cd) * cm - (1.0 - cd) * cp) * 0.5 > 1.0 + margin * (cm + cp):
+                    continue
             c1, c2 = cosh(u1), cosh(u2)
             q0, q1, q2 = sinh(u1), c1 * cos(a1), c1 * sin(a1)
             r0, r1, r2 = sinh(u2), c2 * cos(a2), c2 * sin(a2)
-            on = ((low <= u1 <= safe or abs(-(q0 * q0) + q1 * q1 + q2 * q2 - 1.0) <= unit)
-                  and (low <= u2 <= safe or abs(-(r0 * r0) + r1 * r1 + r2 * r2 - 1.0) <= unit))
+            on = free or (
+                (low <= u1 <= safe or abs(-(q0 * q0) + q1 * q1 + q2 * q2 - 1.0) <= unit)
+                and (low <= u2 <= safe or abs(-(r0 * r0) + r1 * r1 + r2 * r2 - 1.0) <= unit))
             if on:
                 # Edge j joins vertices j+1 and j+2, coded 1 (space-like), 4
                 # (time-like), 16 (null) or 64 (impossible); codes only grow,
@@ -395,11 +416,13 @@ def _kept_attempts(rng: np.random.Generator, u_max: float, max_attempts: int, ru
                 e0 = -(q0 * r0) + q1 * r1 + q2 * r2
                 code = (16 if abs(e0 - 1.0) <= null else 4 if e0 > 1.0
                         else 1 if e0 > impossible else 64)
-                if code > top and low <= u0 <= safe:
+                if code > top and (free or low <= lo + span * w0 <= safe):
                     continue
-            a0, c0 = turn * w3, cosh(u0)
+            u0, a0 = lo + span * w0, turn * w3
+            c0 = cosh(u0)
             p0, p1, p2 = sinh(u0), c0 * cos(a0), c0 * sin(a0)
-            if on and (low <= u0 <= safe or abs(-(p0 * p0) + p1 * p1 + p2 * p2 - 1.0) <= unit):
+            if on and (free or low <= u0 <= safe
+                       or abs(-(p0 * p0) + p1 * p1 + p2 * p2 - 1.0) <= unit):
                 if code > top:
                     continue
                 e1 = -(r0 * p0) + r1 * p1 + r2 * p2
@@ -435,10 +458,14 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
     taken one at a time on Python floats by one loop, _kept_attempts,
     whose prefilter is the acceptance rule: it codes the edge <p2,p3>
     before it computes vertex 1, drops an attempt at the first edge that
-    rules the target out, and yields the others.  classify_triangle then
-    only rejects a degenerate triple (or DeSitterPoint raises on a point
-    off the quadric).  A seed that is not an int (or is a bool) raises
-    TypeError, and a negative one ValueError, when cfg is made.
+    rules the target out, and yields the others.  For a spatiolateral
+    target with u_max <= _UNIT_SAFE_U it first bounds <p2,p3> from three
+    math calls, and drops an attempt that the bound rules out before it
+    computes any vertex; the attempts kept are the same.
+    classify_triangle then only rejects a degenerate triple (or
+    DeSitterPoint raises on a point off the quadric).  A seed that is not
+    an int (or is a bool) raises TypeError, and a negative one ValueError,
+    when cfg is made.
     """
     import numpy as np
 

@@ -26,8 +26,17 @@ quadric S**2 - det(P)**2 = 2 (1 + c_12)(1 + c_13)(1 + c_23), P the vertex
 rows (Eriksson, Math. Mag. 63(3), 1990); space-like edges have 1 + c >
 NULL_EPS, so |S| > 4.5e-14: the sign never sits at 0.  The sum is 2*pi on
 collinear triples (refused), where S = 4 cos(a/2) cos(b/2) cos((a+b)/2) < 0.
-Unproven: that the two rules agree on every other triple, and the bound
-for vertices UNIT_EPS off the quadric (see test_sign_matches_perimeter_rule).
+The two rules agree on every other triple on the quadric.  Let a, b, c in
+(0, pi) be the edge lengths, s = (a + b + c)/2 and G the Gram matrix of
+the vertex rows.  det G = -det(P)**2 < 0 off collinear triples, and
+det G = 4 sin s sin(s-a) sin(s-b) sin(s-c), so the realisable lengths are
+exactly four convex pieces of (0, pi)**3: a + b + c > 2*pi with the
+triangle inequalities, and a > b + c, b > a + c, c > a + b.  S is not 0
+on any piece (above), and neither is a + b + c - 2*pi (that would give
+sin s = 0, so det G = 0); so each rule keeps one sign on each piece, and
+one point per piece shows they agree (test_realisable_lengths_are_four_pieces).
+Still open: a bound for vertices UNIT_EPS off the quadric, where the
+identity gains an error term (see test_sign_matches_perimeter_rule).
 """
 
 from __future__ import annotations

@@ -525,6 +525,30 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
 
+# Every positive-integer option, with the arguments that reach it.
+POSITIVE_INT_OPTIONS = [
+    ("--count", ["random", "--type", "spatiolateral", "--seed", "0"]),
+    ("--max-attempts", ["random", "--type", "spatiolateral", "--seed", "0"]),
+    ("--trials", ["verify", "--type", "all"]),
+    ("--grid", ["area", "--input", "-", "--oracle"]),
+    ("--grid", ["verify", "--type", "all", "--trials", "1"]),
+    ("--samples", ["plot", "--input", "-", "--out", "-"]),
+]
+
+
+class TestPositiveIntOptions:
+    @pytest.mark.parametrize("text", ["abc", "2.5"])
+    @pytest.mark.parametrize("option, argv", POSITIVE_INT_OPTIONS,
+                             ids=[f"{argv[0]}{option}" for option, argv in POSITIVE_INT_OPTIONS])
+    def test_non_integer_is_usage_error(self, capsys, option, argv, text):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, text])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: must be a positive integer, got {text}" in err
+        assert "_positive_int" not in err
+
+
 # Exit status of every GeometryError subclass, as the module docstring lists it.
 EXIT_CODES = {
     "GeometryError": 1,

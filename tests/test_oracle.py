@@ -805,8 +805,8 @@ class TestSamplerReference:
     which computed vertex 1 and all three unit checks before any edge and
     drew 64-row blocks from the start: the same attempts, bit for bit."""
 
-    @pytest.mark.parametrize("u_max", (0.5, 2.0, 6.0, _UNIT_SAFE_U - 1e-9, _UNIT_SAFE_U + 1e-9,
-                                       7.0, 8.0, 12.0, 710.0))
+    @pytest.mark.parametrize("u_max", (0.5, 2.0, 6.0, _UNIT_SAFE_U - 1e-9, _UNIT_SAFE_U,
+                                       _UNIT_SAFE_U + 1e-9, 7.0, 8.0, 12.0, 710.0))
     def test_same_attempts(self, u_max):
         rules = [*(_TARGET_RULES[t] for t in (*TARGETS, None)), _KEEP_ALL]
         for rule, seed, budget in itertools.product(
@@ -838,6 +838,56 @@ class TestSamplerReference:
             p0, p1, p2 = math.sinh(u), c * math.cos(psi), c * math.sin(psi)
             worst = max(worst, abs(-(p0 * p0) + p1 * p1 + p2 * p2 - 1.0))
         assert worst <= UNIT_EPS / 4
+
+    def test_first_edge_bound_is_conservative(self):
+        # Rows whose <p2,p3> is +-1 + t up to the rounding of a2, at
+        # u_max = _UNIT_SAFE_U: every attempt the spatiolateral bound drops
+        # codes above 3 in the loop's own arithmetic, the three-call form
+        # stays within a quarter of the margin, and the loop yields what the
+        # loop without the bound yields.
+        eps = np.finfo(float).eps
+        assert oracle._FIRST_EDGE_MARGIN == 64.0 * eps
+        u_max, margin = _UNIT_SAFE_U, oracle._FIRST_EDGE_MARGIN
+        lo, span, turn = -u_max, u_max - -u_max, 2.0 * math.pi
+        rng = np.random.default_rng(5)
+        rows, dropped, worst = [], collections.Counter(), 0.0
+        for t in (0.0, 1e-12, -1e-12, NULL_EPS, -NULL_EPS, 2 * NULL_EPS, -2 * NULL_EPS,
+                  1e-7, -1e-7):
+            for side in (1.0, -1.0):
+                for w0, w1, w2, w3, w4, flip in rng.random((400, 6)).tolist():
+                    u1, u2, a1 = lo + span * w1, lo + span * w2, turn * w4
+                    cos_d = (side + t + math.sinh(u1) * math.sinh(u2)) \
+                        / (math.cosh(u1) * math.cosh(u2))
+                    if abs(cos_d) > 1.0:
+                        continue
+                    w5 = (a1 + math.copysign(math.acos(cos_d), flip - 0.5)) % turn / turn
+                    rows.append((w0, w1, w2, w3, w4, w5))
+                    a2 = turn * w5
+                    c1, c2 = math.cosh(u1), math.cosh(u2)
+                    e0 = -(math.sinh(u1) * math.sinh(u2)) + c1 * math.cos(a1) * (
+                        c2 * math.cos(a2)) + c1 * math.sin(a1) * (c2 * math.sin(a2))
+                    cm, cp, cd = math.cosh(u1 - u2), math.cosh(u1 + u2), math.cos(a1 - a2)
+                    e = ((1.0 + cd) * cm - (1.0 - cd) * cp) * 0.5
+                    worst = max(worst, abs(e - e0) / (eps * (cm + cp)))
+                    if abs(e) > 1.0 + margin * (cm + cp):
+                        # classify_segment's bands: 1 space-like, above it 4, 16 or 64.
+                        assert abs(e0 - 1.0) <= NULL_EPS or e0 > 1.0 or e0 <= -1.0 + NULL_EPS
+                        dropped[t, side] += 1
+        assert worst <= margin / eps / 4
+        assert dropped[1e-7, 1.0] and dropped[-1e-7, -1.0]
+
+        class Rows:
+            def __init__(self):
+                self.left = rows
+
+            def random(self, shape):
+                block, self.left = self.left[:shape[0]], self.left[shape[0]:]
+                return np.array(block)
+
+        rule = _TARGET_RULES[ProperName.SPATIOLATERAL]
+        got = list(_kept_attempts(Rows(), u_max, len(rows), rule))
+        want = list(_ref_kept_attempts(Rows(), u_max, len(rows), rule))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestOutcomeDigest:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gzip
 import itertools
@@ -430,6 +431,37 @@ class TestContractibility:
                 verdicts.append(cls.contractible)
         assert len(verdicts) > 50
         assert True in verdicts and False in verdicts
+
+    def test_realisable_lengths_are_four_pieces(self):
+        # Vertex triples from seeded ellipse lengths a, b, c (edge j opposite
+        # vertex j): p1 and p2 on the equator, p3 solved from cos a and
+        # cos b.  A triple is realisable where its x0**2 = -det(G) / sin**2 c
+        # is positive; that must be exactly the four pieces of the module
+        # docstring, and on each S > 0 must agree with a + b + c < 2*pi.
+        rng = np.random.default_rng(2)
+        hits = collections.Counter()
+        for (a, b, c), up in zip(rng.uniform(0.0, math.pi, (4000, 3)).tolist(),
+                                 rng.random(4000).tolist()):
+            pieces = [a + b + c > 2.0 * math.pi and a < b + c and b < a + c and c < a + b,
+                      a > b + c, b > a + c, c > a + b]
+            x2 = (math.cos(a) - math.cos(c) * math.cos(b)) / math.sin(c)
+            square = math.cos(b) ** 2 + x2 * x2 - 1.0
+            if min(map(math.sin, (a, b, c))) < 1e-3 or abs(square) < 1e-6:
+                continue  # near coincident or collinear vertices
+            assert (square > 0.0) == any(pieces), (a, b, c)
+            if square < 0.0:
+                continue
+            assert sum(pieces) == 1, (a, b, c)
+            hits[pieces.index(True)] += 1
+            x0 = math.copysign(math.sqrt(square), up - 0.5)
+            pts = (DeSitterPoint([0.0, 1.0, 0.0]),
+                   DeSitterPoint([0.0, math.cos(c), math.sin(c)]),
+                   DeSitterPoint([x0, math.cos(b), x2]))
+            cls = classify_triangle(*pts)
+            assert cls.proper_name is ProperName.SPATIOLATERAL
+            assert [e.separation for e in cls.edges] == pytest.approx([a, b, c], abs=1e-6)
+            assert cls.contractible == (a + b + c < 2.0 * math.pi), (a, b, c)
+        assert sorted(hits) == [0, 1, 2, 3] and min(hits.values()) > 100, hits
 
 
 class TestPolar:

@@ -33,7 +33,11 @@ in-process, and all are timed with `time.perf_counter`:
   the share of all the seeds' attempts, up to each accepted one, that the
   first edge <p2,p3> rules out alone: its kind's code (1 space-like, 4
   time-like, 16 null, 64 impossible) is above the sum of the target's
-  three edge codes, which is the sampler's stop rule;
+  three edge codes, which is the sampler's stop rule.  `bound_share` is
+  the share of those attempts that the sampler's first-edge bound rules
+  out before it builds vertices 2 and 3 (spatiolateral, `u_max` up to
+  `_UNIT_SAFE_U`; 0 elsewhere), computed in the replay from the same
+  floats;
 - two `import` rows, from fresh interpreters with `<checkout>/src` on
   `PYTHONPATH`: `import dstrig.cli` alone, and `import dstrig.cli` plus one
   `dstrig.cli.main` classify call on the pool's first document (what
@@ -131,22 +135,29 @@ def process_us(src: Path, code: str, text: str) -> tuple[float, bool]:
 
 def accepted_index(seed: int, name, u_max: float):
     """(index, vertices) of the first attempt random_triangle accepts, and
-    how many attempts up to it the first edge rules out alone."""
+    how many attempts up to it the first edge rules out alone and the
+    sampler's first-edge bound rules out."""
     import numpy as np
 
     from dstrig.errors import GeometryError
     from dstrig.geodesics import DeSitterPoint, SegmentKind, classify_segment
+    from dstrig.oracle import _FIRST_EDGE_MARGIN, _UNIT_SAFE_U
     from dstrig.triangles import _NAME_TABLE, classify_triangle
 
     code = {SegmentKind.ELLIPSE_PART: 1, SegmentKind.HYPERBOLA_PART: 4,
             SegmentKind.NULL_LINE: 16, SegmentKind.IMPOSSIBLE: 64}
     # The target's (space-like, time-like, null) edge counts, coded.
     top = next(i + 4 * j + 16 * k for (i, j, k), n in _NAME_TABLE.items() if n is name)
+    bounded = top < 4 and u_max <= _UNIT_SAFE_U
     rng = np.random.default_rng(seed)
-    decided = 0
+    decided = ruled = 0
     for i in range(1, 20001):
         u = rng.uniform(-u_max, u_max, 3).tolist()
         psi = rng.uniform(0.0, 2.0 * math.pi, 3).tolist()
+        if bounded:  # <p2,p3> from three math calls, as the sampler bounds it
+            cm, cp, cd = math.cosh(u[1] - u[2]), math.cosh(u[1] + u[2]), math.cos(psi[1] - psi[2])
+            ruled += abs((1.0 + cd) * cm - (1.0 - cd) * cp) * 0.5 \
+                > 1.0 + _FIRST_EDGE_MARGIN * (cm + cp)
         rows = [(math.sinh(a), math.cosh(a) * math.cos(b), math.cosh(a) * math.sin(b))
                 for a, b in zip(u, psi)]
         try:
@@ -156,7 +167,7 @@ def accepted_index(seed: int, name, u_max: float):
         except GeometryError:
             continue
         if kind.proper_name is name and kind.contractible is not False:
-            return i, rows, decided
+            return i, rows, decided, ruled
     raise RuntimeError(f"no {name.value} triangle for seed {seed} at u_max {u_max}")
 
 
@@ -220,20 +231,21 @@ def main() -> int:
         times[f"cli {command}"] = [best_us(cli_call, cli_main, command, text) / CHUNK
                                    for text in chunks]
 
-    attempts, first_edge = {}, {}
+    attempts, first_edge, bound = {}, {}, {}
     for type_name, u_max in strata:
         row = f"random_triangle {type_name} u_max {u_max:g}"
         name = ProperName(type_name)
-        times[row], attempts[row], first_edge[row] = [], [], 0
+        times[row], attempts[row], first_edge[row], bound[row] = [], [], 0, 0
         for seed in SEEDS:
             cfg = GeneratorConfig(seed, name, u_max)
             times[row].append(best_us(random_triangle, cfg, repeats=SAMPLER_REPEATS))
-            i, rows, decided = accepted_index(seed, name, u_max)
+            i, rows, decided, ruled = accepted_index(seed, name, u_max)
             if [p.v.tolist() for p in random_triangle(cfg).points] != [list(r) for r in rows]:
                 sys.exit(f"replay of {type_name} seed {seed} at u_max {u_max:g} "
                          f"differs from random_triangle")
             attempts[row].append(i)
             first_edge[row] += decided
+            bound[row] += ruled
 
     times.update((name, values[1:]) for name, values in starts.items())
     layers = {}
@@ -248,9 +260,11 @@ def main() -> int:
             layer["us_per_attempt"] = statistics.median(
                 t / i for t, i in zip(values, attempts[name]))
             layer["first_edge_share"] = first_edge[name] / sum(attempts[name])
+            layer["bound_share"] = bound[name] / sum(attempts[name])
             line += (f"  attempt median {layer['attempt_median']:6.1f}  p90 {layer['attempt_p90']}"
                      f"  {layer['us_per_attempt']:.2f} us/attempt"
-                     f"  first edge decides {layer['first_edge_share']:.1%}")
+                     f"  first edge decides {layer['first_edge_share']:.1%}"
+                     f"  bound {layer['bound_share']:.1%}")
         if name in numpy_loaded:
             layer["numpy_loaded"] = numpy_loaded[name]
             line += f"  numpy loaded: {numpy_loaded[name]}"
