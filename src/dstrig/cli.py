@@ -29,12 +29,13 @@ from .oracle import (
     _DEFAULT_CHECK_GRID,
     _MAX_GRID,
     GeneratorConfig,
-    integrate_area,
+    _integrate_many,
     random_triangle,
     verify_type,
 )
 from .triangles import (
     _AREA_TYPES,
+    DeSitterTriangle,
     _normals,
     _others,
     _polar_kinds,
@@ -50,6 +51,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 
 _TARGETS = {name.value: name for name in _AREA_TYPES}
+# Documents area --oracle takes at a time: their closed forms, then one
+# oracle call on their triangles, then their reports.
+_ORACLE_GROUP = 8
 _GRID_HELP = f"oracle resolution 8 <= n <= {_MAX_GRID}: n // 8 starting panels per edge"
 
 
@@ -190,37 +194,60 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _area_report(points) -> tuple[dict, DeSitterTriangle]:
+    # area's report on a document's points, with no oracle block, and their triangle.
+    tri = build_triangle(*points)
+    res = girard_area(tri)
+    angles, nabla = res.angles, res.complex_area
+    report = {
+        "schema": SCHEMA,
+        "proper_name": triangle_name(tri).value,
+        "real_area": res.real_area,
+        "complex_area": {"re": nabla.real, "im": nabla.imag},
+        "formula_used": res.formula_used.value,
+        "distinguished_vertex": res.distinguished_vertex,
+        "angles": [
+            {"vertex": j, "theta": angles.theta[j],
+             "phi": {"re": angles.phi[j].value.real, "im": angles.phi[j].value.imag},
+             "branch": angles.phi[j].branch.value}
+            for j in range(3)
+        ],
+    }
+    return report, tri
+
+
 def cmd_area(args) -> int:
     docs = _parse_documents(_read_text(args.input))
-    for doc in docs:
-        points = _document_points(doc)
-        tri = build_triangle(*points)
-        res = girard_area(tri)
-        angles, nabla = res.angles, res.complex_area
-        report = {
-            "schema": SCHEMA,
-            "proper_name": triangle_name(tri).value,
-            "real_area": res.real_area,
-            "complex_area": {"re": nabla.real, "im": nabla.imag},
-            "formula_used": res.formula_used.value,
-            "distinguished_vertex": res.distinguished_vertex,
-            "angles": [
-                {"vertex": j, "theta": angles.theta[j],
-                 "phi": {"re": angles.phi[j].value.real, "im": angles.phi[j].value.imag},
-                 "branch": angles.phi[j].branch.value}
-                for j in range(3)
-            ],
-        }
-        if args.oracle:
-            orc = integrate_area(tri, n=args.grid)
-            report["oracle"] = {
-                "area": orc.area,
-                "est_error": orc.est_error,
-                "grid": list(orc.grid),
-                "refinements": orc.refinements,
-                "discrepancy": abs(orc.area - res.real_area),
-            }
-        _emit(report)
+    if not args.oracle:
+        for doc in docs:
+            _emit(_area_report(_document_points(doc))[0])
+        return EXIT_OK
+    for lo in range(0, len(docs), _ORACLE_GROUP):
+        # The group's closed forms up to the first document that fails,
+        # then one oracle call on their triangles.  Reports go out in
+        # order up to the first oracle error, and the failed document's
+        # error comes after them: as if each document were taken in turn.
+        done, stop = [], None
+        try:
+            for doc in docs[lo:lo + _ORACLE_GROUP]:
+                done.append(_area_report(_document_points(doc)))
+        except (DocumentError, GeometryError, ValueError) as exc:
+            stop = exc
+        if done:
+            oracles = _integrate_many([tri for _, tri in done], args.grid)
+            for (report, _), orc in zip(done, oracles):
+                if isinstance(orc, Exception):
+                    raise orc
+                report["oracle"] = {
+                    "area": orc.area,
+                    "est_error": orc.est_error,
+                    "grid": list(orc.grid),
+                    "refinements": orc.refinements,
+                    "discrepancy": abs(orc.area - report["real_area"]),
+                }
+                _emit(report)
+        if stop is not None:
+            raise stop
     return EXIT_OK
 
 

@@ -23,14 +23,21 @@ edge, and R is the halves' integral of the round-off scale
 |k| (|A p0| + |B q0|) / (x1^2 + x2^2).  A rejected panel's halves are
 tested in turn at the next bisection level.  One kernel call per level
 evaluates its pending panels (at level 1 the starting ones) and both of
-their halves.  The kernel lays every array out per node: the per-edge
-constants are repeated to each of a panel's 20 nodes, so each numpy
-operation on them is one contiguous loop, and each panel's sum runs over
-its 20 adjacent nodes.  Where all three edges are of one kind (spatiolateral:
-ellipses, tempolateral: hyperbolas) it makes one sin or sinh call;
-mixed loops apply both under an ellipse mask.  A panel's sums depend on
-its own nodes alone, not on which panels share its call.  The per-edge
-constants are computed on Python floats.
+their halves.  Level 1 runs over slabs of a call's triangles: one kernel
+call, on one edge table, takes the starting rows of as many triangles as
+fit in _SLAB_ROWS rows (two at the default n = 64, one from n = 72), and
+the accept test then runs over all the call's starting panels at once.  A
+triangle with a rejected panel goes on alone, one call per later level.
+
+The kernel lays every array out per node: the per-edge constants are
+repeated to each of a panel's 20 nodes, so each numpy operation on them
+is one contiguous loop, and each panel's sum runs over its 20 adjacent
+nodes.  Where all edges of a call are of one kind (spatiolateral:
+ellipses, tempolateral: hyperbolas) it makes one sin or sinh call; mixed
+calls apply both under an ellipse mask.  A panel's sums depend on its
+own nodes alone, not on which panels or triangles share its call, so a
+triangle's result is the same bits in any slab.  The per-edge constants
+are computed on Python floats.
 """
 
 from __future__ import annotations
@@ -86,6 +93,16 @@ _MAX_GRID = 8 * (_MAX_PANELS // 6) + 7
 _EPS = sys.float_info.epsilon
 
 _DEFAULT_CHECK_GRID = 64
+# Most kernel rows one level-1 call of _integrate_many evaluates: two
+# triangles' starting panels and both of their halves at the default grid
+# (3 rows for each of the 3 * (n // 8) starting panels of a triangle).
+# That keeps the kernel's largest block, 10 x 20 floats per row (~230 KB
+# here), well below 0.5 MB: once a block that large is freed, glibc raises
+# its mmap threshold for the rest of the process, which moves the speed of
+# every later large allocation.  Whole 8-triangle chunks in one call were
+# no faster per triangle.  From n = 72 each triangle's level 1 is a call
+# of its own, and from n = 136 that call alone exceeds the bound.
+_SLAB_ROWS = 2 * 9 * (_DEFAULT_CHECK_GRID // 8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,34 +167,36 @@ def _gl_rule():
     return nodes, weights
 
 
-def _loop_edges(pts):
-    """Per-edge constants of the loop pts[0] -> pts[1] -> pts[2] -> pts[0].
+def _loop_edges(*loops):
+    """Per-edge constants of each loop pts[0] -> pts[1] -> pts[2] -> pts[0].
 
     Edge j runs from p = pts[j] to q = pts[j+1] as
     x(s) = S((1-s)d) p/S(d) + S(sd) q/S(d), S = sin on an ellipse
     (<p,q> < 1) and sinh on a hyperbola, d the edge length.  k is the
     edge's x1 x2' - x2 x1' = (d/S(d)) (p1 q2 - p2 q1), the same at every s.
     The constants are computed on Python floats.  Returns the edges' S
-    and a (10, 3) table whose column j holds edge j's d, S(d), p0, q0,
-    p1, q1, p2, q2, k and |k|.  S is np.sin when every edge is an
-    ellipse (spatiolateral), np.sinh when every edge is a hyperbola
-    (tempolateral), and otherwise the (3,) array of ellipse flags.
+    and a (10, E) table, the loops' edges in order, whose column j holds
+    edge j's d, S(d), p0, q0, p1, q1, p2, q2, k and |k|.  S is np.sin when
+    every edge is an ellipse (spatiolateral loops), np.sinh when every
+    edge is a hyperbola (tempolateral), and otherwise the (E,) array of
+    ellipse flags.
     """
     import numpy as np
 
     ell, cols = [], []
-    for p, q in zip(pts, [*pts[1:], pts[0]]):
-        c = -(p[0] * q[0]) + p[1] * q[1] + p[2] * q[2]
-        if c < 1.0:
-            d = math.acos(max(c, -1.0))
-            sd = math.sin(d)
-        else:
-            d = math.acosh(c)
-            sd = math.sinh(d)
-        # sd is 0 only on a null edge (<p,q> = 1), where the integrand is nan.
-        k = (p[1] * q[2] - p[2] * q[1]) * d / sd if sd else math.nan
-        ell.append(c < 1.0)
-        cols.append((d, sd, p[0], q[0], p[1], q[1], p[2], q[2], k, abs(k)))
+    for pts in loops:
+        for p, q in zip(pts, [*pts[1:], pts[0]]):
+            c = -(p[0] * q[0]) + p[1] * q[1] + p[2] * q[2]
+            if c < 1.0:
+                d = math.acos(max(c, -1.0))
+                sd = math.sin(d)
+            else:
+                d = math.acosh(c)
+                sd = math.sinh(d)
+            # sd is 0 only on a null edge (<p,q> = 1), where the integrand is nan.
+            k = (p[1] * q[2] - p[2] * q[1]) * d / sd if sd else math.nan
+            ell.append(c < 1.0)
+            cols.append((d, sd, p[0], q[0], p[1], q[1], p[2], q[2], k, abs(k)))
     kind = np.sin if all(ell) else np.sinh if not any(ell) else np.array(ell)
     return kind, np.array(cols).T
 
@@ -256,6 +275,11 @@ def integrate_area(tri: DeSitterTriangle, n: int = _DEFAULT_CHECK_GRID) -> Oracl
     their round-off floors 64 * eps * R (> 0 for non-collinear vertices).
     More than _MAX_PANELS panels raises NonConvergentError.
 
+    This is the one-triangle batch of _integrate_many, which evaluates
+    level 1 of several triangles in one kernel call.  A panel's value does
+    not depend on which panels or triangles share its call, so the result
+    is the same bits whether tri is integrated alone or with others.
+
     est_error counts quadrature error and the round-off of evaluating
     the integrand.  It does not count the conditioning of the float
     vertices (the edge constants <p,q> and d they give), so it is no
@@ -263,39 +287,108 @@ def integrate_area(tri: DeSitterTriangle, n: int = _DEFAULT_CHECK_GRID) -> Oracl
     u_max 6 seed 59 it reports 1.4e-13 while the 40-digit referee is
     4.8e-13 away.
     """
+    (res,) = _integrate_many([tri], n)
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+def _integrate_many(tris, n: int) -> list:
+    """integrate_area of each of tris, in order: its OracleResult, or the
+    GeometryError its checks or the panel cap raise for it alone.
+
+    n is checked first, for the whole call, and raises as integrate_area's
+    does.  Level 1 evaluates the starting panels and both of their halves
+    of max(1, _SLAB_ROWS // (9 * (n // 8))) triangles at a time in one
+    _node_sums call, then judges every triangle's starting panels as one
+    block, a row per triangle; a triangle with a panel left over goes on
+    alone through the later levels.
+    """
     import numpy as np
 
     _check_grid("n", n)
-    _disk_name(tri)
-    _check_not_collinear(tri.points)
+    e, a, w, _ = _start_layout(n // 8)
+    out, live = [], []
+    for tri in tris:
+        try:
+            _disk_name(tri)
+            _check_not_collinear(tri.points)
+            _check_panels(0, e.size, 1)
+        except GeometryError as exc:
+            out.append(exc)
+        else:
+            out.append(None)
+            live.append(len(out) - 1)
+    loops = [[p._x for p in tris[i].points] for i in live]
+    vals, scales = np.empty((2, len(live), 3 * e.size))
+    per = max(1, _SLAB_ROWS // (3 * e.size))
+    for lo in range(0, len(live), per):
+        k = min(per, len(live) - lo)
+        v, s = _node_sums(_loop_edges(*loops[lo:lo + k]), *_slab_rows(n // 8, k))
+        vals[lo:lo + k], scales[lo:lo + k] = v.reshape(k, -1), s.reshape(k, -1)
+    scale = np.abs(vals[:, :e.size]).sum(axis=1)
+    gap, roundoff, ok = _judge(vals, scales, scale[:, None], w)
+    done = ok.all(axis=1).tolist()
+    ests, floors = gap.sum(axis=1).tolist(), roundoff.sum(axis=1).tolist()
+    for j, i in enumerate(live):
+        if done[j]:
+            area = abs(math.fsum(vals[j, e.size:].tolist()))
+            out[i] = OracleResult(area=area, est_error=max(ests[j], floors[j]),
+                                  grid=(n, n), refinements=1)
+            continue
+        try:
+            out[i] = _settle(_loop_edges(loops[j]), n, float(scale[j]),
+                             (e, a, w), vals[j], scales[j])
+        except NonConvergentError as exc:
+            out[i] = exc
+    return out
 
-    edges = _loop_edges([p._x for p in tri.points])
-    e, a, w, rows = _start_layout(n // 8)
+
+def _check_panels(kept: int, pending: int, level: int) -> None:
+    # The panel cap counts the panels kept so far and the pending panels' halves.
+    if kept + 2 * pending > _MAX_PANELS:
+        raise NonConvergentError(f"more than {_MAX_PANELS} panels at bisection level {level}")
+
+
+def _judge(vals: np.ndarray, scales: np.ndarray, scale, w: np.ndarray):
+    """The bisection test of panels w wide, whose sums (of one triangle, or
+    of one per row) run whole panels, left halves, right halves along the
+    last axis of vals and scales: (gap, roundoff, ok), ok where
+    |left + right - whole| <= max(1e-12 * scale * w, roundoff)."""
+    import numpy as np
+
+    m = w.size
+    whole, left, right = vals[..., :m], vals[..., m:2 * m], vals[..., 2 * m:]
+    gap = np.abs(left + right - whole)
+    roundoff = 64.0 * _EPS * (scales[..., m:2 * m] + scales[..., 2 * m:])
+    return gap, roundoff, gap <= np.maximum(1e-12 * scale * w, roundoff)
+
+
+def _settle(edges, n: int, scale: float, panels, vals: np.ndarray, scales: np.ndarray):
+    # The level loop of one triangle, from level 1's panels (e, a, w) and
+    # their sums (whole, left, right): a rejected panel's halves are judged
+    # at the next level, one _node_sums call each.
+    import numpy as np
+
+    e, a, w = panels
     kept, est, floor, level = [], 0.0, 0.0, 1
     while True:
-        if sum(map(len, kept)) + 2 * e.size > _MAX_PANELS:
-            raise NonConvergentError(f"more than {_MAX_PANELS} panels at bisection level {level}")
-        vals, scales = _node_sums(edges, *rows)
         m = e.size
-        whole, left, right = vals[:m], vals[m:2 * m], vals[2 * m:]
-        if level == 1:
-            scale = float(np.abs(whole).sum())
-        gap = np.abs(left + right - whole)
-        roundoff = 64.0 * _EPS * (scales[m:2 * m] + scales[2 * m:])
-        ok = gap <= np.maximum(1e-12 * scale * w, roundoff)
+        gap, roundoff, ok = _judge(vals, scales, scale, w)
         if ok.all():
             kept.append(vals[m:])
             est += float(gap.sum())
             floor += float(roundoff.sum())
             break
-        kept += left[ok], right[ok]
+        kept += vals[m:2 * m][ok], vals[2 * m:][ok]
         est += float(gap[ok].sum())
         floor += float(roundoff[ok].sum())
         bad = ~ok
         h = w[bad] / 2.0
         e, a, w = np.tile(e[bad], 2), np.concatenate([a[bad], a[bad] + h]), np.tile(h, 2)
-        rows = _level_rows(e, a, w)
         level += 1
+        _check_panels(sum(map(len, kept)), e.size, level)
+        vals, scales = _node_sums(edges, *_level_rows(e, a, w))
     return OracleResult(area=abs(math.fsum(np.concatenate(kept).tolist())),
                         est_error=max(est, floor), grid=(n, n), refinements=level)
 
@@ -312,7 +405,7 @@ def _level_rows(e: np.ndarray, a: np.ndarray, w: np.ndarray):
 @functools.lru_cache(maxsize=8)
 def _start_layout(m: int):
     """(e, a, w, rows) of the n // 8 = m starting panels per edge, read-only: rows
-    feeds level 1's one _node_sums call, on these panels and both of their halves."""
+    feeds level 1's _node_sums call, on these panels and both of their halves."""
     import numpy as np
 
     e = np.repeat(np.arange(3), m)
@@ -322,6 +415,20 @@ def _start_layout(m: int):
     for arr in (e, a, w, *rows):
         arr.flags.writeable = False
     return e, a, w, rows
+
+
+@functools.lru_cache(maxsize=8)
+def _slab_rows(m: int, k: int):
+    """_start_layout(m)'s rows tiled for k triangles, read-only: triangle t's
+    rows follow triangle t - 1's, and its edges are columns 3 t to 3 t + 2
+    of _loop_edges of the k loops."""
+    import numpy as np
+
+    e, frac, w = _start_layout(m)[3]
+    rows = (np.concatenate([e + 3 * t for t in range(k)]), np.tile(frac, k), np.tile(w, k))
+    for arr in rows:
+        arr.flags.writeable = False
+    return rows
 
 
 # Sampler attempts are drawn _FIRST_BLOCK at a time at the start of a
@@ -515,8 +622,11 @@ def verify_type(target: ProperName, trials: int, seed: int,
     equal to the signed sum (1e-8); the product-form area against the
     angle-form area (1e-9); and the type-specific structure of the
     distinguished vertex.  A closed form that raises fails the shape check
-    and skips the trial's later checks.  Each failure entry names its
-    trial's generator seed, which `dstrig random --type T --seed S` replays.
+    and skips the trial's later checks.  The oracle takes the other
+    trials' triangles in one _integrate_many call, after the last trial;
+    a trial's oracle entry still follows its other failures.  Each failure
+    entry names its trial's generator seed, which
+    `dstrig random --type T --seed S` replays.
     Each worst value is the largest over the trials, and nan once any is nan.
     trials, seed and grid are checked before the first trial: one that is
     not an int (or is a bool) raises TypeError, and trials below 1, a
@@ -531,7 +641,7 @@ def verify_type(target: ProperName, trials: int, seed: int,
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     _check_seed(seed)
     _check_grid("grid", grid)
-    trial_seeds = np.random.SeedSequence(seed).generate_state(trials)
+    trial_seeds = np.random.SeedSequence(seed).generate_state(trials).tolist()
     counts = {
         "oracle_agreement": 0,
         "tangent_normal_identity": 0,
@@ -545,52 +655,56 @@ def verify_type(target: ProperName, trials: int, seed: int,
         "complex_real_part": 0.0,
         "product_formula_gap": 0.0,
     }
-    failures = []
+    trial_failures = [[] for _ in range(trials)]
+
+    def tally(i: int, check: str, ok: bool, detail: str) -> None:
+        if ok:
+            counts[check] += 1
+        else:
+            trial_failures[i].append({"trial": i, "seed": trial_seeds[i], "check": check,
+                                      "detail": detail})
+
+    checked = []  # (trial, triangle, closed-form area) of the trials the oracle checks
     for i in range(trials):
-        cfg = GeneratorConfig(seed=int(trial_seeds[i]), target=target)
-
-        def tally(check: str, ok: bool, detail: str) -> None:
-            if ok:
-                counts[check] += 1
-            else:
-                failures.append({"trial": i, "seed": cfg.seed, "check": check,
-                                 "detail": detail})
-
-        tri = random_triangle(cfg)
+        tri = random_triangle(GeneratorConfig(seed=trial_seeds[i], target=target))
 
         resid = tangent_normal_residual(tri)
         worst["tangent_normal_residual"] = _worse(worst["tangent_normal_residual"], resid)
-        tally("tangent_normal_identity", resid <= 1e-8, f"residual {resid:.3g}")
+        tally(i, "tangent_normal_identity", resid <= 1e-8, f"residual {resid:.3g}")
 
         try:
             res = girard_area(tri)
             prod = girard_area_from_products(tri)
         except GeometryError as exc:
             # girard_area raises on the shape check below; the later checks need its area.
-            tally("complex_area_shape", False, f"closed form failed: {exc}")
+            tally(i, "complex_area_shape", False, f"closed form failed: {exc}")
             continue
         nabla = res.complex_area
         shape = abs(nabla.real)
         worst["complex_real_part"] = _worse(worst["complex_real_part"], shape)
-        tally("complex_area_shape",
+        tally(i, "complex_area_shape",
               shape <= 1e-8 and nabla.imag > 0 and abs(nabla.imag - res.real_area) <= 1e-8,
               f"angle sum {nabla!r} vs area {res.real_area!r}")
 
         gap = abs(prod - res.real_area)
         worst["product_formula_gap"] = _worse(worst["product_formula_gap"], gap)
-        tally("product_formula_agreement", gap <= 1e-9, f"gap {gap:.3g}")
+        tally(i, "product_formula_agreement", gap <= 1e-9, f"gap {gap:.3g}")
 
-        tally("type_structure", *_structure_ok(tri, target))
+        tally(i, "type_structure", *_structure_ok(tri, target))
+        checked.append((i, tri, res.real_area))
 
-        try:
-            orc = integrate_area(tri, n=grid)
-        except NonConvergentError as exc:
-            tally("oracle_agreement", False, f"oracle failed: {exc}")
+    # One oracle call on every checked trial; each trial's entry comes last in its failures.
+    oracles = _integrate_many([tri for _, tri, _ in checked], grid)
+    for (i, _, area), orc in zip(checked, oracles):
+        if isinstance(orc, NonConvergentError):
+            tally(i, "oracle_agreement", False, f"oracle failed: {orc}")
             continue
-        disc = abs(res.real_area - orc.area)
+        if isinstance(orc, Exception):
+            raise orc
+        disc = abs(area - orc.area)
         worst["oracle_discrepancy"] = _worse(worst["oracle_discrepancy"], disc)
-        tally("oracle_agreement", disc <= 1e-10 * max(1.0, res.real_area),
-              f"formula {res.real_area!r} vs oracle {orc.area!r} (est {orc.est_error:.3g})")
+        tally(i, "oracle_agreement", disc <= 1e-10 * max(1.0, area),
+              f"formula {area!r} vs oracle {orc.area!r} (est {orc.est_error:.3g})")
     return {
         "target": target.value,
         "trials": trials,
@@ -598,6 +712,6 @@ def verify_type(target: ProperName, trials: int, seed: int,
         "grid": grid,
         "counts": counts,
         "worst": worst,
-        "failures": failures,
+        "failures": [f for entries in trial_failures for f in entries],
         "passed": all(v == trials for v in counts.values()),
     }

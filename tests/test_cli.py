@@ -378,6 +378,78 @@ class TestAreaCommand:
         assert json.loads(out)["oracle"]["grid"] == [5463, 5463]
 
 
+def _pool_docs():
+    with gzip.open(POOL, "rt", encoding="utf-8") as fh:
+        return [json.dumps(json.loads(line)["doc"]) for line in list(fh)[1:]]  # line 1: metadata
+
+
+def _one_at_a_time(capsys, monkeypatch, docs, *options):
+    """area --oracle on each document alone, in turn, up to the first that
+    fails: the (exit code, stdout, stderr) of taking the documents one by one."""
+    out = ""
+    for doc in docs:
+        code, text, err = run_cli(capsys, monkeypatch, "area", "--input", "-", "--oracle",
+                                  *options, stdin=doc + "\n")
+        out += text
+        if code:
+            return code, out, err
+    return 0, out, ""
+
+
+class TestAreaOracleOrder:
+    """area --oracle integrates a group of documents in one oracle call, yet
+    prints and fails as if it took each document in turn."""
+
+    @pytest.fixture(scope="class")
+    def pool_docs(self):
+        return _pool_docs()
+
+    @pytest.fixture(scope="class")
+    def non_contractible_doc(self):
+        return doc_for(dstrig.oracle.random_buildable_triangle(18, u_max=2.0).points)
+
+    def _assert_one_at_a_time(self, capsys, monkeypatch, docs, *options):
+        got = run_cli(capsys, monkeypatch, "area", "--input", "-", "--oracle", *options,
+                      stdin="".join(doc + "\n" for doc in docs))
+        assert got == _one_at_a_time(capsys, monkeypatch, docs, *options)
+        return got
+
+    def test_cap_error_before_later_closed_form_error(self, capsys, monkeypatch, pool_docs,
+                                                      non_contractible_doc):
+        # Level 1 needs 48 halves at n = 64, so a cap of 48 fails document 2
+        # alone, at level 2; document 4's closed form raises, but later.
+        deep = random_triangle(GeneratorConfig(58, ProperName.CHRONOSCELES, u_max=6.0))
+        monkeypatch.setattr(dstrig.oracle, "_MAX_PANELS", 48)
+        docs = [pool_docs[0], doc_for(deep.points), pool_docs[1], non_contractible_doc,
+                pool_docs[2]]
+        code, out, err = self._assert_one_at_a_time(capsys, monkeypatch, docs)
+        assert (code, err) == (1, "error: more than 48 panels at bisection level 2\n")
+        assert len(out.splitlines()) == 1
+        assert json.loads(out)["oracle"]["refinements"] == 1
+
+    @pytest.mark.parametrize("good", [4, 12])
+    def test_reports_before_malformed_document(self, capsys, monkeypatch, pool_docs, good):
+        # 12 good documents fill one group of 8 and part of the next.
+        bad = json.dumps({"schema": 1, "vertices": [[0, 1, 0], [0, 2, 0], [0, 0, 1]]})
+        docs = pool_docs[::32][:good]
+        code, out, err = self._assert_one_at_a_time(capsys, monkeypatch, docs + [bad])
+        assert (code, err) == (2, "error: vertex row 2 is off the quadric: <v,v> = 4.0\n")
+        assert len(out.splitlines()) == good
+
+    def test_closed_form_error_before_grid_error(self, capsys, monkeypatch, pool_docs,
+                                                 non_contractible_doc):
+        # The grid is checked by the oracle, which document 1 never reaches.
+        docs = [non_contractible_doc, pool_docs[0]]
+        got = self._assert_one_at_a_time(capsys, monkeypatch, docs, "--grid", "6000")
+        assert got == (4, "", "error: triangle is non-contractible: it bounds no disk\n")
+        got = self._assert_one_at_a_time(capsys, monkeypatch, docs[::-1], "--grid", "6000")
+        assert got == (2, "", "error: grid must be at most 5463, got 6000\n")
+
+    def test_pool_bytes_match_one_at_a_time(self, capsys, monkeypatch, pool_docs):
+        docs = pool_docs[::16]
+        assert self._assert_one_at_a_time(capsys, monkeypatch, docs)[0] == 0
+
+
 class TestRandomCommand:
     def test_roundtrip(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, monkeypatch, "random", "--type",

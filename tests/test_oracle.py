@@ -40,6 +40,8 @@ from dstrig.oracle import (
 )
 from dstrig.triangles import (
     ProperName,
+    _check_not_collinear,
+    _disk_name,
     build_triangle,
     classify_triangle,
     distinguished_vertex,
@@ -600,6 +602,133 @@ class TestOracleDigest:
             == "a947e91d620da7ede3468ac7cc9dbf4dbcf0bf34350faa28c07ca6e5d07a6c7e"
 
 
+def _parent_integrate_area(tri, n):
+    """integrate_area as it was before _integrate_many: its own checks, then
+    one triangle's level loop, one _node_sums call per level."""
+    oracle._check_grid("n", n)
+    _disk_name(tri)
+    _check_not_collinear(tri.points)
+    edges = oracle._loop_edges([p._x for p in tri.points])
+    e, a, w, rows = oracle._start_layout(n // 8)
+    kept, est, floor, level = [], 0.0, 0.0, 1
+    while True:
+        if sum(map(len, kept)) + 2 * e.size > oracle._MAX_PANELS:
+            raise NonConvergentError(
+                f"more than {oracle._MAX_PANELS} panels at bisection level {level}")
+        vals, scales = oracle._node_sums(edges, *rows)
+        m = e.size
+        whole, left, right = vals[:m], vals[m:2 * m], vals[2 * m:]
+        if level == 1:
+            scale = float(np.abs(whole).sum())
+        gap = np.abs(left + right - whole)
+        roundoff = 64.0 * oracle._EPS * (scales[m:2 * m] + scales[2 * m:])
+        ok = gap <= np.maximum(1e-12 * scale * w, roundoff)
+        if ok.all():
+            kept.append(vals[m:])
+            est += float(gap.sum())
+            floor += float(roundoff.sum())
+            break
+        kept += left[ok], right[ok]
+        est += float(gap[ok].sum())
+        floor += float(roundoff[ok].sum())
+        bad = ~ok
+        h = w[bad] / 2.0
+        e, a, w = np.tile(e[bad], 2), np.concatenate([a[bad], a[bad] + h]), np.tile(h, 2)
+        rows = oracle._level_rows(e, a, w)
+        level += 1
+    return oracle.OracleResult(area=abs(math.fsum(np.concatenate(kept).tolist())),
+                               est_error=max(est, floor), grid=(n, n), refinements=level)
+
+
+def _packed(res):
+    """An oracle result's four fields as bytes, or an exception's type and text."""
+    if isinstance(res, Exception):
+        return type(res), str(res)
+    return struct.pack("<2d3q", res.area, res.est_error, *res.grid, res.refinements)
+
+
+def _parent_outcome(tri, n):
+    try:
+        return _packed(_parent_integrate_area(tri, n))
+    except GeometryError as exc:
+        return _packed(exc)
+
+
+def _pool_chunks():
+    """The pool as the benchmark's chunks: 8 triangles, one per stratum."""
+    strata = {}
+    with gzip.open(POOL, "rt", encoding="utf-8") as fh:
+        for line in list(fh)[1:]:  # line 1: metadata
+            rec = json.loads(line)
+            tri = build_triangle(*map(DeSitterPoint, rec["doc"]["vertices"]))
+            strata.setdefault((rec["type"], rec["u_max"]), []).append(tri)
+    assert len(strata) == 8
+    return [list(chunk) for chunk in zip(*strata.values())]
+
+
+class TestIntegrateMany:
+    """_integrate_many against one triangle at a time, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def chunks(self):
+        return _pool_chunks()
+
+    @pytest.mark.parametrize("n", (8, 64, 200))
+    def test_pool_matches_parent(self, chunks, n):
+        # Chunks mix the four types, so slabs mix sin and sinh edges.
+        pool = [tri for chunk in chunks for tri in chunk]
+        want = [_parent_outcome(tri, n) for tri in pool]
+        in_chunks = [_packed(res) for chunk in chunks for res in oracle._integrate_many(chunk, n)]
+        assert in_chunks == want
+        assert [_packed(res) for res in oracle._integrate_many(pool, n)] == want
+        assert [_packed(integrate_area(tri, n)) for tri in pool] == want
+
+    def test_failures_stay_with_their_triangle(self, chunks, monkeypatch):
+        # Level 1 needs 48 halves at n = 64, so a cap of 48 fails only a
+        # triangle that refines; the others share slabs with the failures.
+        non_contractible = random_buildable_triangle(18, u_max=2.0)
+        p1, _, p3 = chunks[0][0].points
+        collinear = dataclasses.replace(chunks[0][0], points=(p1, p1, p3))
+        deep = _pool_triangle(ProperName.CHRONOSCELES, 6.0, seed=58)
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 48)
+        batch = [chunks[1][0], non_contractible, chunks[1][1], collinear, deep,
+                 chunks[1][2], chunks[1][3], deep, chunks[1][4]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [_packed(res) for res in oracle._integrate_many(batch, 64)]
+        assert got == [_parent_outcome(tri, 64) for tri in batch]
+        assert [g[0] for g in got if isinstance(g, tuple)] == [
+            NonContractibleError, DegenerateTriangleError, NonConvergentError,
+            NonConvergentError]
+        assert got[4][1] == "more than 48 panels at bisection level 2"
+        assert sum(isinstance(g, bytes) for g in got) == 5
+        # Below level 1's 48 halves every triangle fails the cap, after its checks.
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 47)
+        got = [_packed(res) for res in oracle._integrate_many(batch, 64)]
+        assert got == [_parent_outcome(tri, 64) for tri in batch]
+        assert got[:2] == [(NonConvergentError, "more than 47 panels at bisection level 1"),
+                           (NonContractibleError,
+                            "triangle is non-contractible: it bounds no disk")]
+
+    def test_bad_grid_raises_for_the_call(self, chunks):
+        for n, error in ((7, ValueError), (64.0, TypeError), (True, TypeError)):
+            with pytest.raises(error):
+                oracle._integrate_many(chunks[0], n)
+        assert oracle._integrate_many([], 64) == []
+
+    @pytest.mark.parametrize("n, slab, per_chunk", [(8, 72, 1), (64, 144, 4), (200, 225, 8)])
+    def test_calls_within_row_bound(self, chunks, n, slab, per_chunk, monkeypatch):
+        # Level 1 of a chunk takes per_chunk calls of slab rows: the whole
+        # chunk at n = 8, two triangles at n = 64, and one at n = 200, whose
+        # 225 rows alone exceed the bound.  Later levels are smaller.
+        calls = count_calls(monkeypatch, oracle, "_node_sums")
+        for chunk in chunks:
+            oracle._integrate_many(chunk, n)
+        rows = collections.Counter(args[1].size for args in calls)
+        assert max(rows) == slab <= max(oracle._SLAB_ROWS, 9 * (n // 8)), rows
+        assert rows[slab] == per_chunk * len(chunks), rows
+
+
 class TestGeneratorConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -1038,6 +1167,17 @@ class TestVerifyType:
             (0, trial_seeds[0], "oracle_agreement"), (1, trial_seeds[1], "oracle_agreement")]
         assert all(f["detail"].startswith("oracle failed: more than 1 panels")
                    for f in rep["failures"])
+
+    def test_oracle_entry_last_in_its_trial(self, corrupt_normals, monkeypatch):
+        # The oracle takes every trial's triangle in one call after the last
+        # trial, yet each trial's oracle entry follows that trial's others.
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 1)
+        calls = count_calls(monkeypatch, oracle, "_integrate_many")
+        rep = verify_type(ProperName.CHRONOSCELES, trials=3, seed=3)
+        assert [(f["trial"], f["check"]) for f in rep["failures"]] == [
+            (i, check) for i in range(3)
+            for check in ("tangent_normal_identity", "oracle_agreement")]
+        assert [len(args[0]) for args in calls] == [3]
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):

@@ -15,12 +15,17 @@ in-process, and all are timed with `time.perf_counter`:
   `u_max` 2 and 6, 64 documents each): `integrate_area(tri, 64)`, each
   document's best of 20 calls.  Spatiolateral edges are all ellipses and
   tempolateral ones all hyperbolas; the other two types mix the kinds;
+- `integrate 8-triangle chunk (n=64)`: `oracle._integrate_many(chunk, 64)`
+  on the 8-triangle chunks below, per triangle: each chunk's best of 20
+  calls divided by 8 (left out where the checkout has no
+  `_integrate_many`);
 - `tangents (first read)` and `normals (first read)`: reading the attribute
   once on a triangle that `build_triangle` has just made (the build is not
   timed), each document's best of 20 such triangles;
-- `cli classify` and `cli area`: `dstrig.cli.main` on 8-document JSONL
-  calls, one document per pool stratum (the `stream` workload's chunks),
-  per document: each chunk's best of 20 calls divided by 8;
+- `cli classify`, `cli area` and `cli area --oracle` (`--grid 64`):
+  `dstrig.cli.main` on 8-document JSONL calls, one document per pool
+  stratum (the `stream` workload's chunks), per document: each chunk's
+  best of 20 calls divided by 8;
 - one `random_triangle` row per pool stratum (four area types x `u_max`
   2 and 6): `random_triangle(GeneratorConfig(seed, type, u_max))` for
   seeds 0-31, each seed's best of 5 calls.  These rows also hold the
@@ -112,12 +117,12 @@ def nearest_rank(values, q: float):
     return ordered[max(1, math.ceil(q * len(ordered))) - 1]
 
 
-def cli_call(main, command: str, text: str) -> None:
+def cli_call(main, command: str, text: str, *options: str) -> None:
     saved = sys.stdin
     sys.stdin = io.StringIO(text)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            if main([command, "--input", "-"]) != 0:
+            if main([command, "--input", "-", *options]) != 0:
                 raise RuntimeError(f"dstrig {command} failed on a pool chunk")
     finally:
         sys.stdin = saved
@@ -184,6 +189,7 @@ def main() -> int:
     import numpy as np
 
     import dstrig
+    import dstrig.oracle
     from dstrig.areas import girard_area, interior_angles
     from dstrig.cli import main as cli_main
     from dstrig.geodesics import DeSitterPoint
@@ -223,13 +229,20 @@ def main() -> int:
     strata = {}
     for rec in records:
         strata.setdefault((rec["type"], float(rec["u_max"])), []).append(rec["doc"])
-    chunks = ["".join(json.dumps(doc) + "\n" for doc in docs)
-              for docs in zip(*strata.values())]
     if len(strata) != CHUNK:
         sys.exit(f"expected {CHUNK} pool strata, found {len(strata)}")
-    for command in ("classify", "area"):
-        times[f"cli {command}"] = [best_us(cli_call, cli_main, command, text) / CHUNK
-                                   for text in chunks]
+    doc_chunks = list(zip(*strata.values()))
+    integrate_many = getattr(dstrig.oracle, "_integrate_many", None)
+    if integrate_many is not None:
+        times["integrate 8-triangle chunk (n=64)"] = [
+            best_us(integrate_many, [build_triangle(*map(DeSitterPoint, doc["vertices"]))
+                                     for doc in docs], 64) / CHUNK
+            for docs in doc_chunks]
+    chunks = ["".join(json.dumps(doc) + "\n" for doc in docs) for docs in doc_chunks]
+    for row, command, options in (("cli classify", "classify", ()), ("cli area", "area", ()),
+                                  ("cli area --oracle", "area", ("--oracle", "--grid", "64"))):
+        times[row] = [best_us(cli_call, cli_main, command, text, *options) / CHUNK
+                      for text in chunks]
 
     attempts, first_edge, bound = {}, {}, {}
     for type_name, u_max in strata:
