@@ -51,7 +51,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 
 _TARGETS = {name.value: name for name in _AREA_TYPES}
-# Documents area --oracle takes at a time: their closed forms, then one
+# Documents area takes at a time: their closed forms, then (--oracle) one
 # oracle call on their triangles, then their reports.
 _ORACLE_GROUP = 8
 _GRID_HELP = f"oracle resolution 8 <= n <= {_MAX_GRID}: n // 8 starting panels per edge"
@@ -218,26 +218,25 @@ def _area_report(points) -> tuple[dict, DeSitterTriangle]:
 
 def cmd_area(args) -> int:
     docs = _parse_documents(_read_text(args.input))
-    if not args.oracle:
-        for doc in docs:
-            _emit(_area_report(_document_points(doc))[0])
-        return EXIT_OK
     for lo in range(0, len(docs), _ORACLE_GROUP):
         # The group's closed forms up to the first document that fails,
-        # then one oracle call on their triangles.  Reports go out in
-        # order up to the first oracle error, and the failed document's
-        # error comes after them: as if each document were taken in turn.
+        # then, with --oracle, one oracle call on their triangles.  Reports
+        # go out in order up to the first oracle error, and the failed
+        # document's error comes after them: as if each document were
+        # taken in turn.
         done, stop = [], None
         try:
             for doc in docs[lo:lo + _ORACLE_GROUP]:
                 done.append(_area_report(_document_points(doc)))
         except (DocumentError, GeometryError, ValueError) as exc:
             stop = exc
-        if done:
+        oracles = [None] * len(done)
+        if args.oracle and done:
             oracles = _integrate_many([tri for _, tri in done], args.grid)
-            for (report, _), orc in zip(done, oracles):
-                if isinstance(orc, Exception):
-                    raise orc
+        for (report, _), orc in zip(done, oracles):
+            if isinstance(orc, Exception):
+                raise orc
+            if orc is not None:
                 report["oracle"] = {
                     "area": orc.area,
                     "est_error": orc.est_error,
@@ -245,7 +244,7 @@ def cmd_area(args) -> int:
                     "refinements": orc.refinements,
                     "discrepancy": abs(orc.area - report["real_area"]),
                 }
-                _emit(report)
+            _emit(report)
         if stop is not None:
             raise stop
     return EXIT_OK

@@ -20,7 +20,7 @@ from .errors import (
     NullTangentError,
     UnsupportedKindError,
 )
-from .minkowski import NULL_EPS, UNIT_EPS, ZERO_EPS, CausalType, _float3, as_vec3, mink_inner
+from .minkowski import ZERO_EPS, CausalType, _edge_code, _float3, _null, _unit, as_vec3, mink_inner
 
 if TYPE_CHECKING:
     import numpy as np
@@ -51,7 +51,7 @@ class DeSitterPoint:
         x = _float3(v)
         q = mink_inner(x, x)
         # Negated so that a nan <v,v> (overflow of a huge vertex) fails too.
-        if not abs(q - 1.0) <= UNIT_EPS:
+        if not _unit(q):
             raise NotUnitError(f"point off the quadric: <v,v> = {q!r}")
         object.__setattr__(self, "_x", x)
 
@@ -70,6 +70,11 @@ class DeSitterPoint:
         return f"DeSitterPoint({list(self._x)!r})"
 
 
+# The kind of each minkowski._edge_code, and its arc length in <p,q>.
+_SEGMENTS = {1: (SegmentKind.ELLIPSE_PART, math.acos), 4: (SegmentKind.HYPERBOLA_PART, math.acosh),
+             16: (SegmentKind.NULL_LINE, None), 64: (SegmentKind.IMPOSSIBLE, None)}
+
+
 @dataclass(frozen=True, eq=False)
 class GeodesicSegment:
     a: DeSitterPoint
@@ -82,7 +87,7 @@ def project_to_quadric(v) -> DeSitterPoint:
     """Scale a space-like position vector onto the quadric."""
     v = as_vec3(v)
     q = mink_inner(v, v)
-    if q <= NULL_EPS:
+    if q <= 0.0 or _null(q):
         raise NotSpaceLikePositionError(
             f"only space-like positions project to the quadric: <v,v> = {q!r}")
     return DeSitterPoint(v / math.sqrt(q))
@@ -112,7 +117,7 @@ def _tangent(p: DeSitterPoint, q: DeSitterPoint, c: float) -> list[float]:
     # tangent_toward(p, q) as Python floats, given c = <p,q>.
     w = [b - c * a for a, b in zip(p._x, q._x)]
     ww = mink_inner(w, w)
-    if abs(ww) <= NULL_EPS:
+    if _null(ww):
         how = _proportional(p, q)
         if how is not None:
             raise CoincidentPointsError(f"{how} points admit no tangent direction")
@@ -127,7 +132,7 @@ def classify_span(p: DeSitterPoint, q: DeSitterPoint) -> CausalType:
     if how is not None:
         raise CoincidentPointsError(f"{how} points span no plane")
     c = mink_inner(p._x, q._x)
-    if abs(abs(c) - 1.0) <= NULL_EPS:
+    if _null(abs(c) - 1.0):
         return CausalType.NULL
     if abs(c) < 1.0:
         return CausalType.SPACE_LIKE
@@ -139,21 +144,16 @@ def classify_segment(p: DeSitterPoint, q: DeSitterPoint) -> GeodesicSegment:
 
     Separation is the arc length: acos<p,q> on an ellipse arc,
     acosh<p,q> on a hyperbola branch, 0 for the two kinds that carry
-    no length.  Inner products at or below -1 admit no geodesic; the
-    band around -1 is folded into IMPOSSIBLE since only +1 yields a
-    null line.
+    no length.  The kind is minkowski._edge_code's: inner products at or
+    below -1 admit no geodesic, and the band around -1 is folded into
+    IMPOSSIBLE since only +1 yields a null line.
     """
     how = _proportional(p, q)
     if how is not None:
         raise CoincidentPointsError(f"{how} points form no segment")
     c = mink_inner(p._x, q._x)
-    if abs(c - 1.0) <= NULL_EPS:
-        return GeodesicSegment(p, q, SegmentKind.NULL_LINE, 0.0)
-    if c > 1.0:
-        return GeodesicSegment(p, q, SegmentKind.HYPERBOLA_PART, math.acosh(c))
-    if c > -1.0 + NULL_EPS:
-        return GeodesicSegment(p, q, SegmentKind.ELLIPSE_PART, math.acos(c))
-    return GeodesicSegment(p, q, SegmentKind.IMPOSSIBLE, 0.0)
+    kind, length = _SEGMENTS[_edge_code(c)]
+    return GeodesicSegment(p, q, kind, 0.0 if length is None else length(c))
 
 
 def geodesic_point(seg: GeodesicSegment, t: float) -> DeSitterPoint:

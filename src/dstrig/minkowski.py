@@ -40,6 +40,34 @@ UNIT_EPS = 1e-9
 ZERO_EPS = 1e-12
 
 
+# The band table: every null, unit and edge-band decision of the package
+# is one of these predicates, and only they compare with NULL_EPS and
+# UNIT_EPS.  A nan is neither null nor unit, and codes an impossible edge.
+
+def _null(x: float) -> bool:
+    """x is in the null band around 0."""
+    return abs(x) <= NULL_EPS
+
+
+def _unit(q: float) -> bool:
+    """<v,v> = q is in the unit band around 1."""
+    return abs(q - 1.0) <= UNIT_EPS
+
+
+def _edge_code(c: float) -> int:
+    """Code of the geodesic between quadric points with <p,q> = c: 1 for
+    an ellipse arc, 4 for a hyperbola branch, 16 for a null line (c in
+    the null band around 1) and 64 for impossible (c at most
+    -1 + NULL_EPS, or nan: the band around -1 admits no geodesic)."""
+    return (16 if abs(c - 1.0) <= NULL_EPS else 4 if c > 1.0
+            else 1 if c > -1.0 + NULL_EPS else 64)
+
+
+def _require_nonzero(u) -> None:
+    if max(abs(u[0]), abs(u[1]), abs(u[2])) < ZERO_EPS:
+        raise ZeroVectorError("causal type of the zero vector is undefined")
+
+
 def __getattr__(name: str):
     # METRIC, the read-only diag(-1, 1, 1), is built on first access: importing
     # this module loads no numpy.
@@ -144,13 +172,10 @@ def _finite(x: float, what: str) -> float:
 
 def causal_type(u) -> CausalType:
     q = _finite(mink_inner(u, u), "<u,u>")
-    if max(abs(u[0]), abs(u[1]), abs(u[2])) < ZERO_EPS:
-        raise ZeroVectorError("causal type of the zero vector is undefined")
-    if q > NULL_EPS:
-        return CausalType.SPACE_LIKE
-    if q < -NULL_EPS:
-        return CausalType.TIME_LIKE
-    return CausalType.NULL
+    _require_nonzero(u)
+    if _null(q):
+        return CausalType.NULL
+    return CausalType.SPACE_LIKE if q > 0.0 else CausalType.TIME_LIKE
 
 
 def pseudo_norm(u) -> complex:
@@ -182,7 +207,7 @@ def _normalized(x: list[float]) -> list[float]:
 
 def _require_unit(q, label: str) -> None:
     # Negated so that a nan <v,v> (overflow of a huge vector) fails too.
-    if not abs(abs(q) - 1.0) <= UNIT_EPS:
+    if not _unit(abs(q)):
         raise NotUnitError(f"{label} has <v,v> = {q!r}, expected magnitude 1")
 
 
@@ -201,13 +226,12 @@ def _checked_angle(u, v, what: str) -> tuple[PseudoAngle, float]:
     it checks both vectors and holds the six-branch table.  what names
     the caller in the null-input message.
     """
-    for w in (u, v):
-        if max(abs(w[0]), abs(w[1]), abs(w[2])) < ZERO_EPS:
-            raise ZeroVectorError("causal type of the zero vector is undefined")
+    _require_nonzero(u)
+    _require_nonzero(v)
     qu = mink_inner(u, u)
     qv = mink_inner(v, v)
     # A nan <v,v> is not null: the unit check rejects it.
-    if abs(qu) <= NULL_EPS or abs(qv) <= NULL_EPS:
+    if _null(qu) or _null(qv):
         raise NullInputError(f"{what} requires non-null vectors")
     _require_unit(qu, "u")
     _require_unit(qv, "v")
@@ -234,7 +258,7 @@ def _span_theta(phi: PseudoAngle, g: float) -> float:
     """phi.theta, once the plane the pair spans is known not to be null."""
     # A mixed pair always spans a time-like plane.
     if phi.branch is not AngleBranch.HALF_PI_PLUS_IMAG:
-        if abs(abs(g) - 1.0) <= NULL_EPS:
+        if _null(abs(g) - 1.0):
             raise NullSpanError(f"span is null within tolerance: <u,v> = {g!r}")
         if abs(g) < 1.0 and phi.branch is not AngleBranch.REAL_SECTOR:
             # Unit time-like pairs always satisfy abs(<u,v>) >= 1.

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING
 from .areas import _apex_products, girard_area, girard_area_from_products
 from .errors import ExhaustedAttemptsError, GeometryError, NonConvergentError
 from .geodesics import DeSitterPoint
-from .minkowski import NULL_EPS, UNIT_EPS
+from .minkowski import UNIT_EPS, _edge_code, _unit
 from .triangles import (
     DeSitterTriangle,
     ProperName,
@@ -451,8 +451,8 @@ _UNIT_SAFE_U = math.acosh(math.sqrt(UNIT_EPS / (32.0 * _EPS)))
 # past 1 as well.  300,000 seeded draws reach 6.2 eps (cm + cp).
 _FIRST_EDGE_MARGIN = 64.0 * _EPS
 # Each proper name's (space-like, time-like, light-like) edge counts
-# packed base 4: the sampler's prefilter sums per-edge codes 1, 4, 16,
-# and 64 for an impossible edge, which no name holds.
+# packed base 4: the sampler's prefilter sums minkowski._edge_code's
+# per-edge codes 1, 4, 16, and 64 for an impossible edge, which no name holds.
 _EDGE_CODES = {name: i + 4 * j + 16 * k for (i, j, k), name in _NAME_TABLE.items()}
 
 
@@ -474,12 +474,13 @@ def _kept_attempts(rng: np.random.Generator, u_max: float, max_attempts: int, ru
 
     rule is _TARGET_RULES[target].  An attempt is dropped where the edge
     kinds name a type other than the target's, or (spatiolateral)
-    1 + <p2,p3> + <p3,p1> + <p1,p2> <= 0.  The inner products, bands and
-    sum are mink_inner's, classify_segment's and triangles._contractible's,
-    in their operation order, so each decision is classify_triangle's.  An
-    attempt with a point off the quadric (or with a nan <p,p>) is kept, so
-    DeSitterPoint raises on it; classify_triangle rejects coincident,
-    antipodal or collinear vertices.
+    1 + <p2,p3> + <p3,p1> + <p1,p2> <= 0.  The inner products and sum are
+    mink_inner's and triangles._contractible's, in their operation order,
+    and the loop calls the band predicates DeSitterPoint and
+    classify_segment call, minkowski._unit and _edge_code, so each
+    decision is classify_triangle's.  An attempt with a point off the
+    quadric (or with a nan <p,p>) is kept, so DeSitterPoint raises on it;
+    classify_triangle rejects coincident, antipodal or collinear vertices.
 
     A vertex's unit check cannot fail where |u| <= _UNIT_SAFE_U, so it is
     made only above that rapidity, and always before any edge is coded;
@@ -496,7 +497,7 @@ def _kept_attempts(rng: np.random.Generator, u_max: float, max_attempts: int, ru
     codes, top, contractible = rule
     lo, span, turn = -u_max, u_max - -u_max, 2.0 * math.pi
     sinh, cosh, cos, sin = math.sinh, math.cosh, math.cos, math.sin
-    unit, null, impossible = UNIT_EPS, NULL_EPS, -1.0 + NULL_EPS
+    unit, edge = _unit, _edge_code
     safe, low = _UNIT_SAFE_U, -_UNIT_SAFE_U
     # -u_max + 2 u_max w rounds into [-u_max, u_max], so here no check can fail.
     free = u_max <= safe
@@ -514,32 +515,27 @@ def _kept_attempts(rng: np.random.Generator, u_max: float, max_attempts: int, ru
             q0, q1, q2 = sinh(u1), c1 * cos(a1), c1 * sin(a1)
             r0, r1, r2 = sinh(u2), c2 * cos(a2), c2 * sin(a2)
             on = free or (
-                (low <= u1 <= safe or abs(-(q0 * q0) + q1 * q1 + q2 * q2 - 1.0) <= unit)
-                and (low <= u2 <= safe or abs(-(r0 * r0) + r1 * r1 + r2 * r2 - 1.0) <= unit))
+                (low <= u1 <= safe or unit(-(q0 * q0) + q1 * q1 + q2 * q2))
+                and (low <= u2 <= safe or unit(-(r0 * r0) + r1 * r1 + r2 * r2)))
             if on:
-                # Edge j joins vertices j+1 and j+2, coded 1 (space-like), 4
-                # (time-like), 16 (null) or 64 (impossible); codes only grow,
-                # so stop past the top one.
+                # Edge j joins vertices j+1 and j+2; codes only grow, so stop
+                # past the top one.
                 e0 = -(q0 * r0) + q1 * r1 + q2 * r2
-                code = (16 if abs(e0 - 1.0) <= null else 4 if e0 > 1.0
-                        else 1 if e0 > impossible else 64)
+                code = edge(e0)
                 if code > top and (free or low <= lo + span * w0 <= safe):
                     continue
             u0, a0 = lo + span * w0, turn * w3
             c0 = cosh(u0)
             p0, p1, p2 = sinh(u0), c0 * cos(a0), c0 * sin(a0)
-            if on and (free or low <= u0 <= safe
-                       or abs(-(p0 * p0) + p1 * p1 + p2 * p2 - 1.0) <= unit):
+            if on and (free or low <= u0 <= safe or unit(-(p0 * p0) + p1 * p1 + p2 * p2)):
                 if code > top:
                     continue
                 e1 = -(r0 * p0) + r1 * p1 + r2 * p2
-                code += (16 if abs(e1 - 1.0) <= null else 4 if e1 > 1.0
-                         else 1 if e1 > impossible else 64)
+                code += edge(e1)
                 if code > top:
                     continue
                 e2 = -(p0 * q0) + p1 * q1 + p2 * q2
-                code += (16 if abs(e2 - 1.0) <= null else 4 if e2 > 1.0
-                         else 1 if e2 > impossible else 64)
+                code += edge(e2)
                 if code not in codes or (contractible and 1.0 + e0 + e1 + e2 <= 0.0):
                     continue
             yield (p0, p1, p2), (q0, q1, q2), (r0, r1, r2)

@@ -383,12 +383,14 @@ def _pool_docs():
         return [json.dumps(json.loads(line)["doc"]) for line in list(fh)[1:]]  # line 1: metadata
 
 
-def _one_at_a_time(capsys, monkeypatch, docs, *options):
-    """area --oracle on each document alone, in turn, up to the first that
-    fails: the (exit code, stdout, stderr) of taking the documents one by one."""
+def _one_at_a_time(capsys, monkeypatch, docs, *options, oracle=True):
+    """area (--oracle unless oracle is False) on each document alone, in
+    turn, up to the first that fails: the (exit code, stdout, stderr) of
+    taking the documents one by one."""
     out = ""
+    mode = ("--oracle",) if oracle else ()
     for doc in docs:
-        code, text, err = run_cli(capsys, monkeypatch, "area", "--input", "-", "--oracle",
+        code, text, err = run_cli(capsys, monkeypatch, "area", "--input", "-", *mode,
                                   *options, stdin=doc + "\n")
         out += text
         if code:
@@ -398,7 +400,8 @@ def _one_at_a_time(capsys, monkeypatch, docs, *options):
 
 class TestAreaOracleOrder:
     """area --oracle integrates a group of documents in one oracle call, yet
-    prints and fails as if it took each document in turn."""
+    prints and fails as if it took each document in turn; area without it
+    runs the same groups of closed forms, and prints and fails alike."""
 
     @pytest.fixture(scope="class")
     def pool_docs(self):
@@ -408,10 +411,11 @@ class TestAreaOracleOrder:
     def non_contractible_doc(self):
         return doc_for(dstrig.oracle.random_buildable_triangle(18, u_max=2.0).points)
 
-    def _assert_one_at_a_time(self, capsys, monkeypatch, docs, *options):
-        got = run_cli(capsys, monkeypatch, "area", "--input", "-", "--oracle", *options,
+    def _assert_one_at_a_time(self, capsys, monkeypatch, docs, *options, oracle=True):
+        mode = ("--oracle",) if oracle else ()
+        got = run_cli(capsys, monkeypatch, "area", "--input", "-", *mode, *options,
                       stdin="".join(doc + "\n" for doc in docs))
-        assert got == _one_at_a_time(capsys, monkeypatch, docs, *options)
+        assert got == _one_at_a_time(capsys, monkeypatch, docs, *options, oracle=oracle)
         return got
 
     def test_cap_error_before_later_closed_form_error(self, capsys, monkeypatch, pool_docs,
@@ -448,6 +452,24 @@ class TestAreaOracleOrder:
     def test_pool_bytes_match_one_at_a_time(self, capsys, monkeypatch, pool_docs):
         docs = pool_docs[::16]
         assert self._assert_one_at_a_time(capsys, monkeypatch, docs)[0] == 0
+
+    @pytest.mark.parametrize("case, code, printed", [
+        ("pool", 0, 32), ("malformed 5th", 2, 4), ("malformed 13th", 2, 12),
+        ("non-contractible 10th", 4, 9), ("grid unchecked", 0, 3)])
+    def test_without_oracle_matches_one_at_a_time(self, capsys, monkeypatch, pool_docs,
+                                                  non_contractible_doc, case, code, printed):
+        bad = json.dumps({"schema": 1, "vertices": [[0, 1, 0], [0, 2, 0], [0, 0, 1]]})
+        docs, options = {
+            "pool": (pool_docs[::16], ()),
+            "malformed 5th": (pool_docs[::32][:4] + [bad], ()),
+            "malformed 13th": (pool_docs[::32][:12] + [bad], ()),
+            "non-contractible 10th": (pool_docs[:9] + [non_contractible_doc] + pool_docs[9:12], ()),
+            # The grid is the oracle's to check, and without --oracle none runs.
+            "grid unchecked": (pool_docs[:3], ("--grid", "6000")),
+        }[case]
+        got = self._assert_one_at_a_time(capsys, monkeypatch, docs, *options, oracle=False)
+        assert got[0] == code and len(got[1].splitlines()) == printed
+        assert all("oracle" not in json.loads(line) for line in got[1].splitlines())
 
 
 class TestRandomCommand:

@@ -1,7 +1,9 @@
+import ast
 import cmath
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +18,17 @@ from dstrig.errors import (
     NullSpanError,
     ZeroVectorError,
 )
+from dstrig.geodesics import project_to_quadric
 from dstrig.minkowski import (
     METRIC,
+    NULL_EPS,
+    UNIT_EPS,
     AngleBranch,
     CausalType,
+    _edge_code,
+    _null,
+    _require_unit,
+    _unit,
     boost_matrix,
     causal_type,
     lorentz_cross,
@@ -466,3 +475,155 @@ class TestLorentzGroup:
         m = boost_matrix(1.5)
         assert m[0, 0] >= 1.0
         assert cmath.isclose(m[0, 0], math.cosh(1.5))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dstrig"
+
+
+def _ulps(t):
+    """t and the floats 1 and 2 ulp on either side of it."""
+    down = math.nextafter(t, -math.inf)
+    up = math.nextafter(t, math.inf)
+    return [math.nextafter(down, -math.inf), down, t, up, math.nextafter(up, math.inf)]
+
+
+# Every predicate's thresholds, each with its 2-ulp neighbourhood, and the
+# specials; each predicate is fed all of them.
+_THRESHOLDS = [1.0 + NULL_EPS, 1.0 - NULL_EPS, 1.0, -1.0 + NULL_EPS, -1.0,
+               1.0 + UNIT_EPS, 1.0 - UNIT_EPS, NULL_EPS, -NULL_EPS]
+_BAND_VALUES = [x for t in _THRESHOLDS for x in _ulps(t)] + [0.0, -0.0, math.inf, -math.inf,
+                                                             math.nan]
+
+# The expressions each site wrote out before the band table, copied.
+
+
+def _old_edge_code(c):
+    # classify_segment's chain and the sampler's inline code.
+    return 16 if abs(c - 1.0) <= NULL_EPS else 4 if c > 1.0 else 1 if c > -1.0 + NULL_EPS else 64
+
+
+def _old_unit(q):
+    # DeSitterPoint's and the sampler's unit test.
+    return abs(q - 1.0) <= UNIT_EPS
+
+
+def _old_null(x):
+    # _tangent's and _checked_angle's null test.
+    return abs(x) <= NULL_EPS
+
+
+def _old_causal(q):
+    # causal_type's two one-sided tests.
+    return "space" if q > NULL_EPS else "time" if q < -NULL_EPS else "null"
+
+
+def _old_span_null(c):
+    # classify_span's and _span_theta's test.
+    return abs(abs(c) - 1.0) <= NULL_EPS
+
+
+def _raises(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+class TestBandTable:
+    """minkowski's band predicates make the decisions the sites' inline
+    expressions made, at the band edges themselves; the digests reach only
+    sampled values."""
+
+    @pytest.mark.parametrize("x", _BAND_VALUES)
+    def test_predicates_match_the_old_expressions(self, x):
+        assert _edge_code(x) == _old_edge_code(x)
+        assert _unit(x) == _old_unit(x)
+        assert _null(x) == _old_null(x)
+        assert _null(abs(x) - 1.0) == _old_span_null(x)
+        # _require_unit's negated test: a nan <v,v> fails it.
+        assert (_raises(_require_unit, x, "v") is NotUnitError) == (not abs(abs(x) - 1.0) <= UNIT_EPS)
+
+    def test_neighbourhoods_straddle_every_edge(self):
+        # Each threshold's 2-ulp neighbourhood reaches both of its sides.
+        assert {_edge_code(x) for x in _ulps(1.0 + NULL_EPS)} == {4, 16}
+        assert {_edge_code(x) for x in _ulps(1.0 - NULL_EPS)} == {1, 16}
+        assert {_edge_code(x) for x in _ulps(-1.0 + NULL_EPS)} == {1, 64}
+        for t in (1.0 + UNIT_EPS, 1.0 - UNIT_EPS):
+            assert {_unit(x) for x in _ulps(t)} == {True, False}
+        for t in (NULL_EPS, -NULL_EPS):
+            assert {_null(x) for x in _ulps(t)} == {True, False}
+        assert _edge_code(math.nan) == 64 and not _unit(math.nan) and not _null(math.nan)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_causal_type_and_projection_at_the_null_edge(self, sign):
+        # <u,u> = +-s*s for s near sqrt(NULL_EPS): the q's sit on both sides
+        # of +-NULL_EPS, and each site decides as its one-sided test did.
+        kinds = set()
+        for s in _ulps(math.sqrt(NULL_EPS)):
+            u = [0.0, 0.0, s] if sign > 0 else [s, 0.0, 0.0]
+            q = mink_inner(u, u)
+            want = _old_causal(q)
+            kinds.add(want)
+            assert causal_type(u).value.split("_")[0] == want
+            refused = _raises(project_to_quadric, u) is not None
+            assert refused == (q <= NULL_EPS)
+        assert kinds == {"null", "space" if sign > 0 else "time"}
+
+
+def _band_comparisons(source, table=()):
+    """Lines where the module source compares with NULL_EPS or UNIT_EPS, or
+    binds another name to an expression of them, outside the functions
+    named in table.  _UNIT_SAFE_U's derivation reads UNIT_EPS and makes
+    no comparison, so it is allowed."""
+    bands = {"NULL_EPS", "UNIT_EPS"}
+    lines = []
+
+    def names_band(node):
+        return any(isinstance(n, ast.Name) and n.id in bands for n in ast.walk(node))
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in table:
+            return
+        if isinstance(node, ast.Compare) and names_band(node):
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.NamedExpr)) \
+                and node.value is not None and names_band(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if [getattr(t, "id", None) for t in targets] != ["_UNIT_SAFE_U"]:
+                lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(set(lines))
+
+
+class TestBandTableStructure:
+    """Only minkowski's predicates compare with the band widths."""
+
+    TABLE = ("_null", "_unit", "_edge_code")
+
+    def test_only_the_table_compares_with_the_bands(self):
+        paths = sorted(SRC.glob("*.py"))
+        assert {p.name for p in paths} >= {"minkowski.py", "geodesics.py", "oracle.py"}
+        found = {p.name: _band_comparisons(p.read_text(), self.TABLE if p.name == "minkowski.py"
+                                           else ()) for p in paths}
+        assert found == {p.name: [] for p in paths}
+
+    def test_the_table_holds_the_band_comparisons(self):
+        # Without the table's exemption, minkowski's predicates are where
+        # the comparisons are: the guard sees them.
+        source = (SRC / "minkowski.py").read_text()
+        assert len(_band_comparisons(source)) == 4
+
+    @pytest.mark.parametrize("source, line", [
+        ("if not abs(q - 1.0) <= UNIT_EPS:\n    pass\n", 1),
+        ("kind = 1 if c > -1.0 + NULL_EPS else 64\n", 1),
+        ("unit, null, impossible = UNIT_EPS, NULL_EPS, -1.0 + NULL_EPS\n", 1),
+        ("def _null(x):\n    return abs(x) <= NULL_EPS\n", 2),
+    ])
+    def test_guard_sees_written_out_bands(self, source, line):
+        # Inline forms the sites wrote before the table, and a predicate
+        # defined outside minkowski.
+        assert _band_comparisons(source) == [line]
