@@ -28,6 +28,7 @@ from .minkowski import mink_inner
 from .oracle import (
     _DEFAULT_CHECK_GRID,
     _MAX_GRID,
+    _ORACLE_GROUP,
     GeneratorConfig,
     _integrate_many,
     random_triangle,
@@ -51,9 +52,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 
 _TARGETS = {name.value: name for name in _AREA_TYPES}
-# Documents area takes at a time: their closed forms, then (--oracle) one
-# oracle call on their triangles, then their reports.
-_ORACLE_GROUP = 8
 _GRID_HELP = f"oracle resolution 8 <= n <= {_MAX_GRID}: n // 8 starting panels per edge"
 
 

@@ -25,9 +25,9 @@ tested in turn at the next bisection level.  One kernel call per level
 evaluates its pending panels (at level 1 the starting ones) and both of
 their halves.  Level 1 runs over slabs of a call's triangles: one kernel
 call, on one edge table, takes the starting rows of as many triangles as
-fit in _SLAB_ROWS rows (two at the default n = 64, one from n = 72), and
-the accept test then runs over all the call's starting panels at once.  A
-triangle with a rejected panel goes on alone, one call per later level.
+fit in _SLAB_ROWS rows (two at the default n = 64, one from n = 72).  One
+level loop judges all their starting panels as one block, a row per
+triangle; a triangle with a rejected panel goes on through it alone.
 
 The kernel lays every array out per node: the per-edge constants are
 repeated to each of a panel's 20 nodes, so each numpy operation on them
@@ -93,6 +93,9 @@ _MAX_GRID = 8 * (_MAX_PANELS // 6) + 7
 _EPS = sys.float_info.epsilon
 
 _DEFAULT_CHECK_GRID = 64
+# Triangles per _integrate_many call in `dstrig area --oracle` and verify_type:
+# enough to fill level 1's slabs, few enough that a long run holds one group.
+_ORACLE_GROUP = 8
 # Most kernel rows one level-1 call of _integrate_many evaluates: two
 # triangles' starting panels and both of their halves at the default grid
 # (3 rows for each of the 3 * (n // 8) starting panels of a triangle).
@@ -276,9 +279,10 @@ def integrate_area(tri: DeSitterTriangle, n: int = _DEFAULT_CHECK_GRID) -> Oracl
     More than _MAX_PANELS panels raises NonConvergentError.
 
     This is the one-triangle batch of _integrate_many, which evaluates
-    level 1 of several triangles in one kernel call.  A panel's value does
-    not depend on which panels or triangles share its call, so the result
-    is the same bits whether tri is integrated alone or with others.
+    level 1 of several triangles in one kernel call and judges every level
+    in one loop.  A panel's value does not depend on which panels or
+    triangles share its call, so the result is the same bits whether tri
+    is integrated alone or with others.
 
     est_error counts quadrature error and the round-off of evaluating
     the integrand.  It does not count the conditioning of the float
@@ -300,9 +304,10 @@ def _integrate_many(tris, n: int) -> list:
     n is checked first, for the whole call, and raises as integrate_area's
     does.  Level 1 evaluates the starting panels and both of their halves
     of max(1, _SLAB_ROWS // (9 * (n // 8))) triangles at a time in one
-    _node_sums call, then judges every triangle's starting panels as one
-    block, a row per triangle; a triangle with a panel left over goes on
-    alone through the later levels.
+    _node_sums call.  One level loop then takes batches from a stack and
+    judges each as one block, a row per triangle: the first batch is every
+    triangle's level 1, and a triangle with a rejected panel goes on as a
+    one-row batch that holds its edge table and its next level's sums.
     """
     import numpy as np
 
@@ -326,21 +331,40 @@ def _integrate_many(tris, n: int) -> list:
         k = min(per, len(live) - lo)
         v, s = _node_sums(_loop_edges(*loops[lo:lo + k]), *_slab_rows(n // 8, k))
         vals[lo:lo + k], scales[lo:lo + k] = v.reshape(k, -1), s.reshape(k, -1)
-    scale = np.abs(vals[:, :e.size]).sum(axis=1)
-    gap, roundoff, ok = _judge(vals, scales, scale[:, None], w)
-    done = ok.all(axis=1).tolist()
-    ests, floors = gap.sum(axis=1).tolist(), roundoff.sum(axis=1).tolist()
-    for j, i in enumerate(live):
-        if done[j]:
-            area = abs(math.fsum(vals[j, e.size:].tolist()))
-            out[i] = OracleResult(area=area, est_error=max(ests[j], floors[j]),
-                                  grid=(n, n), refinements=1)
-            continue
-        try:
-            out[i] = _settle(_loop_edges(loops[j]), n, float(scale[j]),
-                             (e, a, w), vals[j], scales[j])
-        except NonConvergentError as exc:
-            out[i] = exc
+    scale = np.abs(vals[:, :e.size]).sum(axis=1)[:, None]
+    # A batch: level, panels (e, a, w), sums (whole, left, right) and scale,
+    # a row each, and per row (triangle, loop or edge table, accepted
+    # halves' sums, est, floor).
+    stack = [(1, (e, a, w), vals, scales, scale,
+              [(i, loop, [], 0.0, 0.0) for i, loop in zip(live, loops)])]
+    while stack:
+        level, (e, a, w), vals, scales, scale, rows = stack.pop()
+        m = e.size
+        gap, roundoff, ok = _judge(vals, scales, scale, w)
+        done = ok.all(axis=1).tolist()
+        ests, floors = gap.sum(axis=1).tolist(), roundoff.sum(axis=1).tolist()
+        for j, (i, edges, kept, est, floor) in enumerate(rows):
+            if done[j]:
+                area = abs(math.fsum(kept + vals[j, m:].tolist()))
+                out[i] = OracleResult(area=area, est_error=max(est + ests[j], floor + floors[j]),
+                                      grid=(n, n), refinements=level)
+                continue
+            good, bad = ok[j], ~ok[j]
+            kept = kept + vals[j, m:2 * m][good].tolist() + vals[j, 2 * m:][good].tolist()
+            est += float(gap[j][good].sum())
+            floor += float(roundoff[j][good].sum())
+            h = w[bad] / 2.0
+            panels = np.tile(e[bad], 2), np.concatenate([a[bad], a[bad] + h]), np.tile(h, 2)
+            try:
+                _check_panels(len(kept), panels[0].size, level + 1)
+            except NonConvergentError as exc:
+                out[i] = exc
+                continue
+            if level == 1:
+                edges = _loop_edges(edges)
+            v, s = _node_sums(edges, *_level_rows(*panels))
+            stack.append((level + 1, panels, v[None], s[None], scale[j:j + 1],
+                          [(i, edges, kept, est, floor)]))
     return out
 
 
@@ -351,9 +375,10 @@ def _check_panels(kept: int, pending: int, level: int) -> None:
 
 
 def _judge(vals: np.ndarray, scales: np.ndarray, scale, w: np.ndarray):
-    """The bisection test of panels w wide, whose sums (of one triangle, or
-    of one per row) run whole panels, left halves, right halves along the
-    last axis of vals and scales: (gap, roundoff, ok), ok where
+    """The bisection test of a batch's panels w wide: vals and scales hold
+    a row per triangle (one row past level 1), whose sums run whole
+    panels, left halves, right halves, and scale is a column of the rows'
+    S.  Returns (gap, roundoff, ok), a row each, ok where
     |left + right - whole| <= max(1e-12 * scale * w, roundoff)."""
     import numpy as np
 
@@ -362,35 +387,6 @@ def _judge(vals: np.ndarray, scales: np.ndarray, scale, w: np.ndarray):
     gap = np.abs(left + right - whole)
     roundoff = 64.0 * _EPS * (scales[..., m:2 * m] + scales[..., 2 * m:])
     return gap, roundoff, gap <= np.maximum(1e-12 * scale * w, roundoff)
-
-
-def _settle(edges, n: int, scale: float, panels, vals: np.ndarray, scales: np.ndarray):
-    # The level loop of one triangle, from level 1's panels (e, a, w) and
-    # their sums (whole, left, right): a rejected panel's halves are judged
-    # at the next level, one _node_sums call each.
-    import numpy as np
-
-    e, a, w = panels
-    kept, est, floor, level = [], 0.0, 0.0, 1
-    while True:
-        m = e.size
-        gap, roundoff, ok = _judge(vals, scales, scale, w)
-        if ok.all():
-            kept.append(vals[m:])
-            est += float(gap.sum())
-            floor += float(roundoff.sum())
-            break
-        kept += vals[m:2 * m][ok], vals[2 * m:][ok]
-        est += float(gap[ok].sum())
-        floor += float(roundoff[ok].sum())
-        bad = ~ok
-        h = w[bad] / 2.0
-        e, a, w = np.tile(e[bad], 2), np.concatenate([a[bad], a[bad] + h]), np.tile(h, 2)
-        level += 1
-        _check_panels(sum(map(len, kept)), e.size, level)
-        vals, scales = _node_sums(edges, *_level_rows(e, a, w))
-    return OracleResult(area=abs(math.fsum(np.concatenate(kept).tolist())),
-                        est_error=max(est, floor), grid=(n, n), refinements=level)
 
 
 def _level_rows(e: np.ndarray, a: np.ndarray, w: np.ndarray):
@@ -618,9 +614,10 @@ def verify_type(target: ProperName, trials: int, seed: int,
     equal to the signed sum (1e-8); the product-form area against the
     angle-form area (1e-9); and the type-specific structure of the
     distinguished vertex.  A closed form that raises fails the shape check
-    and skips the trial's later checks.  The oracle takes the other
-    trials' triangles in one _integrate_many call, after the last trial;
-    a trial's oracle entry still follows its other failures.  Each failure
+    and skips the trial's later checks.  The trials run in groups of
+    _ORACLE_GROUP, and the oracle takes the other trials' triangles of a
+    group in one _integrate_many call, after the group's last trial; a
+    trial's oracle entry still follows its other failures.  Each failure
     entry names its trial's generator seed, which
     `dstrig random --type T --seed S` replays.
     Each worst value is the largest over the trials, and nan once any is nan.
@@ -660,47 +657,48 @@ def verify_type(target: ProperName, trials: int, seed: int,
             trial_failures[i].append({"trial": i, "seed": trial_seeds[i], "check": check,
                                       "detail": detail})
 
-    checked = []  # (trial, triangle, closed-form area) of the trials the oracle checks
-    for i in range(trials):
-        tri = random_triangle(GeneratorConfig(seed=trial_seeds[i], target=target))
+    for lo in range(0, trials, _ORACLE_GROUP):
+        checked = []  # (trial, triangle, closed-form area) of the group's trials the oracle checks
+        for i in range(lo, min(lo + _ORACLE_GROUP, trials)):
+            tri = random_triangle(GeneratorConfig(seed=trial_seeds[i], target=target))
 
-        resid = tangent_normal_residual(tri)
-        worst["tangent_normal_residual"] = _worse(worst["tangent_normal_residual"], resid)
-        tally(i, "tangent_normal_identity", resid <= 1e-8, f"residual {resid:.3g}")
+            resid = tangent_normal_residual(tri)
+            worst["tangent_normal_residual"] = _worse(worst["tangent_normal_residual"], resid)
+            tally(i, "tangent_normal_identity", resid <= 1e-8, f"residual {resid:.3g}")
 
-        try:
-            res = girard_area(tri)
-            prod = girard_area_from_products(tri)
-        except GeometryError as exc:
-            # girard_area raises on the shape check below; the later checks need its area.
-            tally(i, "complex_area_shape", False, f"closed form failed: {exc}")
-            continue
-        nabla = res.complex_area
-        shape = abs(nabla.real)
-        worst["complex_real_part"] = _worse(worst["complex_real_part"], shape)
-        tally(i, "complex_area_shape",
-              shape <= 1e-8 and nabla.imag > 0 and abs(nabla.imag - res.real_area) <= 1e-8,
-              f"angle sum {nabla!r} vs area {res.real_area!r}")
+            try:
+                res = girard_area(tri)
+                prod = girard_area_from_products(tri)
+            except GeometryError as exc:
+                # girard_area raises on the shape check below; the later checks need its area.
+                tally(i, "complex_area_shape", False, f"closed form failed: {exc}")
+                continue
+            nabla = res.complex_area
+            shape = abs(nabla.real)
+            worst["complex_real_part"] = _worse(worst["complex_real_part"], shape)
+            tally(i, "complex_area_shape",
+                  shape <= 1e-8 and nabla.imag > 0 and abs(nabla.imag - res.real_area) <= 1e-8,
+                  f"angle sum {nabla!r} vs area {res.real_area!r}")
 
-        gap = abs(prod - res.real_area)
-        worst["product_formula_gap"] = _worse(worst["product_formula_gap"], gap)
-        tally(i, "product_formula_agreement", gap <= 1e-9, f"gap {gap:.3g}")
+            gap = abs(prod - res.real_area)
+            worst["product_formula_gap"] = _worse(worst["product_formula_gap"], gap)
+            tally(i, "product_formula_agreement", gap <= 1e-9, f"gap {gap:.3g}")
 
-        tally(i, "type_structure", *_structure_ok(tri, target))
-        checked.append((i, tri, res.real_area))
+            tally(i, "type_structure", *_structure_ok(tri, target))
+            checked.append((i, tri, res.real_area))
 
-    # One oracle call on every checked trial; each trial's entry comes last in its failures.
-    oracles = _integrate_many([tri for _, tri, _ in checked], grid)
-    for (i, _, area), orc in zip(checked, oracles):
-        if isinstance(orc, NonConvergentError):
-            tally(i, "oracle_agreement", False, f"oracle failed: {orc}")
-            continue
-        if isinstance(orc, Exception):
-            raise orc
-        disc = abs(area - orc.area)
-        worst["oracle_discrepancy"] = _worse(worst["oracle_discrepancy"], disc)
-        tally(i, "oracle_agreement", disc <= 1e-10 * max(1.0, area),
-              f"formula {area!r} vs oracle {orc.area!r} (est {orc.est_error:.3g})")
+        # One oracle call on the group; each trial's entry comes last in its failures.
+        oracles = _integrate_many([tri for _, tri, _ in checked], grid)
+        for (i, _, area), orc in zip(checked, oracles):
+            if isinstance(orc, NonConvergentError):
+                tally(i, "oracle_agreement", False, f"oracle failed: {orc}")
+                continue
+            if isinstance(orc, Exception):
+                raise orc
+            disc = abs(area - orc.area)
+            worst["oracle_discrepancy"] = _worse(worst["oracle_discrepancy"], disc)
+            tally(i, "oracle_agreement", disc <= 1e-10 * max(1.0, area),
+                  f"formula {area!r} vs oracle {orc.area!r} (est {orc.est_error:.3g})")
     return {
         "target": target.value,
         "trials": trials,

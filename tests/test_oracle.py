@@ -682,6 +682,9 @@ class TestIntegrateMany:
         assert in_chunks == want
         assert [_packed(res) for res in oracle._integrate_many(pool, n)] == want
         assert [_packed(integrate_area(tri, n)) for tri in pool] == want
+        # The level loop takes batches from a stack: reversed, other
+        # triangles share each slab and refine in another order.
+        assert [_packed(res) for res in oracle._integrate_many(pool[::-1], n)] == want[::-1]
 
     def test_failures_stay_with_their_triangle(self, chunks, monkeypatch):
         # Level 1 needs 48 halves at n = 64, so a cap of 48 fails only a
@@ -1178,6 +1181,23 @@ class TestVerifyType:
             (i, check) for i in range(3)
             for check in ("tangent_normal_identity", "oracle_agreement")]
         assert [len(args[0]) for args in calls] == [3]
+
+    def test_oracle_takes_groups_of_eight(self, corrupt_normals, monkeypatch):
+        # 20 trials make oracle calls of 8, 8 and 4 triangles, so a long run
+        # holds one group's triangles at a time.  The report (hashed) is the
+        # same as from one call on all 20, failure order included: every
+        # trial fails the normals check, and trial 9, which refines, the cap.
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 48)
+        calls = count_calls(monkeypatch, oracle, "_integrate_many")
+        rep = verify_type(ProperName.CHRONOSCELES, trials=20, seed=1)
+        assert [len(args[0]) for args in calls] == [8, 8, 4]
+        assert [(f["trial"], f["check"]) for f in rep["failures"]
+                if f["check"] != "tangent_normal_identity"] == [(9, "oracle_agreement")]
+        assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() \
+            == "ac05ea35f7ccf95559ac841c130e76b01130a4b0ee3f4ce658a35ad4a50b6f6e"
+        monkeypatch.setattr(oracle, "_ORACLE_GROUP", 20)
+        assert verify_type(ProperName.CHRONOSCELES, trials=20, seed=1) == rep
+        assert [len(args[0]) for args in calls[3:]] == [20]
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,11 @@ in-process, and all are timed with `time.perf_counter`:
   on the 8-triangle chunks below, per triangle: each chunk's best of 20
   calls divided by 8 (left out where the checkout has no
   `_integrate_many`);
+- `integrate refined triangles (n=64)`: `oracle._integrate_many([tri], 64)`
+  on each pool triangle that reaches bisection level 2 at n = 64 (29 of
+  the 512), each triangle's best of 20 calls: the cost of the later
+  levels, which the chunk row and perfbench's `oracle-check` dilute (left
+  out where the checkout has no `_integrate_many`);
 - `tangents (first read)` and `normals (first read)`: reading the attribute
   once on a triangle that `build_triangle` has just made (the build is not
   timed), each document's best of 20 such triangles;
@@ -212,11 +217,13 @@ def main() -> int:
     times = {name: [] for name in ("DeSitterPoint", "classify_triangle", "build_triangle",
                                    "tangents (first read)", "normals (first read)",
                                    "interior_angles", "girard_area")}
+    tris = []
     for rec in records:
         rows = [[float(x) for x in row] for row in rec["doc"]["vertices"]]
         times["DeSitterPoint"].append(sum(best_us(DeSitterPoint, row) for row in rows) / 3)
         points = tuple(map(DeSitterPoint, rows))
         tri = build_triangle(*points)
+        tris.append(tri)
         times["classify_triangle"].append(best_us(classify_triangle, *points))
         times["build_triangle"].append(best_us(build_triangle, *points))
         for name in ("tangents", "normals"):
@@ -238,6 +245,9 @@ def main() -> int:
             best_us(integrate_many, [build_triangle(*map(DeSitterPoint, doc["vertices"]))
                                      for doc in docs], 64) / CHUNK
             for docs in doc_chunks]
+        times["integrate refined triangles (n=64)"] = [
+            best_us(integrate_many, [tri], 64)
+            for tri in tris if integrate_area(tri, 64).refinements > 1]
     chunks = ["".join(json.dumps(doc) + "\n" for doc in docs) for docs in doc_chunks]
     for row, command, options in (("cli classify", "classify", ()), ("cli area", "area", ()),
                                   ("cli area --oracle", "area", ("--oracle", "--grid", "64"))):
