@@ -43,6 +43,7 @@ are computed on Python floats.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -428,9 +429,15 @@ def _slab_rows(m: int, k: int):
 
 
 # Sampler attempts are drawn _FIRST_BLOCK at a time at the start of a
-# call, where most calls accept, and _BLOCK at a time after that.
+# call, where most calls accept, and _BLOCK at a time after that.  Where
+# the spatiolateral first-edge bound applies, the blocks after those two
+# are _BOUND_BLOCK rows, and a numpy pass of the bound over each one
+# (_first_edge_pass) hands the loop only the rows it leaves: at u_max 6
+# about 93% go, ~450 attempts are drawn per kept one, and a pass over 256
+# rows costs about what the loop spends on 30 (~20 us).
 _FIRST_BLOCK = 16
 _BLOCK = 64
+_BOUND_BLOCK = 4 * _BLOCK
 # Up to this rapidity a chart point's unit check cannot fail.  With
 # sinh and cosh within 2 ulp and sin and cos within 1 ulp (glibc's
 # documented bounds), |<p,p> - 1| is at most about 13.5 eps cosh^2 u, and
@@ -446,20 +453,44 @@ _UNIT_SAFE_U = math.acosh(math.sqrt(UNIT_EPS / (32.0 * _EPS)))
 # value and e0 within about 11, so past 1 + 64 eps (cm + cp) in size e0 is
 # past 1 as well.  300,000 seeded draws reach 6.2 eps (cm + cp).
 _FIRST_EDGE_MARGIN = 64.0 * _EPS
-# Each proper name's (space-like, time-like, light-like) edge counts
-# packed base 4: the sampler's prefilter sums minkowski._edge_code's
-# per-edge codes 1, 4, 16, and 64 for an impossible edge, which no name holds.
-_EDGE_CODES = {name: i + 4 * j + 16 * k for (i, j, k), name in _NAME_TABLE.items()}
+# numpy's cosh and cos are not glibc's (np.cosh and math.cosh differ by an
+# ulp on about a quarter of arguments), and numpy documents no bound for
+# them.  Were each of the three calls four times as far off as glibc's
+# bound, the form would be within about 48 eps (cm + cp), and with e0's 11
+# under twice the margin.  1,000,000 seeded rows reach 6.3 eps (cm + cp).
+_PREPASS_MARGIN = 2.0 * _FIRST_EDGE_MARGIN
 
 
+# The sampler's prefilter sums minkowski._edge_code's per-edge codes: 1
+# space-like, 4 time-like, 16 light-like, and 64 impossible, which no name
+# holds.  A sum's base-4 digits count its edges of each kind, so they add up
+# to its number of edges.
 def _prefilter_rule(target: ProperName | None):
-    # A generation target's (None: any of the four null-free types) names'
-    # codes, the largest of them, and whether it must also be contractible.
-    codes = frozenset(_EDGE_CODES[n] for n in (_AREA_TYPES if target is None else (target,)))
+    # A generation target's (None: any of the four null-free types) codes,
+    # the largest of them, and whether it must also be contractible.  The
+    # codes are the sums of one, two and three of a name's edge codes: the
+    # running codes after the loop's first and second edges that some order
+    # of the target's edges reaches, and the target's own codes.
+    names = _AREA_TYPES if target is None else (target,)
+    codes = frozenset(
+        sum(edges)
+        for (i, j, k), name in _NAME_TABLE.items() if name in names
+        for r in (1, 2, 3)
+        for edges in itertools.combinations((1,) * i + (4,) * j + (16,) * k, r))
     return codes, max(codes), target is ProperName.SPATIOLATERAL
 
 
 _TARGET_RULES = {t: _prefilter_rule(t) for t in (None, *_AREA_TYPES)}
+
+
+def _first_edge_pass(u1, u2, a1, a2):
+    """Where numpy's three-call <p2,p3> of the chart points (u1, a1),
+    (u2, a2), arrays, is within 1 + _PREPASS_MARGIN (cm + cp) in size: the
+    rows the first-edge bound might keep, and a superset of them."""
+    import numpy as np
+
+    cm, cp, cd = np.cosh(u1 - u2), np.cosh(u1 + u2), np.cos(a1 - a2)
+    return np.abs((1.0 + cd) * cm - (1.0 - cd) * cp) * 0.5 <= 1.0 + _PREPASS_MARGIN * (cm + cp)
 
 
 def _kept_attempts(rng: np.random.Generator, u_max: float, max_attempts: int, rule):
@@ -483,12 +514,16 @@ def _kept_attempts(rng: np.random.Generator, u_max: float, max_attempts: int, ru
     where u_max <= _UNIT_SAFE_U no draw is above it, and the range tests
     are skipped too.  Vertices 2 and 3 come first, and edge e0 = <p2,p3>
     is coded from them alone; vertex 1 is computed only when e0 passes or
-    its |u| is above _UNIT_SAFE_U.  Where only three space-like edges pass
-    (top < 4) and u_max <= _UNIT_SAFE_U, an attempt whose <p2,p3> from
-    three math calls is past 1 + _FIRST_EDGE_MARGIN (cm + cp) in size is
-    dropped before vertices 2 and 3: its e0 codes above 3.  So the loop
-    keeps and drops the attempts that coding all three points and checking
-    them first would.
+    its |u| is above _UNIT_SAFE_U.  An attempt is dropped at the first
+    edge whose running code no order of the target's edges reaches.
+    Where only three space-like edges pass (top < 4) and
+    u_max <= _UNIT_SAFE_U, an attempt whose <p2,p3> from three math calls
+    is past 1 + _FIRST_EDGE_MARGIN (cm + cp) in size is dropped before
+    vertices 2 and 3: its e0 codes above 3.  There the blocks after the
+    first two are _BOUND_BLOCK rows, and the loop takes only the rows that
+    _first_edge_pass leaves, which drops none that the bound keeps.  So the
+    loop keeps and drops the attempts that coding all three points and
+    checking them first would, whatever the block sizes.
     """
     codes, top, contractible = rule
     lo, span, turn = -u_max, u_max - -u_max, 2.0 * math.pi
@@ -498,10 +533,15 @@ def _kept_attempts(rng: np.random.Generator, u_max: float, max_attempts: int, ru
     # -u_max + 2 u_max w rounds into [-u_max, u_max], so here no check can fail.
     free = u_max <= safe
     bound, margin = free and top < 4, _FIRST_EDGE_MARGIN
-    done, m = 0, _FIRST_BLOCK
+    blocks = (_FIRST_BLOCK, _BLOCK, _BOUND_BLOCK if bound else _BLOCK)
+    done, k = 0, 0
     while done < max_attempts:
-        m = min(m, max_attempts - done)
-        for w0, w1, w2, w3, w4, w5 in rng.random((m, 6)).tolist():
+        m = min(blocks[k], max_attempts - done)
+        w = rng.random((m, 6))
+        if bound and k == 2:
+            w = w[_first_edge_pass(lo + span * w[:, 1], lo + span * w[:, 2],
+                                   turn * w[:, 4], turn * w[:, 5])]
+        for w0, w1, w2, w3, w4, w5 in w.tolist():
             u1, u2, a1, a2 = lo + span * w1, lo + span * w2, turn * w4, turn * w5
             if bound:
                 cm, cp, cd = cosh(u1 - u2), cosh(u1 + u2), cos(a1 - a2)
@@ -514,21 +554,20 @@ def _kept_attempts(rng: np.random.Generator, u_max: float, max_attempts: int, ru
                 (low <= u1 <= safe or unit(-(q0 * q0) + q1 * q1 + q2 * q2))
                 and (low <= u2 <= safe or unit(-(r0 * r0) + r1 * r1 + r2 * r2)))
             if on:
-                # Edge j joins vertices j+1 and j+2; codes only grow, so stop
-                # past the top one.
+                # Edge j joins vertices j+1 and j+2.
                 e0 = -(q0 * r0) + q1 * r1 + q2 * r2
                 code = edge(e0)
-                if code > top and (free or low <= lo + span * w0 <= safe):
+                if code not in codes and (free or low <= lo + span * w0 <= safe):
                     continue
             u0, a0 = lo + span * w0, turn * w3
             c0 = cosh(u0)
             p0, p1, p2 = sinh(u0), c0 * cos(a0), c0 * sin(a0)
             if on and (free or low <= u0 <= safe or unit(-(p0 * p0) + p1 * p1 + p2 * p2)):
-                if code > top:
+                if code not in codes:
                     continue
                 e1 = -(r0 * p0) + r1 * p1 + r2 * p2
                 code += edge(e1)
-                if code > top:
+                if code not in codes:
                     continue
                 e2 = -(p0 * q0) + p1 * q1 + p2 * q2
                 code += edge(e2)
@@ -536,7 +575,7 @@ def _kept_attempts(rng: np.random.Generator, u_max: float, max_attempts: int, ru
                     continue
             yield (p0, p1, p2), (q0, q1, q2), (r0, r1, r2)
         done += m
-        m = _BLOCK
+        k = min(k + 1, 2)
 
 
 def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
@@ -550,7 +589,8 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
     seed stream.  Identical seeds give identical output.
 
     Seed stream: attempt i is row i of rng.random((m, 6)) from
-    default_rng(seed), drawn in blocks of m rows (16, then 64), mapped by
+    default_rng(seed), drawn in blocks of m rows (16, then 64; 256 after
+    those two where the first-edge bound below applies), mapped by
     u = -u_max + (u_max - -u_max) * r[:3] and psi = 2*pi * r[3:]; these
     are the values rng.uniform(-u_max, u_max, 3), rng.uniform(0, 2*pi, 3)
     give for each attempt in turn, whatever the block sizes.  Attempts are
@@ -560,7 +600,9 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
     rules the target out, and yields the others.  For a spatiolateral
     target with u_max <= _UNIT_SAFE_U it first bounds <p2,p3> from three
     math calls, and drops an attempt that the bound rules out before it
-    computes any vertex; the attempts kept are the same.
+    computes any vertex; on the 256-row blocks one numpy pass of the same
+    bound, with twice its margin, first drops the rows that the loop's
+    bound would drop for sure.  The attempts kept are the same.
     classify_triangle then only rejects a degenerate triple (or
     DeSitterPoint raises on a point off the quadric).  A seed that is not
     an int (or is a bool) raises TypeError, and a negative one ValueError,

@@ -1022,6 +1022,124 @@ class TestSamplerReference:
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
+class TestFirstEdgePrepass:
+    """The numpy pass of the spatiolateral first-edge bound over the later
+    sampler blocks (oracle._first_edge_pass): it drops only rows that the
+    loop's own bound drops, and the attempts do not depend on the blocks."""
+
+    @staticmethod
+    def _near_unit_rows(rng, u_max, count):
+        # Rows whose <p2,p3> is +-1 + t up to the rounding of a2.
+        lo, span, turn = -u_max, u_max - -u_max, 2.0 * math.pi
+        rows = []
+        for t in (0.0, 1e-12, -1e-12, NULL_EPS, -NULL_EPS, 1e-7, -1e-7):
+            for side in (1.0, -1.0):
+                for w0, w1, w2, w3, w4, flip in rng.random((count, 6)).tolist():
+                    u1, u2, a1 = lo + span * w1, lo + span * w2, turn * w4
+                    cos_d = (side + t + math.sinh(u1) * math.sinh(u2)) \
+                        / (math.cosh(u1) * math.cosh(u2))
+                    if abs(cos_d) <= 1.0:
+                        w5 = (a1 + math.copysign(math.acos(cos_d), flip - 0.5)) % turn / turn
+                        rows.append((w0, w1, w2, w3, w4, w5))
+        return np.array(rows)
+
+    def test_prepass_is_conservative(self):
+        # Every row the pass drops codes its e0, in the loop's arithmetic,
+        # above 3 and is dropped by the loop's bound too; numpy's three-call
+        # form stays within a quarter of the pass's margin of that e0.
+        eps = np.finfo(float).eps
+        margin = oracle._PREPASS_MARGIN
+        assert margin == 2.0 * oracle._FIRST_EDGE_MARGIN
+        rng = np.random.default_rng(19)
+        blocks = [(u_max, rng.random((20000, 6))) for u_max in (0.5, 2.0, 6.0, _UNIT_SAFE_U)]
+        blocks += [(u_max, self._near_unit_rows(rng, u_max, 300)) for u_max in (6.0, _UNIT_SAFE_U)]
+        worst, dropped, near_drops = 0.0, 0, 0
+        for i, (u_max, w) in enumerate(blocks):
+            lo, span, turn = -u_max, u_max - -u_max, 2.0 * math.pi
+            u1, u2, a1, a2 = lo + span * w[:, 1], lo + span * w[:, 2], turn * w[:, 4], turn * w[:, 5]
+            keep = oracle._first_edge_pass(u1, u2, a1, a2)
+            cm, cp, cd = np.cosh(u1 - u2), np.cosh(u1 + u2), np.cos(a1 - a2)
+            form = ((1.0 + cd) * cm - (1.0 - cd) * cp) * 0.5
+            for x1, x2, b1, b2, e, kept in zip(u1.tolist(), u2.tolist(), a1.tolist(),
+                                                a2.tolist(), form.tolist(), keep.tolist()):
+                c1, c2 = math.cosh(x1), math.cosh(x2)
+                e0 = -(math.sinh(x1) * math.sinh(x2)) + c1 * math.cos(b1) * (
+                    c2 * math.cos(b2)) + c1 * math.sin(b1) * (c2 * math.sin(b2))
+                m, p, d = math.cosh(x1 - x2), math.cosh(x1 + x2), math.cos(b1 - b2)
+                worst = max(worst, abs(e - e0) / (eps * (m + p)))
+                if not kept:
+                    # classify_segment's bands: 1 space-like, above it 4, 16 or 64.
+                    assert abs(e0 - 1.0) <= NULL_EPS or e0 > 1.0 or e0 <= -1.0 + NULL_EPS
+                    assert abs((1.0 + d) * m - (1.0 - d) * p) * 0.5 \
+                        > 1.0 + oracle._FIRST_EDGE_MARGIN * (m + p)
+                    dropped += 1
+                    near_drops += i >= 4
+        assert worst <= margin / eps / 4
+        assert dropped > 20000 and near_drops
+
+    @pytest.mark.parametrize("schedule", ("one-row", "one-block", "one-prepass-block"))
+    def test_attempts_do_not_depend_on_blocks(self, monkeypatch, schedule):
+        budget = 3000
+        sizes = {"one-row": (1, 1, 1), "one-block": (budget, 1, 1),
+                 "one-prepass-block": (1, 1, budget - 2)}[schedule]
+        rules = [*(_TARGET_RULES[t] for t in (*TARGETS, None)), _KEEP_ALL]
+        cases = list(itertools.product(rules, (2.0, 6.0, 8.0), range(3)))
+        want = [list(_kept_attempts(np.random.default_rng(seed), u_max, budget, rule))
+                for rule, u_max, seed in cases]
+        for name, size in zip(("_FIRST_BLOCK", "_BLOCK", "_BOUND_BLOCK"), sizes):
+            monkeypatch.setattr(oracle, name, size)
+        for (rule, u_max, seed), expected in zip(cases, want):
+            got = list(_kept_attempts(np.random.default_rng(seed), u_max, budget, rule))
+            assert np.array(got).tobytes() == np.array(expected).tobytes(), (rule, u_max, seed)
+            assert len(got) == len(expected)
+
+    def test_block_edges_match_reference(self):
+        # Budgets on either side of the ends of the 16-, 64- and first two
+        # 256-row blocks, where the pass starts and restarts.
+        first, block, late = oracle._FIRST_BLOCK, oracle._BLOCK, oracle._BOUND_BLOCK
+        edges = [first + block + j * late for j in range(3)]
+        assert edges == [80, 336, 592]
+        rule = _TARGET_RULES[ProperName.SPATIOLATERAL]
+        for seed, edge in itertools.product(range(16), edges):
+            for budget in (edge, edge + 1):
+                got = list(_kept_attempts(np.random.default_rng(seed), 6.0, budget, rule))
+                want = list(_ref_kept_attempts(np.random.default_rng(seed), 6.0, budget, rule))
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (seed, budget)
+                assert len(got) == len(want)
+
+
+class TestReachableCodes:
+    """Each sampler rule holds the codes that some order of its target's
+    edges reaches after one, two and three edges, so an attempt stops at the
+    first edge whose kind rules the target out."""
+
+    def test_rules_hold_partial_codes(self):
+        assert {t: sorted(_TARGET_RULES[t][0]) for t in (*TARGETS, None)} == {
+            ProperName.SPATIOLATERAL: [1, 2, 3],
+            ProperName.TEMPOLATERAL: [4, 8, 12],
+            ProperName.CHOROSCELES: [1, 2, 4, 5, 6],
+            ProperName.CHRONOSCELES: [1, 4, 5, 8, 9],
+            None: [1, 2, 3, 4, 5, 6, 8, 9, 12],
+        }
+
+    @pytest.mark.parametrize("target", (ProperName.TEMPOLATERAL, ProperName.CHRONOSCELES),
+                             ids=lambda t: t.value)
+    def test_stops_before_top_code_rule(self, monkeypatch, target):
+        # The rule that stopped only past the target's largest code: every
+        # code of fewer than three edges up to it, and the target's own code.
+        codes, top, contractible = _TARGET_RULES[target]
+        top_only = (frozenset(c for c in range(top + 1) if c % 4 + c // 4 % 4 < 3) | codes,
+                    top, contractible)
+        calls = count_calls(monkeypatch, oracle, "_edge_code")
+        for seed in range(8):
+            got = list(_kept_attempts(np.random.default_rng(seed), 2.0, 400, (codes, top, contractible)))
+            ours = len(calls)
+            want = list(_kept_attempts(np.random.default_rng(seed), 2.0, 400, top_only))
+            assert np.array(got).tobytes() == np.array(want).tobytes(), seed
+            assert ours < len(calls) - ours, seed
+            calls.clear()
+
+
 class TestOutcomeDigest:
     """Every random_triangle outcome over a fixed grid, hashed: a change to the
     seed stream, the acceptance rule or the budget moves the digest."""

@@ -41,13 +41,16 @@ in-process, and all are timed with `time.perf_counter`:
   Their `us_per_attempt` is the median over the seeds of each seed's best
   time divided by its accepted attempt's index, and `first_edge_share` is
   the share of all the seeds' attempts, up to each accepted one, that the
-  first edge <p2,p3> rules out alone: its kind's code (1 space-like, 4
-  time-like, 16 null, 64 impossible) is above the sum of the target's
-  three edge codes, which is the sampler's stop rule.  `bound_share` is
-  the share of those attempts that the sampler's first-edge bound rules
-  out before it builds vertices 2 and 3 (spatiolateral, `u_max` up to
-  `_UNIT_SAFE_U`; 0 elsewhere), computed in the replay from the same
-  floats;
+  first edge <p2,p3> rules out alone: its kind (space-like, time-like,
+  null or impossible) is none of the target's edge kinds, which is the
+  sampler's stop rule.  `bound_share` is the share of those attempts that
+  the sampler's first-edge bound rules out before it builds vertices 2 and
+  3 (spatiolateral, `u_max` up to `_UNIT_SAFE_U`; 0 elsewhere), computed
+  in the replay from the same floats.  `prepass_share` is the share that
+  the checkout's numpy pre-pass of that bound (`oracle._first_edge_pass`,
+  on the attempts past the first `_FIRST_BLOCK + _BLOCK`) rules out before
+  the loop sees them: a subset of `bound_share`'s, and 0 where the checkout
+  has no pre-pass;
 - two `import` rows, from fresh interpreters with `<checkout>/src` on
   `PYTHONPATH`: `import dstrig.cli` alone, and `import dstrig.cli` plus one
   `dstrig.cli.main` classify call on the pool's first document (what
@@ -145,39 +148,44 @@ def process_us(src: Path, code: str, text: str) -> tuple[float, bool]:
 
 def accepted_index(seed: int, name, u_max: float):
     """(index, vertices) of the first attempt random_triangle accepts, and
-    how many attempts up to it the first edge rules out alone and the
-    sampler's first-edge bound rules out."""
+    how many attempts up to it the first edge rules out alone, the
+    sampler's first-edge bound rules out, and its block pre-pass rules out."""
     import numpy as np
 
+    from dstrig import oracle
     from dstrig.errors import GeometryError
     from dstrig.geodesics import DeSitterPoint, SegmentKind, classify_segment
-    from dstrig.oracle import _FIRST_EDGE_MARGIN, _UNIT_SAFE_U
     from dstrig.triangles import _NAME_TABLE, classify_triangle
 
-    code = {SegmentKind.ELLIPSE_PART: 1, SegmentKind.HYPERBOLA_PART: 4,
-            SegmentKind.NULL_LINE: 16, SegmentKind.IMPOSSIBLE: 64}
-    # The target's (space-like, time-like, null) edge counts, coded.
-    top = next(i + 4 * j + 16 * k for (i, j, k), n in _NAME_TABLE.items() if n is name)
-    bounded = top < 4 and u_max <= _UNIT_SAFE_U
+    # The target's edge kinds: which of space-like, time-like and null it has.
+    counts = next(c for c, n in _NAME_TABLE.items() if n is name)
+    kinds = {kind for kind, n in zip((SegmentKind.ELLIPSE_PART, SegmentKind.HYPERBOLA_PART,
+                                      SegmentKind.NULL_LINE), counts) if n}
+    bounded = kinds == {SegmentKind.ELLIPSE_PART} and u_max <= oracle._UNIT_SAFE_U
+    prepass = getattr(oracle, "_first_edge_pass", None) if bounded else None
     rng = np.random.default_rng(seed)
     decided = ruled = 0
+    late = []  # (u1, u2, psi1, psi2) of the attempts the pre-pass sees
     for i in range(1, 20001):
         u = rng.uniform(-u_max, u_max, 3).tolist()
         psi = rng.uniform(0.0, 2.0 * math.pi, 3).tolist()
         if bounded:  # <p2,p3> from three math calls, as the sampler bounds it
             cm, cp, cd = math.cosh(u[1] - u[2]), math.cosh(u[1] + u[2]), math.cos(psi[1] - psi[2])
             ruled += abs((1.0 + cd) * cm - (1.0 - cd) * cp) * 0.5 \
-                > 1.0 + _FIRST_EDGE_MARGIN * (cm + cp)
+                > 1.0 + oracle._FIRST_EDGE_MARGIN * (cm + cp)
+        if prepass is not None and i > oracle._FIRST_BLOCK + oracle._BLOCK:
+            late.append((u[1], u[2], psi[1], psi[2]))
         rows = [(math.sinh(a), math.cosh(a) * math.cos(b), math.cosh(a) * math.sin(b))
                 for a, b in zip(u, psi)]
         try:
             points = tuple(map(DeSitterPoint, rows))
-            decided += code[classify_segment(points[1], points[2]).kind] > top
+            decided += classify_segment(points[1], points[2]).kind not in kinds
             kind = classify_triangle(*points)
         except GeometryError:
             continue
         if kind.proper_name is name and kind.contractible is not False:
-            return i, rows, decided, ruled
+            cut = int(np.count_nonzero(~prepass(*np.array(late).T))) if late else 0
+            return i, rows, decided, ruled, cut
     raise RuntimeError(f"no {name.value} triangle for seed {seed} at u_max {u_max}")
 
 
@@ -254,21 +262,22 @@ def main() -> int:
         times[row] = [best_us(cli_call, cli_main, command, text, *options) / CHUNK
                       for text in chunks]
 
-    attempts, first_edge, bound = {}, {}, {}
+    attempts, first_edge, bound, cut = {}, {}, {}, {}
     for type_name, u_max in strata:
         row = f"random_triangle {type_name} u_max {u_max:g}"
         name = ProperName(type_name)
-        times[row], attempts[row], first_edge[row], bound[row] = [], [], 0, 0
+        times[row], attempts[row], first_edge[row], bound[row], cut[row] = [], [], 0, 0, 0
         for seed in SEEDS:
             cfg = GeneratorConfig(seed, name, u_max)
             times[row].append(best_us(random_triangle, cfg, repeats=SAMPLER_REPEATS))
-            i, rows, decided, ruled = accepted_index(seed, name, u_max)
+            i, rows, decided, ruled, dropped = accepted_index(seed, name, u_max)
             if [p.v.tolist() for p in random_triangle(cfg).points] != [list(r) for r in rows]:
                 sys.exit(f"replay of {type_name} seed {seed} at u_max {u_max:g} "
                          f"differs from random_triangle")
             attempts[row].append(i)
             first_edge[row] += decided
             bound[row] += ruled
+            cut[row] += dropped
 
     times.update((name, values[1:]) for name, values in starts.items())
     layers = {}
@@ -284,10 +293,12 @@ def main() -> int:
                 t / i for t, i in zip(values, attempts[name]))
             layer["first_edge_share"] = first_edge[name] / sum(attempts[name])
             layer["bound_share"] = bound[name] / sum(attempts[name])
+            layer["prepass_share"] = cut[name] / sum(attempts[name])
             line += (f"  attempt median {layer['attempt_median']:6.1f}  p90 {layer['attempt_p90']}"
                      f"  {layer['us_per_attempt']:.2f} us/attempt"
                      f"  first edge decides {layer['first_edge_share']:.1%}"
-                     f"  bound {layer['bound_share']:.1%}")
+                     f"  bound {layer['bound_share']:.1%}"
+                     f"  pre-pass {layer['prepass_share']:.1%}")
         if name in numpy_loaded:
             layer["numpy_loaded"] = numpy_loaded[name]
             line += f"  numpy loaded: {numpy_loaded[name]}"
