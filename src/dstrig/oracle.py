@@ -431,10 +431,12 @@ def _slab_rows(m: int, k: int):
 # Sampler attempts are drawn _FIRST_BLOCK at a time at the start of a
 # call, where most calls accept, and _BLOCK at a time after that.  Where
 # the spatiolateral first-edge bound applies, the blocks after those two
-# are _BOUND_BLOCK rows, and a numpy pass of the bound over each one
-# (_first_edge_pass) hands the loop only the rows it leaves: at u_max 6
-# about 93% go, ~450 attempts are drawn per kept one, and a pass over 256
-# rows costs about what the loop spends on 30 (~20 us).
+# are _BOUND_BLOCK rows, and a numpy pass of the bound (_first_edge_pass)
+# over every block but the first hands the loop only the rows it leaves:
+# at u_max 6 about 93% go, and ~450 attempts are drawn per kept one.  A
+# pass costs about 15 us however few rows it gets (17 us on 64 rows, 26 on
+# 256, on a 2-core x86-64 host), and at u_max 2, 239 of seeds 0-399 accept
+# within the first 16 attempts, so the first block gets no pass.
 _FIRST_BLOCK = 16
 _BLOCK = 64
 _BOUND_BLOCK = 4 * _BLOCK
@@ -446,18 +448,20 @@ _BOUND_BLOCK = 4 * _BLOCK
 _UNIT_SAFE_U = math.acosh(math.sqrt(UNIT_EPS / (32.0 * _EPS)))
 # <p2,p3> of chart points (u1, a1), (u2, a2) is
 # ((1 + cos d) cm - (1 - cos d) cp) / 2, d = a1 - a2, cm = cosh(u1 - u2),
-# cp = cosh(u1 + u2): three math calls where the loop's e0 takes eight.
-# Each term of either sum is at most (cm + cp) / 2 in size.  With glibc's
+# cp = cosh(u1 + u2): three calls where the loop's e0 takes eight.  Each
+# term of either sum is at most (cm + cp) / 2 in size.  With glibc's
 # documented bounds, and |u| <= _UNIT_SAFE_U (the rounding of u1 +- u2 and
-# of d included), this form is within about 12 eps (cm + cp) of the exact
-# value and e0 within about 11, so past 1 + 64 eps (cm + cp) in size e0 is
-# past 1 as well.  300,000 seeded draws reach 6.2 eps (cm + cp).
+# of d included), this form from math calls is within about 12 eps
+# (cm + cp) of the exact value and e0 within about 11, so past
+# 1 + 64 eps (cm + cp) in size e0 is past 1 as well.  300,000 seeded draws
+# reach 6.2 eps (cm + cp).
 _FIRST_EDGE_MARGIN = 64.0 * _EPS
-# numpy's cosh and cos are not glibc's (np.cosh and math.cosh differ by an
-# ulp on about a quarter of arguments), and numpy documents no bound for
-# them.  Were each of the three calls four times as far off as glibc's
-# bound, the form would be within about 48 eps (cm + cp), and with e0's 11
-# under twice the margin.  1,000,000 seeded rows reach 6.3 eps (cm + cp).
+# The sampler evaluates the form with numpy, whose cosh and cos are not
+# glibc's (np.cosh and math.cosh differ by an ulp on about a quarter of
+# arguments), and numpy documents no bound for them.  Were each of the
+# three calls four times as far off as glibc's bound, the form would be
+# within about 48 eps (cm + cp), and with e0's 11 under twice the margin
+# above.  1,000,000 seeded rows reach 6.3 eps (cm + cp).
 _PREPASS_MARGIN = 2.0 * _FIRST_EDGE_MARGIN
 
 
@@ -486,7 +490,7 @@ _TARGET_RULES = {t: _prefilter_rule(t) for t in (None, *_AREA_TYPES)}
 def _first_edge_pass(u1, u2, a1, a2):
     """Where numpy's three-call <p2,p3> of the chart points (u1, a1),
     (u2, a2), arrays, is within 1 + _PREPASS_MARGIN (cm + cp) in size: the
-    rows the first-edge bound might keep, and a superset of them."""
+    first-edge bound.  Every row it drops has an e0 past 1 in size."""
     import numpy as np
 
     cm, cp, cd = np.cosh(u1 - u2), np.cosh(u1 + u2), np.cos(a1 - a2)
@@ -517,13 +521,12 @@ def _kept_attempts(rng: np.random.Generator, u_max: float, max_attempts: int, ru
     its |u| is above _UNIT_SAFE_U.  An attempt is dropped at the first
     edge whose running code no order of the target's edges reaches.
     Where only three space-like edges pass (top < 4) and
-    u_max <= _UNIT_SAFE_U, an attempt whose <p2,p3> from three math calls
-    is past 1 + _FIRST_EDGE_MARGIN (cm + cp) in size is dropped before
-    vertices 2 and 3: its e0 codes above 3.  There the blocks after the
-    first two are _BOUND_BLOCK rows, and the loop takes only the rows that
-    _first_edge_pass leaves, which drops none that the bound keeps.  So the
-    loop keeps and drops the attempts that coding all three points and
-    checking them first would, whatever the block sizes.
+    u_max <= _UNIT_SAFE_U, the blocks after the first two are _BOUND_BLOCK
+    rows, and on every block but the first the loop takes only the rows
+    that _first_edge_pass leaves: a row it drops has an e0 that codes
+    above 3, which the loop would drop at its first edge.  So the loop
+    keeps and drops the attempts that coding all three points and checking
+    them first would, whatever the block sizes.
     """
     codes, top, contractible = rule
     lo, span, turn = -u_max, u_max - -u_max, 2.0 * math.pi
@@ -532,21 +535,17 @@ def _kept_attempts(rng: np.random.Generator, u_max: float, max_attempts: int, ru
     safe, low = _UNIT_SAFE_U, -_UNIT_SAFE_U
     # -u_max + 2 u_max w rounds into [-u_max, u_max], so here no check can fail.
     free = u_max <= safe
-    bound, margin = free and top < 4, _FIRST_EDGE_MARGIN
+    bound = free and top < 4
     blocks = (_FIRST_BLOCK, _BLOCK, _BOUND_BLOCK if bound else _BLOCK)
     done, k = 0, 0
     while done < max_attempts:
         m = min(blocks[k], max_attempts - done)
         w = rng.random((m, 6))
-        if bound and k == 2:
+        if bound and k:
             w = w[_first_edge_pass(lo + span * w[:, 1], lo + span * w[:, 2],
                                    turn * w[:, 4], turn * w[:, 5])]
         for w0, w1, w2, w3, w4, w5 in w.tolist():
             u1, u2, a1, a2 = lo + span * w1, lo + span * w2, turn * w4, turn * w5
-            if bound:
-                cm, cp, cd = cosh(u1 - u2), cosh(u1 + u2), cos(a1 - a2)
-                if abs((1.0 + cd) * cm - (1.0 - cd) * cp) * 0.5 > 1.0 + margin * (cm + cp):
-                    continue
             c1, c2 = cosh(u1), cosh(u2)
             q0, q1, q2 = sinh(u1), c1 * cos(a1), c1 * sin(a1)
             r0, r1, r2 = sinh(u2), c2 * cos(a2), c2 * sin(a2)
@@ -590,7 +589,7 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
 
     Seed stream: attempt i is row i of rng.random((m, 6)) from
     default_rng(seed), drawn in blocks of m rows (16, then 64; 256 after
-    those two where the first-edge bound below applies), mapped by
+    those two where the first-edge pass below applies), mapped by
     u = -u_max + (u_max - -u_max) * r[:3] and psi = 2*pi * r[3:]; these
     are the values rng.uniform(-u_max, u_max, 3), rng.uniform(0, 2*pi, 3)
     give for each attempt in turn, whatever the block sizes.  Attempts are
@@ -598,11 +597,10 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
     whose prefilter is the acceptance rule: it codes the edge <p2,p3>
     before it computes vertex 1, drops an attempt at the first edge that
     rules the target out, and yields the others.  For a spatiolateral
-    target with u_max <= _UNIT_SAFE_U it first bounds <p2,p3> from three
-    math calls, and drops an attempt that the bound rules out before it
-    computes any vertex; on the 256-row blocks one numpy pass of the same
-    bound, with twice its margin, first drops the rows that the loop's
-    bound would drop for sure.  The attempts kept are the same.
+    target with u_max <= _UNIT_SAFE_U, on every block from the second on,
+    one numpy pass of a three-call bound on <p2,p3>, with margin
+    1 + 128 eps (cm + cp), first drops the rows whose edge 2-3 cannot be
+    space-like; the first block gets none.  The attempts kept are the same.
     classify_triangle then only rejects a degenerate triple (or
     DeSitterPoint raises on a point off the quadric).  A seed that is not
     an int (or is a bool) raises TypeError, and a negative one ValueError,

@@ -1108,6 +1108,41 @@ class TestFirstEdgePrepass:
                 assert len(got) == len(want)
 
 
+class TestFirstEdgePassBlocks:
+    """Which rows reach oracle._first_edge_pass: every spatiolateral block
+    but the first where u_max <= _UNIT_SAFE_U, and nothing elsewhere."""
+
+    @pytest.mark.parametrize("u_max", (0.5, 2.0, 6.0, _UNIT_SAFE_U))
+    def test_every_block_but_the_first(self, monkeypatch, u_max):
+        # The 64-row block, then 256-row blocks with a short last one: every
+        # row past the first 16 of the seed stream, in order.
+        first, block, late, budget = oracle._FIRST_BLOCK, oracle._BLOCK, oracle._BOUND_BLOCK, 3000
+        rest = budget - first - block
+        want = [block] + [late] * (rest // late) + [rest % late] * bool(rest % late)
+        if u_max == 6.0:
+            assert want == [64] + [256] * 11 + [104]
+        lo, span = -u_max, u_max - -u_max
+        calls = count_calls(monkeypatch, oracle, "_first_edge_pass")
+        rule = _TARGET_RULES[ProperName.SPATIOLATERAL]
+        for seed in range(4):
+            list(_kept_attempts(np.random.default_rng(seed), u_max, budget, rule))
+            assert [len(args[0]) for args in calls] == want, seed
+            w = np.random.default_rng(seed).random((budget, 6))
+            passed = np.concatenate([args[0] for args in calls])
+            assert passed.tobytes() == (lo + span * w[first:, 1]).tobytes(), seed
+            calls.clear()
+
+    def test_no_pass_elsewhere(self, monkeypatch):
+        calls = count_calls(monkeypatch, oracle, "_first_edge_pass")
+        others = [*(_TARGET_RULES[t] for t in TARGETS[1:]), _TARGET_RULES[None], _KEEP_ALL]
+        cases = [*itertools.product(others, (0.5, 2.0, 6.0, _UNIT_SAFE_U, 8.0)),
+                 *((_TARGET_RULES[ProperName.SPATIOLATERAL], u_max)
+                   for u_max in (_UNIT_SAFE_U + 1e-9, 7.0, 8.0))]
+        for (rule, u_max), seed in itertools.product(cases, range(4)):
+            list(_kept_attempts(np.random.default_rng(seed), u_max, 3000, rule))
+            assert not calls, (rule, u_max, seed)
+
+
 class TestReachableCodes:
     """Each sampler rule holds the codes that some order of its target's
     edges reaches after one, two and three edges, so an attempt stops at the

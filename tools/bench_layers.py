@@ -43,14 +43,12 @@ in-process, and all are timed with `time.perf_counter`:
   the share of all the seeds' attempts, up to each accepted one, that the
   first edge <p2,p3> rules out alone: its kind (space-like, time-like,
   null or impossible) is none of the target's edge kinds, which is the
-  sampler's stop rule.  `bound_share` is the share of those attempts that
-  the sampler's first-edge bound rules out before it builds vertices 2 and
-  3 (spatiolateral, `u_max` up to `_UNIT_SAFE_U`; 0 elsewhere), computed
-  in the replay from the same floats.  `prepass_share` is the share that
-  the checkout's numpy pre-pass of that bound (`oracle._first_edge_pass`,
-  on the attempts past the first `_FIRST_BLOCK + _BLOCK`) rules out before
-  the loop sees them: a subset of `bound_share`'s, and 0 where the checkout
-  has no pre-pass;
+  sampler's stop rule.  `bound_share` is the share of the rows given to
+  the checkout's first-edge pass (`oracle._first_edge_pass`) that it drops,
+  counted by wrapping that function during one more `random_triangle` call
+  per seed (spatiolateral, `u_max` up to `_UNIT_SAFE_U`; 0 where the pass
+  gets no row, or the checkout has none).  On a checkout whose loop holds
+  its own scalar copy of the bound, it counts only what the pass drops;
 - two `import` rows, from fresh interpreters with `<checkout>/src` on
   `PYTHONPATH`: `import dstrig.cli` alone, and `import dstrig.cli` plus one
   `dstrig.cli.main` classify call on the pool's first document (what
@@ -146,13 +144,33 @@ def process_us(src: Path, code: str, text: str) -> tuple[float, bool]:
     return seconds * 1e6, proc.stdout.splitlines()[-1] == "True"
 
 
+@contextlib.contextmanager
+def counting_pass(oracle, seen: dict):
+    """Add to seen["given"] and seen["dropped"] the rows that
+    oracle._first_edge_pass is given and drops while the block runs."""
+    wrapped = getattr(oracle, "_first_edge_pass", None)
+    if wrapped is None:
+        yield
+        return
+
+    def count(*args):
+        keep = wrapped(*args)
+        seen["given"] += keep.size
+        seen["dropped"] += keep.size - int(keep.sum())
+        return keep
+
+    oracle._first_edge_pass = count
+    try:
+        yield
+    finally:
+        oracle._first_edge_pass = wrapped
+
+
 def accepted_index(seed: int, name, u_max: float):
     """(index, vertices) of the first attempt random_triangle accepts, and
-    how many attempts up to it the first edge rules out alone, the
-    sampler's first-edge bound rules out, and its block pre-pass rules out."""
+    how many attempts up to it the first edge rules out alone."""
     import numpy as np
 
-    from dstrig import oracle
     from dstrig.errors import GeometryError
     from dstrig.geodesics import DeSitterPoint, SegmentKind, classify_segment
     from dstrig.triangles import _NAME_TABLE, classify_triangle
@@ -161,20 +179,11 @@ def accepted_index(seed: int, name, u_max: float):
     counts = next(c for c, n in _NAME_TABLE.items() if n is name)
     kinds = {kind for kind, n in zip((SegmentKind.ELLIPSE_PART, SegmentKind.HYPERBOLA_PART,
                                       SegmentKind.NULL_LINE), counts) if n}
-    bounded = kinds == {SegmentKind.ELLIPSE_PART} and u_max <= oracle._UNIT_SAFE_U
-    prepass = getattr(oracle, "_first_edge_pass", None) if bounded else None
     rng = np.random.default_rng(seed)
-    decided = ruled = 0
-    late = []  # (u1, u2, psi1, psi2) of the attempts the pre-pass sees
+    decided = 0
     for i in range(1, 20001):
         u = rng.uniform(-u_max, u_max, 3).tolist()
         psi = rng.uniform(0.0, 2.0 * math.pi, 3).tolist()
-        if bounded:  # <p2,p3> from three math calls, as the sampler bounds it
-            cm, cp, cd = math.cosh(u[1] - u[2]), math.cosh(u[1] + u[2]), math.cos(psi[1] - psi[2])
-            ruled += abs((1.0 + cd) * cm - (1.0 - cd) * cp) * 0.5 \
-                > 1.0 + oracle._FIRST_EDGE_MARGIN * (cm + cp)
-        if prepass is not None and i > oracle._FIRST_BLOCK + oracle._BLOCK:
-            late.append((u[1], u[2], psi[1], psi[2]))
         rows = [(math.sinh(a), math.cosh(a) * math.cos(b), math.cosh(a) * math.sin(b))
                 for a, b in zip(u, psi)]
         try:
@@ -184,8 +193,7 @@ def accepted_index(seed: int, name, u_max: float):
         except GeometryError:
             continue
         if kind.proper_name is name and kind.contractible is not False:
-            cut = int(np.count_nonzero(~prepass(*np.array(late).T))) if late else 0
-            return i, rows, decided, ruled, cut
+            return i, rows, decided
     raise RuntimeError(f"no {name.value} triangle for seed {seed} at u_max {u_max}")
 
 
@@ -262,22 +270,23 @@ def main() -> int:
         times[row] = [best_us(cli_call, cli_main, command, text, *options) / CHUNK
                       for text in chunks]
 
-    attempts, first_edge, bound, cut = {}, {}, {}, {}
+    attempts, first_edge, bound = {}, {}, {}
     for type_name, u_max in strata:
         row = f"random_triangle {type_name} u_max {u_max:g}"
         name = ProperName(type_name)
-        times[row], attempts[row], first_edge[row], bound[row], cut[row] = [], [], 0, 0, 0
+        times[row], attempts[row], first_edge[row] = [], [], 0
+        seen = bound[row] = {"given": 0, "dropped": 0}
         for seed in SEEDS:
             cfg = GeneratorConfig(seed, name, u_max)
             times[row].append(best_us(random_triangle, cfg, repeats=SAMPLER_REPEATS))
-            i, rows, decided, ruled, dropped = accepted_index(seed, name, u_max)
-            if [p.v.tolist() for p in random_triangle(cfg).points] != [list(r) for r in rows]:
+            i, rows, decided = accepted_index(seed, name, u_max)
+            with counting_pass(dstrig.oracle, seen):
+                tri = random_triangle(cfg)
+            if [p.v.tolist() for p in tri.points] != [list(r) for r in rows]:
                 sys.exit(f"replay of {type_name} seed {seed} at u_max {u_max:g} "
                          f"differs from random_triangle")
             attempts[row].append(i)
             first_edge[row] += decided
-            bound[row] += ruled
-            cut[row] += dropped
 
     times.update((name, values[1:]) for name, values in starts.items())
     layers = {}
@@ -292,13 +301,12 @@ def main() -> int:
             layer["us_per_attempt"] = statistics.median(
                 t / i for t, i in zip(values, attempts[name]))
             layer["first_edge_share"] = first_edge[name] / sum(attempts[name])
-            layer["bound_share"] = bound[name] / sum(attempts[name])
-            layer["prepass_share"] = cut[name] / sum(attempts[name])
+            seen = bound[name]
+            layer["bound_share"] = seen["dropped"] / seen["given"] if seen["given"] else 0.0
             line += (f"  attempt median {layer['attempt_median']:6.1f}  p90 {layer['attempt_p90']}"
                      f"  {layer['us_per_attempt']:.2f} us/attempt"
                      f"  first edge decides {layer['first_edge_share']:.1%}"
-                     f"  bound {layer['bound_share']:.1%}"
-                     f"  pre-pass {layer['prepass_share']:.1%}")
+                     f"  bound {layer['bound_share']:.1%}")
         if name in numpy_loaded:
             layer["numpy_loaded"] = numpy_loaded[name]
             line += f"  numpy loaded: {numpy_loaded[name]}"
