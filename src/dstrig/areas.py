@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import GeometryError
-from .minkowski import PseudoAngle, _checked_angle, _span_theta
+from .minkowski import PseudoAngle, _acosh_at_least_one, _checked_angle, _span_theta
 from .triangles import (
     DeSitterTriangle,
     ProperName,
@@ -115,11 +115,6 @@ def girard_area(tri: DeSitterTriangle) -> AreaResult:
         raise GeometryError(
             f"angle sum {nabla!r} inconsistent with signed area {area!r}")
     return AreaResult(nabla, area, formula, d, angles)
-
-
-def _acosh_at_least_one(x: float) -> float:
-    # Guards arguments that mathematically sit at >= 1 but may round below.
-    return math.acosh(max(x, 1.0))
 
 
 def _apex_products(tri: DeSitterTriangle) -> tuple[float, float, float]:

@@ -70,9 +70,12 @@ class DeSitterPoint:
         return f"DeSitterPoint({list(self._x)!r})"
 
 
-# The kind of each minkowski._edge_code, and its arc length in <p,q>.
-_SEGMENTS = {1: (SegmentKind.ELLIPSE_PART, math.acos), 4: (SegmentKind.HYPERBOLA_PART, math.acosh),
-             16: (SegmentKind.NULL_LINE, None), 64: (SegmentKind.IMPOSSIBLE, None)}
+# The conic table: the kind of each minkowski._edge_code, its arc length in
+# <p,q> and the sine S that interpolates along it, x(t) = (S((1-t)d) p + S(td) q)/S(d).
+# It is keyed by the int code, not the kind: an Enum key hashes in Python.
+_SEGMENTS = {1: (SegmentKind.ELLIPSE_PART, math.acos, math.sin),
+             4: (SegmentKind.HYPERBOLA_PART, math.acosh, math.sinh),
+             16: (SegmentKind.NULL_LINE, None, None), 64: (SegmentKind.IMPOSSIBLE, None, None)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,22 +155,22 @@ def classify_segment(p: DeSitterPoint, q: DeSitterPoint) -> GeodesicSegment:
     if how is not None:
         raise CoincidentPointsError(f"{how} points form no segment")
     c = mink_inner(p._x, q._x)
-    kind, length = _SEGMENTS[_edge_code(c)]
+    kind, length, _ = _SEGMENTS[_edge_code(c)]
     return GeodesicSegment(p, q, kind, 0.0 if length is None else length(c))
 
 
 def geodesic_point(seg: GeodesicSegment, t: float) -> DeSitterPoint:
-    """Point at parameter t in [0, 1] along an ellipse or hyperbola segment."""
+    """Point at parameter t in [0, 1] along an ellipse or hyperbola segment.
+
+    The sine S of seg.kind comes from the conic table _SEGMENTS: the point
+    is (S((1-t)s) a + S(ts) b) / S(s), s the separation."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"parameter outside [0, 1]: {t!r}")
-    s = seg.separation
-    if seg.kind is SegmentKind.ELLIPSE_PART:
-        w = (math.sin((1.0 - t) * s) * seg.a.v + math.sin(t * s) * seg.b.v) / math.sin(s)
-    elif seg.kind is SegmentKind.HYPERBOLA_PART:
-        w = (math.sinh((1.0 - t) * s) * seg.a.v + math.sinh(t * s) * seg.b.v) / math.sinh(s)
-    else:
+    sine = next(sine for kind, _, sine in _SEGMENTS.values() if kind is seg.kind)
+    if sine is None:
         raise UnsupportedKindError(f"no interpolation on a {seg.kind.value} segment")
-    return DeSitterPoint(w)
+    s = seg.separation
+    return DeSitterPoint((sine((1.0 - t) * s) * seg.a.v + sine(t * s) * seg.b.v) / sine(s))
 
 
 def edge_length(seg: GeodesicSegment) -> float:

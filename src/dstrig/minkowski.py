@@ -63,6 +63,15 @@ def _edge_code(c: float) -> int:
             else 1 if c > -1.0 + NULL_EPS else 64)
 
 
+def _acosh_at_least_one(x: float) -> float:
+    """acosh of x that is >= 1 in exact arithmetic but may round below 1.
+
+    The package's one acosh clamp: the time-like branches of
+    _checked_angle, the product-form area and the oracle's structure
+    check take their acosh of a tangent product through it."""
+    return math.acosh(max(x, 1.0))
+
+
 def _require_nonzero(u) -> None:
     if max(abs(u[0]), abs(u[1]), abs(u[2])) < ZERO_EPS:
         raise ZeroVectorError("causal type of the zero vector is undefined")
@@ -246,9 +255,9 @@ def _checked_angle(u, v, what: str) -> tuple[PseudoAngle, float]:
             value, branch = complex(math.acos(g), 0.0), AngleBranch.REAL_SECTOR
     elif qu < 0.0 and qv < 0.0:
         if g < 0.0:
-            value, branch = complex(0.0, -math.acosh(max(-g, 1.0))), AngleBranch.NEG_IMAG
+            value, branch = complex(0.0, -_acosh_at_least_one(-g)), AngleBranch.NEG_IMAG
         else:
-            value, branch = complex(math.pi, math.acosh(max(g, 1.0))), AngleBranch.PI_PLUS_IMAG
+            value, branch = complex(math.pi, _acosh_at_least_one(g)), AngleBranch.PI_PLUS_IMAG
     else:
         value, branch = complex(math.pi / 2.0, math.asinh(g)), AngleBranch.HALF_PI_PLUS_IMAG
     return PseudoAngle(value, branch), g

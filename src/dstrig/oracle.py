@@ -51,8 +51,8 @@ from typing import TYPE_CHECKING
 
 from .areas import _apex_products, girard_area, girard_area_from_products
 from .errors import ExhaustedAttemptsError, GeometryError, NonConvergentError
-from .geodesics import DeSitterPoint
-from .minkowski import UNIT_EPS, _edge_code, _unit
+from .geodesics import _SEGMENTS, DeSitterPoint
+from .minkowski import UNIT_EPS, _acosh_at_least_one, _edge_code, _unit
 from .triangles import (
     DeSitterTriangle,
     ProperName,
@@ -175,8 +175,11 @@ def _loop_edges(*loops):
     """Per-edge constants of each loop pts[0] -> pts[1] -> pts[2] -> pts[0].
 
     Edge j runs from p = pts[j] to q = pts[j+1] as
-    x(s) = S((1-s)d) p/S(d) + S(sd) q/S(d), S = sin on an ellipse
-    (<p,q> < 1) and sinh on a hyperbola, d the edge length.  k is the
+    x(s) = S((1-s)d) p/S(d) + S(sd) q/S(d), d the edge length.  The arc
+    that gives d and the sine S come from geodesics._SEGMENTS: its ellipse
+    entry (acos, sin) where <p,q> < 1 and its hyperbola entry (acosh, sinh)
+    elsewhere, chosen by the raw product and not the band, since the
+    oracle reads only the vertices, not the closed forms.  k is the
     edge's x1 x2' - x2 x1' = (d/S(d)) (p1 q2 - p2 q1), the same at every s.
     The constants are computed on Python floats.  Returns the edges' S
     and a (10, E) table, the loops' edges in order, whose column j holds
@@ -191,12 +194,9 @@ def _loop_edges(*loops):
     for pts in loops:
         for p, q in zip(pts, [*pts[1:], pts[0]]):
             c = -(p[0] * q[0]) + p[1] * q[1] + p[2] * q[2]
-            if c < 1.0:
-                d = math.acos(max(c, -1.0))
-                sd = math.sin(d)
-            else:
-                d = math.acosh(c)
-                sd = math.sinh(d)
+            _, arc, sine = _SEGMENTS[1 if c < 1.0 else 4]
+            d = arc(max(c, -1.0))
+            sd = sine(d)
             # sd is 0 only on a null edge (<p,q> = 1), where the integrand is nan.
             k = (p[1] * q[2] - p[2] * q[1]) * d / sd if sd else math.nan
             ell.append(c < 1.0)
@@ -634,9 +634,9 @@ def _structure_ok(tri: DeSitterTriangle, name: ProperName) -> tuple[bool, str]:
         ok = g1 < -1.0 and g2 > 1.0 and g3 > 1.0
         return ok, f"product pattern {g1:.6g}, {g2:.6g}, {g3:.6g}"
     if name is ProperName.TEMPOLATERAL:
-        t1 = math.acosh(max(g1, 1.0))
-        t2 = math.acosh(max(-g2, 1.0))
-        t3 = math.acosh(max(-g3, 1.0))
+        t1 = _acosh_at_least_one(g1)
+        t2 = _acosh_at_least_one(-g2)
+        t3 = _acosh_at_least_one(-g3)
         ok = g1 > 1.0 and g2 < -1.0 and g3 < -1.0 and t1 > t2 + t3
         return ok, f"angle at apex {t1:.6g} vs {t2 + t3:.6g}"
     if name is ProperName.CHOROSCELES:

@@ -205,6 +205,37 @@ class TestProductForm:
         assert girard_area_from_products(tri) == pytest.approx(res.real_area, abs=1e-9)
 
 
+# The largest float below 1: a product that must be >= 1 in magnitude and
+# rounds one ulp inside.
+BELOW_ONE = 1.0 - 2.0 ** -53
+# Per type, the sign s of each apex product whose acosh the product form
+# takes (s * g >= 1 exactly), and None where it takes an asinh.
+ACOSH_SIGNS = {"spatiolateral": (-1.0, 1.0, 1.0), "tempolateral": (1.0, -1.0, -1.0),
+               "chorosceles": (1.0, None, None), "chronosceles": (-1.0, None, None)}
+
+
+class TestProductFormClamp:
+    """girard_area_from_products through the clamp: an acosh product that
+    rounds one ulp inside +-1 gives the area of the product at +-1."""
+
+    @pytest.mark.parametrize("name, j", [
+        (name, j) for name, signs in ACOSH_SIGNS.items()
+        for j, sign in enumerate(signs) if sign is not None])
+    def test_product_one_ulp_inside_is_the_product_at_one(self, monkeypatch, request,
+                                                          name, j):
+        tri = build_triangle(*request.getfixturevalue(f"{name}_points"))
+        signs = ACOSH_SIGNS[name]
+
+        def area(at):
+            g = [1.5 * s if s else 0.5 for s in signs]
+            g[j] = signs[j] * at
+            monkeypatch.setattr(dstrig.areas, "_apex_products", lambda t: tuple(g))
+            return girard_area_from_products(tri)
+
+        assert area(BELOW_ONE) == area(1.0)
+        assert math.isfinite(area(1.0))
+
+
 class TestSinglePass:
     """Each area path reads the tangents and their vertex products once."""
 

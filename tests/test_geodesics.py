@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dstrig.geodesics
+import dstrig.oracle
 from conftest import chart_point
 from dstrig.errors import (
     CoincidentPointsError,
@@ -25,6 +29,8 @@ from dstrig.geodesics import (
     tangent_toward,
 )
 from dstrig.minkowski import NULL_EPS, ZERO_EPS, CausalType, lorentz_cross, mink_inner, vec3
+from dstrig.oracle import integrate_area
+from dstrig.triangles import build_triangle
 
 # (sinh u, cosh u cos psi, cosh u sin psi) parameterizes the whole quadric
 charts = st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 6.28)).map(
@@ -255,3 +261,64 @@ class TestGeodesicPoint:
         assert second.kind is seg.kind
         total = edge_length(first) + edge_length(second)
         assert total == pytest.approx(edge_length(seg), abs=1e-9)
+
+
+class TestConicTable:
+    """geodesics._SEGMENTS is the one place that pairs an edge with its arc
+    and its sine: classify_segment, geodesic_point and the oracle's edge
+    constants all read them from it."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        # Each ellipse and hyperbola entry's arc and sine, wrapped to count
+        # their calls by name; they return the same values.
+        calls = collections.Counter()
+
+        def counting(fn):
+            def wrapper(x):
+                calls[fn.__name__] += 1
+                return fn(x)
+            return wrapper
+
+        for code in (1, 4):
+            kind, arc, sine = dstrig.geodesics._SEGMENTS[code]
+            monkeypatch.setitem(dstrig.geodesics._SEGMENTS, code,
+                                (kind, counting(arc), counting(sine)))
+        return calls
+
+    @staticmethod
+    def _segments():
+        hyperbola = (DeSitterPoint(vec3(math.sinh(0.9), math.cosh(0.9), 0)),
+                     DeSitterPoint(vec3(-math.sinh(0.9), math.cosh(0.9), 0)))
+        return (chart_point(0.3, 0.1), chart_point(-0.2, 1.3)), hyperbola
+
+    def test_oracle_holds_the_same_table(self):
+        assert dstrig.oracle._SEGMENTS is dstrig.geodesics._SEGMENTS
+
+    def test_classify_segment_reads_the_table(self, monkeypatch):
+        before = [classify_segment(p, q).separation for p, q in self._segments()]
+        calls = self._counted(monkeypatch)
+        assert [classify_segment(p, q).separation for p, q in self._segments()] == before
+        assert calls == {"acos": 1, "acosh": 1}
+
+    def test_geodesic_point_reads_the_table(self, monkeypatch):
+        segs = [classify_segment(p, q) for p, q in self._segments()]
+        assert [seg.kind for seg in segs] == [SegmentKind.ELLIPSE_PART,
+                                              SegmentKind.HYPERBOLA_PART]
+        before = [geodesic_point(seg, 0.3).v.tolist() for seg in segs]
+        calls = self._counted(monkeypatch)
+        assert [geodesic_point(seg, 0.3).v.tolist() for seg in segs] == before
+        assert calls == {"sin": 3, "sinh": 3}
+
+    @pytest.mark.parametrize("name, kinds", [
+        ("spatiolateral", [("acos", "sin")]), ("tempolateral", [("acosh", "sinh")]),
+        ("chorosceles", [("acos", "sin"), ("acosh", "sinh")])])
+    def test_integrate_area_reads_the_table(self, monkeypatch, request, name, kinds):
+        # Spatiolateral edges are all ellipses, tempolateral ones all
+        # hyperbolas, and chorosceles has both.
+        tri = build_triangle(*request.getfixturevalue(f"{name}_points"))
+        before = dataclasses.astuple(integrate_area(tri, 64))
+        calls = self._counted(monkeypatch)
+        assert dataclasses.astuple(integrate_area(tri, 64)) == before
+        assert set(calls) == {f for pair in kinds for f in pair}
+        assert all(calls[arc] == calls[sine] > 0 for arc, sine in kinds)

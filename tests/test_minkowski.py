@@ -10,6 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dstrig.areas
+import dstrig.minkowski
+import dstrig.oracle
 from dstrig.errors import (
     DegeneratePairError,
     NotTimeLikeError,
@@ -627,3 +630,65 @@ class TestBandTableStructure:
         # Inline forms the sites wrote before the table, and a predicate
         # defined outside minkowski.
         assert _band_comparisons(source) == [line]
+
+
+def _acosh_clamps(source, clamp=()):
+    """Lines where the module source takes an acosh of a max(...), outside
+    the functions named in clamp."""
+    def called(call):
+        return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+    lines = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in clamp:
+            return
+        if isinstance(node, ast.Call) and called(node) in ("acosh", "arccosh") and node.args \
+                and isinstance(node.args[0], ast.Call) \
+                and called(node.args[0]) in ("max", "maximum", "fmax"):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(set(lines))
+
+
+class TestAcoshClampSite:
+    """Only minkowski._acosh_at_least_one clamps an acosh argument."""
+
+    CLAMP = ("_acosh_at_least_one",)
+
+    def test_only_the_clamp_clamps(self):
+        paths = sorted(SRC.glob("*.py"))
+        assert {p.name for p in paths} >= {"minkowski.py", "areas.py", "oracle.py"}
+        found = {p.name: _acosh_clamps(p.read_text(), self.CLAMP if p.name == "minkowski.py"
+                                       else ()) for p in paths}
+        assert found == {p.name: [] for p in paths}
+
+    def test_the_clamp_holds_the_clamp(self):
+        # Without its exemption, the clamp itself is minkowski's one clamp.
+        assert len(_acosh_clamps((SRC / "minkowski.py").read_text())) == 1
+
+    def test_the_callers_share_the_clamp(self):
+        clamp = dstrig.minkowski._acosh_at_least_one
+        assert dstrig.areas._acosh_at_least_one is clamp
+        assert dstrig.oracle._acosh_at_least_one is clamp
+
+    @pytest.mark.parametrize("source, line", [
+        ("value = complex(0.0, -math.acosh(max(-g, 1.0)))\n", 1),
+        ("t1 = math.acosh(max(g1, 1.0))\n", 1),
+        ("def _acosh_at_least_one(x):\n    return math.acosh(max(x, 1.0))\n", 2),
+        ("d = np.arccosh(np.maximum(c, 1.0))\n", 1),
+    ])
+    def test_guard_sees_written_out_clamps(self, source, line):
+        # Inline forms the sites wrote before the one clamp, and a clamp
+        # defined outside minkowski.
+        assert _acosh_clamps(source) == [line]
+
+    def test_clamp_takes_a_product_just_below_one(self):
+        clamp, below = dstrig.minkowski._acosh_at_least_one, 1.0 - 2.0 ** -53
+        with pytest.raises(ValueError):
+            math.acosh(below)
+        assert clamp(below) == 0.0
+        assert clamp(2.0) == math.acosh(2.0)

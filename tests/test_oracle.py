@@ -33,6 +33,7 @@ from dstrig.oracle import (
     _UNIT_SAFE_U,
     GeneratorConfig,
     _kept_attempts,
+    _structure_ok,
     integrate_area,
     random_buildable_triangle,
     random_triangle,
@@ -1025,7 +1026,8 @@ class TestSamplerReference:
 class TestFirstEdgePrepass:
     """The numpy pass of the spatiolateral first-edge bound over the later
     sampler blocks (oracle._first_edge_pass): it drops only rows that the
-    loop's own bound drops, and the attempts do not depend on the blocks."""
+    scalar form of the bound written out in test_prepass_is_conservative
+    drops, and the attempts do not depend on the blocks."""
 
     @staticmethod
     def _near_unit_rows(rng, u_max, count):
@@ -1233,6 +1235,21 @@ class TestAnyTarget:
         assert built.any()
         assert not np.any(built & ~kept)
         assert kept.mean() < 0.5
+
+
+class TestStructureClamp:
+    """_structure_ok on tempolateral with one apex product one ulp inside +-1."""
+
+    @pytest.mark.parametrize("j", range(3))
+    def test_product_one_ulp_inside_fails_finitely(self, monkeypatch, tempolateral_points, j):
+        g = [1.5, -1.5, -1.5]
+        g[j] = math.copysign(1.0 - 2.0 ** -53, g[j])
+        monkeypatch.setattr(oracle, "_apex_products", lambda tri: tuple(g))
+        ok, detail = _structure_ok(build_triangle(*tempolateral_points),
+                                   ProperName.TEMPOLATERAL)
+        assert ok is False
+        apex, legs = re.fullmatch(r"angle at apex (\S+) vs (\S+)", detail).groups()
+        assert math.isfinite(float(apex)) and math.isfinite(float(legs))
 
 
 class TestVerifyType:

@@ -34,19 +34,19 @@ SEEDS = range(48)
 REPEATS = 9
 
 
-def load(checkout: Path):
-    """checkout's dstrig.oracle, imported afresh from <checkout>/src."""
+def load(checkout: Path, module: str = "dstrig.oracle"):
+    """checkout's module of dstrig, imported afresh from <checkout>/src."""
     for name in [n for n in sys.modules if n == "dstrig" or n.startswith("dstrig.")]:
         del sys.modules[name]
     src = (checkout / "src").resolve()
     sys.path.insert(0, str(src))
     try:
-        oracle = importlib.import_module("dstrig.oracle")
+        loaded = importlib.import_module(module)
     finally:
         sys.path.remove(str(src))
-    if not Path(oracle.__file__).resolve().is_relative_to(src):
-        sys.exit(f"dstrig imported from {oracle.__file__}, not {src}")
-    return oracle
+    if not Path(loaded.__file__).resolve().is_relative_to(src):
+        sys.exit(f"dstrig imported from {loaded.__file__}, not {src}")
+    return loaded
 
 
 def cases(oracle) -> list[tuple[str, float]]:
