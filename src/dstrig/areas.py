@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import GeometryError
-from .minkowski import PseudoAngle, _acosh_at_least_one, _checked_angle, _span_theta
+from .minkowski import PseudoAngle, _acosh_at_least_one, _branch_angle, _dot, _span_theta
 from .triangles import (
     DeSitterTriangle,
     ProperName,
@@ -75,16 +75,23 @@ class AreaResult:
 
 def interior_angles(tri: DeSitterTriangle) -> AngleSet:
     """Real and complex angle at each vertex between the two edge tangents."""
-    return _angles(tri._tangent_rows)
+    tangents = tri._tangent_rows
+    return _angles(tangents, _vertex_products(tangents))
 
 
-def _angles(tangents: list) -> AngleSet:
-    # interior_angles from a triangle's _tangent_rows.
+def _angles(tangents: list, products: list[float]) -> AngleSet:
+    """interior_angles from a triangle's _tangent_rows and their _vertex_products.
+
+    Each vertex's angle is _branch_angle of the product it is given and of
+    <t,t> of its two rows, so each product is computed once.  The rows are
+    _tangent's, never near zero, so they get the null and unit tests only.
+    """
     thetas = []
     phis = []
-    for j in range(3):
+    for j, g in enumerate(products):
         k, l = _others(j)
-        phi, g = _checked_angle(tangents[j][k], tangents[j][l], "pseudo angle")
+        u, v = tangents[j][k], tangents[j][l]
+        phi = _branch_angle(_dot(u, u), _dot(v, v), g, "pseudo angle")
         phis.append(phi)
         thetas.append(_span_theta(phi, g))
     return AngleSet(tuple(thetas), tuple(phis))
@@ -104,9 +111,10 @@ def girard_area(tri: DeSitterTriangle) -> AreaResult:
     """Signed angle-sum area for the four supported triangle types."""
     name = _disk_name(tri)
     tangents = tri._tangent_rows
-    d = _distinguished(name, tri.edges, _vertex_products(tangents))
+    products = _vertex_products(tangents)
+    d = _distinguished(name, tri.edges, products)
     k, l = _others(d)
-    angles = _angles(tangents)
+    angles = _angles(tangents, products)
     formula, (s1, s2, s3) = _FORMULAS[name]
     area = s1 * angles.theta[d] + s2 * angles.theta[k] + s3 * angles.theta[l]
     nabla = _angle_sum(angles)

@@ -24,7 +24,7 @@ import sys
 from .areas import girard_area
 from .errors import GeometryError, NotUnitError
 from .geodesics import DeSitterPoint, SegmentKind, geodesic_point
-from .minkowski import mink_inner
+from .minkowski import _dot
 from .oracle import (
     _DEFAULT_CHECK_GRID,
     _MAX_GRID,
@@ -131,7 +131,7 @@ def _document_points(doc: dict) -> tuple[DeSitterPoint, DeSitterPoint, DeSitterP
             points.append(DeSitterPoint(v))
         except NotUnitError:
             raise DocumentError(f"vertex row {i + 1} is off the quadric: "
-                                f"<v,v> = {mink_inner(v, v)!r}") from None
+                                f"<v,v> = {_dot(v, v)!r}") from None
     return tuple(points)
 
 
@@ -152,7 +152,7 @@ def _edge_report(edges) -> list[dict]:
         entry = {
             "opposite_vertex": j,
             "endpoints": list(_others(j)),
-            "inner_product": mink_inner(seg.a._x, seg.b._x),
+            "inner_product": _dot(seg.a._x, seg.b._x),
             "kind": seg.kind.value,
         }
         if seg.kind in (SegmentKind.ELLIPSE_PART, SegmentKind.HYPERBOLA_PART):

@@ -20,7 +20,7 @@ from .errors import (
     NullTangentError,
     UnsupportedKindError,
 )
-from .minkowski import ZERO_EPS, CausalType, _edge_code, _float3, _null, _unit, as_vec3, mink_inner
+from .minkowski import ZERO_EPS, CausalType, _dot, _edge_code, _float3, _null, _unit, as_vec3, mink_inner
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,7 +49,7 @@ class DeSitterPoint:
     def __post_init__(self, v):
         # The whole validation, which perfbench's tracer times as DeSitterPoint.
         x = _float3(v)
-        q = mink_inner(x, x)
+        q = _dot(x, x)
         # Negated so that a nan <v,v> (overflow of a huge vertex) fails too.
         if not _unit(q):
             raise NotUnitError(f"point off the quadric: <v,v> = {q!r}")
@@ -113,20 +113,26 @@ def tangent_toward(p: DeSitterPoint, q: DeSitterPoint) -> np.ndarray:
     """
     import numpy as np
 
-    return np.array(_tangent(p, q, mink_inner(p._x, q._x)))
+    return np.array(_tangent(p, q, _dot(p._x, q._x)))
 
 
 def _tangent(p: DeSitterPoint, q: DeSitterPoint, c: float) -> list[float]:
-    # tangent_toward(p, q) as Python floats, given c = <p,q>.
-    w = [b - c * a for a, b in zip(p._x, q._x)]
-    ww = mink_inner(w, w)
+    """tangent_toward(p, q) as Python floats, given c = <p,q>.
+
+    The row is w / sqrt|<w,w>|, w = q - c p, and |<w,w>| <= |w|^2 (Euclidean),
+    so some component is at least 1/sqrt(3) in magnitude: the row is never
+    near zero, and the area path runs no zero-vector test on it.
+    """
+    (a0, a1, a2), (b0, b1, b2) = p._x, q._x
+    w = [b0 - c * a0, b1 - c * a1, b2 - c * a2]
+    ww = _dot(w, w)
     if _null(ww):
         how = _proportional(p, q)
         if how is not None:
             raise CoincidentPointsError(f"{how} points admit no tangent direction")
         raise NullTangentError(f"null direction: <p,q> = {c!r}")
     r = math.sqrt(abs(ww))
-    return [x / r for x in w]
+    return [w[0] / r, w[1] / r, w[2] / r]
 
 
 def classify_span(p: DeSitterPoint, q: DeSitterPoint) -> CausalType:
@@ -134,7 +140,7 @@ def classify_span(p: DeSitterPoint, q: DeSitterPoint) -> CausalType:
     how = _proportional(p, q)
     if how is not None:
         raise CoincidentPointsError(f"{how} points span no plane")
-    c = mink_inner(p._x, q._x)
+    c = _dot(p._x, q._x)
     if _null(abs(c) - 1.0):
         return CausalType.NULL
     if abs(c) < 1.0:
@@ -154,7 +160,7 @@ def classify_segment(p: DeSitterPoint, q: DeSitterPoint) -> GeodesicSegment:
     how = _proportional(p, q)
     if how is not None:
         raise CoincidentPointsError(f"{how} points form no segment")
-    c = mink_inner(p._x, q._x)
+    c = _dot(p._x, q._x)
     kind, length, _ = _SEGMENTS[_edge_code(c)]
     return GeodesicSegment(p, q, kind, 0.0 if length is None else length(c))
 

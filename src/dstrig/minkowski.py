@@ -1,14 +1,16 @@
 """Arithmetic in 3D Minkowski space with signature (-,+,+).
 
 The first coordinate x0 is the time coordinate; "future" means x0 > 0.
-The scalar functions take any three-component sequence (a list, a tuple
-or a numpy array of shape (3,)) and compute on Python floats, in
-mink_inner's operation order.  Only the functions that return a vector
-or a matrix build numpy arrays, and numpy is imported by their first
-call, so importing the module does not load it.  Angles between unit
-vectors are complex in general: real for a space-like pair in the same
-sector, otherwise carrying an imaginary hyperbolic part whose branch is
-tracked explicitly.
+The public scalar functions take any three-component sequence (a list, a
+tuple or a numpy array of shape (3,)) and compute on Python floats, in
+mink_inner's operation order.  The scalar path's own rows are already
+three Python floats, so their products go through _dot, the form with no
+conversion, which mink_inner calls once it has converted its operands.
+Only the functions that return a vector or a matrix build numpy arrays,
+and numpy is imported by their first call, so importing the module does
+not load it.  Angles between unit vectors are complex in general: real
+for a space-like pair in the same sector, otherwise carrying an
+imaginary hyperbolic part whose branch is tracked explicitly.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def _acosh_at_least_one(x: float) -> float:
     """acosh of x that is >= 1 in exact arithmetic but may round below 1.
 
     The package's one acosh clamp: the time-like branches of
-    _checked_angle, the product-form area and the oracle's structure
+    _branch_angle, the product-form area and the oracle's structure
     check take their acosh of a tangent product through it."""
     return math.acosh(max(x, 1.0))
 
@@ -166,11 +168,15 @@ def _float3(value) -> tuple[float, float, float]:
     return tuple(as_vec3(value).tolist())
 
 
-def mink_inner(u, v) -> float:
-    """Bilinear form -u0*v0 + u1*v1 + u2*v2."""
+def _dot(u, v) -> float:
+    """-u0*v0 + u1*v1 + u2*v2 on two rows of three Python floats, unconverted."""
     # In Python floats, an overflow gives inf or nan without a numpy warning.
-    return (-float(u[0]) * float(v[0]) + float(u[1]) * float(v[1])
-            + float(u[2]) * float(v[2]))
+    return -u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def mink_inner(u, v) -> float:
+    """Bilinear form -u0*v0 + u1*v1 + u2*v2, as a Python float for any sequence."""
+    return _dot((float(u[0]), float(u[1]), float(u[2])), (float(v[0]), float(v[1]), float(v[2])))
 
 
 def _finite(x: float, what: str) -> float:
@@ -207,7 +213,7 @@ def lorentz_normalize(u) -> np.ndarray:
 
 def _normalized(x: list[float]) -> list[float]:
     # lorentz_normalize on a list of Python floats.
-    q = _finite(mink_inner(x, x), "<u,u>")
+    q = _finite(_dot(x, x), "<u,u>")
     if abs(q) <= ZERO_EPS:
         raise NullInputError("cannot normalize a (near-)null vector")
     r = math.sqrt(abs(q))
@@ -231,36 +237,40 @@ def same_time_cone(u, v) -> bool:
 def _checked_angle(u, v, what: str) -> tuple[PseudoAngle, float]:
     """The complex angle between unit non-null vectors, and <u,v>.
 
-    The one front end of pseudo_angle, real_angle and interior_angles:
-    it checks both vectors and holds the six-branch table.  what names
-    the caller in the null-input message.
+    The front end of pseudo_angle and real_angle for any two sequences:
+    the zero-vector test, then _branch_angle on the three products.  what
+    names the caller in the null-input message.
     """
     _require_nonzero(u)
     _require_nonzero(v)
-    qu = mink_inner(u, u)
-    qv = mink_inner(v, v)
+    g = mink_inner(u, v)
+    return _branch_angle(mink_inner(u, u), mink_inner(v, v), g, what), g
+
+
+def _branch_angle(qu: float, qv: float, g: float, what: str) -> PseudoAngle:
+    """The complex angle of a pair with <u,u> = qu, <v,v> = qv, <u,v> = g.
+
+    The six-branch table, after the null and unit tests on qu and qv.  The
+    area path calls it on products it has already computed, and
+    _checked_angle on any two vectors.
+    """
     # A nan <v,v> is not null: the unit check rejects it.
     if _null(qu) or _null(qv):
         raise NullInputError(f"{what} requires non-null vectors")
     _require_unit(qu, "u")
     _require_unit(qv, "v")
-    g = mink_inner(u, v)
 
     if qu > 0.0 and qv > 0.0:
         if g > 1.0:
-            value, branch = complex(0.0, math.acosh(g)), AngleBranch.PURE_IMAG
-        elif g < -1.0:
-            value, branch = complex(math.pi, -math.acosh(-g)), AngleBranch.PI_MINUS_IMAG
-        else:
-            value, branch = complex(math.acos(g), 0.0), AngleBranch.REAL_SECTOR
-    elif qu < 0.0 and qv < 0.0:
+            return PseudoAngle(complex(0.0, math.acosh(g)), AngleBranch.PURE_IMAG)
+        if g < -1.0:
+            return PseudoAngle(complex(math.pi, -math.acosh(-g)), AngleBranch.PI_MINUS_IMAG)
+        return PseudoAngle(complex(math.acos(g), 0.0), AngleBranch.REAL_SECTOR)
+    if qu < 0.0 and qv < 0.0:
         if g < 0.0:
-            value, branch = complex(0.0, -_acosh_at_least_one(-g)), AngleBranch.NEG_IMAG
-        else:
-            value, branch = complex(math.pi, _acosh_at_least_one(g)), AngleBranch.PI_PLUS_IMAG
-    else:
-        value, branch = complex(math.pi / 2.0, math.asinh(g)), AngleBranch.HALF_PI_PLUS_IMAG
-    return PseudoAngle(value, branch), g
+            return PseudoAngle(complex(0.0, -_acosh_at_least_one(-g)), AngleBranch.NEG_IMAG)
+        return PseudoAngle(complex(math.pi, _acosh_at_least_one(g)), AngleBranch.PI_PLUS_IMAG)
+    return PseudoAngle(complex(math.pi / 2.0, math.asinh(g)), AngleBranch.HALF_PI_PLUS_IMAG)
 
 
 def _span_theta(phi: PseudoAngle, g: float) -> float:
@@ -310,7 +320,7 @@ def _cross(u, v) -> list[float]:
     # lorentz_cross on three Python floats each.
     (u0, u1, u2), (v0, v1, v2) = u, v
     w = [u2 * v1 - u1 * v2, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0]
-    if abs(_finite(mink_inner(w, w), "<w,w> of the cross product")) < ZERO_EPS * ZERO_EPS:
+    if abs(_finite(_dot(w, w), "<w,w> of the cross product")) < ZERO_EPS * ZERO_EPS:
         raise DegeneratePairError("inputs span no definite normal direction")
     return w
 

@@ -506,7 +506,7 @@ def _kept_attempts(rng: np.random.Generator, u_max: float, max_attempts: int, ru
     rule is _TARGET_RULES[target].  An attempt is dropped where the edge
     kinds name a type other than the target's, or (spatiolateral)
     1 + <p2,p3> + <p3,p1> + <p1,p2> <= 0.  The inner products and sum are
-    mink_inner's and triangles._contractible's, in their operation order,
+    minkowski._dot's and triangles._contractible's, in their operation order,
     and the loop calls the band predicates DeSitterPoint and
     classify_segment call, minkowski._unit and _edge_code, so each
     decision is classify_triangle's.  An attempt with a point off the

@@ -58,7 +58,7 @@ from .errors import (
     NullEdgeError,
 )
 from .geodesics import DeSitterPoint, GeodesicSegment, SegmentKind, _proportional, _tangent, classify_segment
-from .minkowski import ZERO_EPS, CausalType, _cross, _normalized, causal_type, mink_inner
+from .minkowski import ZERO_EPS, CausalType, _cross, _dot, _normalized, causal_type
 
 if TYPE_CHECKING:
     import numpy as np
@@ -146,7 +146,7 @@ class DeSitterTriangle:
         # tangents as Python floats, which the area path and the checks read.  Each
         # pair's <p,q> is computed once: float products commute, so <q,p> is the same.
         p0, p1, p2 = self.points
-        c01, c02, c12 = mink_inner(p0._x, p1._x), mink_inner(p0._x, p2._x), mink_inner(p1._x, p2._x)
+        c01, c02, c12 = _dot(p0._x, p1._x), _dot(p0._x, p2._x), _dot(p1._x, p2._x)
         zero = [0.0, 0.0, 0.0]
         t01, t02 = _tangent(p0, p1, c01), _tangent(p0, p2, c02)
         t10, t12 = _tangent(p1, p0, c01), _tangent(p1, p2, c12)
@@ -208,7 +208,7 @@ def _normals(points) -> list[list[float]]:
     # One sign suffices: <axb, c> = det[c; a; b] gives every <raw[j], pj> the same sign, and
     # <axb, cxd> = <a,d><b,c> - <a,c><b,d> gives <raw[k], raw[l]> that of <t_jk, t_jl>.
     # Flip so edge 1's normal points away from vertex 1, else future-pointing if degenerate.
-    anchor = mink_inner(raw[0], points[0]._x)
+    anchor = _dot(raw[0], points[0]._x)
     flip = anchor > 0.0 if abs(anchor) > ZERO_EPS else raw[0][0] < 0.0
     return [[-c for c in u] for u in raw] if flip else raw
 
@@ -222,7 +222,7 @@ def _counts(edges) -> tuple[int, int, int]:
 def _contractible(points) -> bool:
     # S > 0 (module docstring); the sampler's oracle._kept_attempts sums S alike, per attempt.
     x0, x1, x2 = (p._x for p in points)
-    return 1.0 + mink_inner(x1, x2) + mink_inner(x2, x0) + mink_inner(x0, x1) > 0.0
+    return 1.0 + _dot(x1, x2) + _dot(x2, x0) + _dot(x0, x1) > 0.0
 
 
 def classify_triangle(p1: DeSitterPoint, p2: DeSitterPoint, p3: DeSitterPoint) -> TriangleClass:
@@ -284,7 +284,7 @@ def polar_triangle(tri: DeSitterTriangle) -> PolarTriangle:
 
 def _polar_kinds(normals) -> tuple[PolarKind, PolarKind, PolarKind]:
     # The surface each normal (three Python floats) lies on.
-    return tuple(PolarKind.ON_DE_SITTER if mink_inner(u, u) > 0.0
+    return tuple(PolarKind.ON_DE_SITTER if _dot(u, u) > 0.0
                  else PolarKind.ON_H2 if u[0] > 0.0 else PolarKind.ON_ANTI_H2
                  for u in normals)
 
@@ -316,7 +316,7 @@ def _distinguished(name: ProperName, edges, products: list[float]) -> int:
 
 def _vertex_products(t: list) -> list[float]:
     # <t_jk, t_jl> at vertex j = 0, 1, 2, with (k, l) = _others(j), from _tangent_rows.
-    return [mink_inner(t[j][k], t[j][l]) for j, (k, l) in enumerate(map(_others, range(3)))]
+    return [_dot(t[j][k], t[j][l]) for j, (k, l) in enumerate(map(_others, range(3)))]
 
 
 def _worse(a: float, b: float) -> float:
@@ -330,7 +330,7 @@ def tangent_normal_residual(tri: DeSitterTriangle) -> float:
     worst = 0.0
     for j, lhs in enumerate(_vertex_products(tri._tangent_rows)):
         k, l = _others(j)
-        worst = _worse(worst, abs(lhs - mink_inner(normals[k], normals[l])))
+        worst = _worse(worst, abs(lhs - _dot(normals[k], normals[l])))
     return worst
 
 
