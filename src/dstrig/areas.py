@@ -30,7 +30,6 @@ from .triangles import (
     _distinguished,
     _others,
     _vertex_products,
-    triangle_name,
 )
 
 # Residual real part allowed in the complex angle sum, and the allowed
@@ -136,7 +135,7 @@ def _apex_products(tri: DeSitterTriangle) -> tuple[float, float, float]:
 
 def girard_area_from_products(tri: DeSitterTriangle) -> float:
     """Area straight from tangent inner products, skipping angle extraction."""
-    name = triangle_name(tri)
+    name = tri._name
     g1, g2, g3 = _apex_products(tri)
     if name is ProperName.SPATIOLATERAL:
         return -_acosh_at_least_one(-g1) + _acosh_at_least_one(g2) + _acosh_at_least_one(g3)

@@ -11,6 +11,11 @@ input or usage, 3 degenerate triangle, 4 area of a non-contractible
 triangle, 5 null or impossible edge where a traceable one is needed,
 6 sampling budget exhausted.  Codes 1 and 3-6 are the raised error's
 exit_code.
+
+classify and area take each document's steps once: a vertex row is
+type-checked and finiteness-checked once before DeSitterPoint, the name
+is classify_triangle's (a built triangle keeps it), and every report is
+written by one shared encoder.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import sys
 from .areas import girard_area
 from .errors import GeometryError, NotUnitError
 from .geodesics import DeSitterPoint, SegmentKind, geodesic_point
-from .minkowski import _dot
+from .minkowski import AngleBranch, _dot
 from .oracle import (
     _DEFAULT_CHECK_GRID,
     _MAX_GRID,
@@ -38,11 +43,9 @@ from .triangles import (
     _AREA_TYPES,
     DeSitterTriangle,
     _normals,
-    _others,
     _polar_kinds,
     build_triangle,
     classify_triangle,
-    triangle_name,
 )
 
 SCHEMA = 1
@@ -52,6 +55,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 
 _TARGETS = {name.value: name for name in _AREA_TYPES}
+# json.dumps's output with no circular-reference check: every report is a fresh tree.
+_encode = json.JSONEncoder(check_circular=False).encode
+# The wire string of each angle branch and edge kind: a dict read costs less than .value.
+_WIRE = {member: member.value for member in (*AngleBranch, *SegmentKind)}
 _GRID_HELP = f"oracle resolution 8 <= n <= {_MAX_GRID}: n // 8 starting panels per edge"
 
 
@@ -115,16 +122,9 @@ def _document_points(doc: dict) -> tuple[DeSitterPoint, DeSitterPoint, DeSitterP
         raise DocumentError("vertices must be a list of three rows")
     points = []
     for i, row in enumerate(rows):
-        # JSON true and false parse as bool, a subclass of int.
-        if not isinstance(row, list) or len(row) != 3 \
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                           for x in row):
-            raise DocumentError(f"vertex row {i + 1} must hold three numbers")
-        try:
-            v = [float(x) for x in row]
-        except OverflowError:
-            raise DocumentError(
-                f"vertex row {i + 1} has an integer beyond the float range") from None
+        # One type test and one finiteness test; three JSON floats are used as they are.
+        v = row if type(row) is list and len(row) == 3 \
+            and type(row[0]) is type(row[1]) is type(row[2]) is float else _number_row(row, i)
         if not all(map(math.isfinite, v)):
             raise DocumentError(f"vertex row {i + 1} has non-finite components")
         try:
@@ -133,6 +133,18 @@ def _document_points(doc: dict) -> tuple[DeSitterPoint, DeSitterPoint, DeSitterP
             raise DocumentError(f"vertex row {i + 1} is off the quadric: "
                                 f"<v,v> = {_dot(v, v)!r}") from None
     return tuple(points)
+
+
+def _number_row(row, i: int) -> list[float]:
+    # Vertex row i, which is not three floats, as floats, or its DocumentError.
+    # JSON true and false parse as bool, a subclass of int.
+    if not isinstance(row, list) or len(row) != 3 \
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row):
+        raise DocumentError(f"vertex row {i + 1} must hold three numbers")
+    try:
+        return [float(x) for x in row]
+    except OverflowError:
+        raise DocumentError(f"vertex row {i + 1} has an integer beyond the float range") from None
 
 
 def _triangle_document(points, metadata: dict | None = None) -> dict:
@@ -148,12 +160,13 @@ def _triangle_document(points, metadata: dict | None = None) -> dict:
 
 def _edge_report(edges) -> list[dict]:
     report = []
-    for j, seg in enumerate(edges):
+    # ends is triangles._others(j), the vertices edge j joins.
+    for j, ends, seg in zip((0, 1, 2), ([1, 2], [2, 0], [0, 1]), edges):
         entry = {
             "opposite_vertex": j,
-            "endpoints": list(_others(j)),
+            "endpoints": ends,
             "inner_product": _dot(seg.a._x, seg.b._x),
-            "kind": seg.kind.value,
+            "kind": _WIRE[seg.kind],
         }
         if seg.kind in (SegmentKind.ELLIPSE_PART, SegmentKind.HYPERBOLA_PART):
             entry["length"] = seg.separation
@@ -182,7 +195,7 @@ def _classify_report(points) -> dict:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj) + "\n")
+    sys.stdout.write(_encode(obj) + "\n")
 
 
 def cmd_classify(args) -> int:
@@ -196,19 +209,18 @@ def _area_report(points) -> tuple[dict, DeSitterTriangle]:
     # area's report on a document's points, with no oracle block, and their triangle.
     tri = build_triangle(*points)
     res = girard_area(tri)
-    angles, nabla = res.angles, res.complex_area
+    nabla = res.complex_area
     report = {
         "schema": SCHEMA,
-        "proper_name": triangle_name(tri).value,
+        "proper_name": tri._name.value,
         "real_area": res.real_area,
         "complex_area": {"re": nabla.real, "im": nabla.imag},
         "formula_used": res.formula_used.value,
         "distinguished_vertex": res.distinguished_vertex,
         "angles": [
-            {"vertex": j, "theta": angles.theta[j],
-             "phi": {"re": angles.phi[j].value.real, "im": angles.phi[j].value.imag},
-             "branch": angles.phi[j].branch.value}
-            for j in range(3)
+            {"vertex": j, "theta": theta, "phi": {"re": phi.value.real, "im": phi.value.imag},
+             "branch": _WIRE[phi.branch]}
+            for j, theta, phi in zip((0, 1, 2), res.angles.theta, res.angles.phi)
         ],
     }
     return report, tri

@@ -157,12 +157,18 @@ def classify_segment(p: DeSitterPoint, q: DeSitterPoint) -> GeodesicSegment:
     below -1 admit no geodesic, and the band around -1 is folded into
     IMPOSSIBLE since only +1 yields a null line.
     """
+    return _segment(p, q)[0]
+
+
+def _segment(p: DeSitterPoint, q: DeSitterPoint) -> tuple[GeodesicSegment, int]:
+    # classify_segment(p, q) and its kind's edge code, which classify_triangle sums.
     how = _proportional(p, q)
     if how is not None:
         raise CoincidentPointsError(f"{how} points form no segment")
     c = _dot(p._x, q._x)
-    kind, length, _ = _SEGMENTS[_edge_code(c)]
-    return GeodesicSegment(p, q, kind, 0.0 if length is None else length(c))
+    code = _edge_code(c)
+    kind, length, _ = _SEGMENTS[code]
+    return GeodesicSegment(p, q, kind, 0.0 if length is None else length(c)), code
 
 
 def geodesic_point(seg: GeodesicSegment, t: float) -> DeSitterPoint:

@@ -2,7 +2,8 @@
 
 The first coordinate x0 is the time coordinate; "future" means x0 > 0.
 The public scalar functions take any three-component sequence (a list, a
-tuple or a numpy array of shape (3,)) and compute on Python floats, in
+tuple or a numpy array of shape (3,)), refuse any other length with
+as_vec3's ValueError, and compute on Python floats, in
 mink_inner's operation order.  The scalar path's own rows are already
 three Python floats, so their products go through _dot, the form with no
 conversion, which mink_inner calls once it has converted its operands.
@@ -160,6 +161,13 @@ def as_vec3(value) -> np.ndarray:
     return v
 
 
+def _floats(u) -> tuple[float, float, float]:
+    """u's three components as floats; as_vec3 raises its ValueError on any other length."""
+    if len(u) != 3:
+        as_vec3(u)
+    return float(u[0]), float(u[1]), float(u[2])
+
+
 def _float3(value) -> tuple[float, float, float]:
     # as_vec3(value) as Python floats; a list or tuple of three finite floats needs no array.
     if type(value) in (list, tuple) and len(value) == 3 \
@@ -176,7 +184,7 @@ def _dot(u, v) -> float:
 
 def mink_inner(u, v) -> float:
     """Bilinear form -u0*v0 + u1*v1 + u2*v2, as a Python float for any sequence."""
-    return _dot((float(u[0]), float(u[1]), float(u[2])), (float(v[0]), float(v[1]), float(v[2])))
+    return _dot(_floats(u), _floats(v))
 
 
 def _finite(x: float, what: str) -> float:
@@ -208,11 +216,11 @@ def lorentz_normalize(u) -> np.ndarray:
     """Scale u so abs(<u,u>) = 1; null input cannot be normalized."""
     import numpy as np
 
-    return np.array(_normalized(np.asarray(u, dtype=float).tolist()))
+    return np.array(_normalized(_floats(u)))
 
 
-def _normalized(x: list[float]) -> list[float]:
-    # lorentz_normalize on a list of Python floats.
+def _normalized(x) -> list[float]:
+    # lorentz_normalize on three Python floats.
     q = _finite(_dot(x, x), "<u,u>")
     if abs(q) <= ZERO_EPS:
         raise NullInputError("cannot normalize a (near-)null vector")
@@ -241,8 +249,8 @@ def _checked_angle(u, v, what: str) -> tuple[PseudoAngle, float]:
     the zero-vector test, then _branch_angle on the three products.  what
     names the caller in the null-input message.
     """
-    _require_nonzero(u)
-    _require_nonzero(v)
+    _require_nonzero(_floats(u))
+    _require_nonzero(_floats(v))
     g = mink_inner(u, v)
     return _branch_angle(mink_inner(u, u), mink_inner(v, v), g, what), g
 

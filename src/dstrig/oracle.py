@@ -57,9 +57,10 @@ from .triangles import (
     DeSitterTriangle,
     ProperName,
     _AREA_TYPES,
-    _NAME_TABLE,
+    _CODE_TABLE,
     _check_not_collinear,
     _disk_name,
+    _triangle,
     _worse,
     classify_triangle,
     tangent_normal_residual,
@@ -467,20 +468,19 @@ _PREPASS_MARGIN = 2.0 * _FIRST_EDGE_MARGIN
 
 # The sampler's prefilter sums minkowski._edge_code's per-edge codes: 1
 # space-like, 4 time-like, 16 light-like, and 64 impossible, which no name
-# holds.  A sum's base-4 digits count its edges of each kind, so they add up
-# to its number of edges.
+# holds.  classify_triangle names the sum of all three through
+# triangles._CODE_TABLE, which the rules below read too.
 def _prefilter_rule(target: ProperName | None):
     # A generation target's (None: any of the four null-free types) codes,
     # the largest of them, and whether it must also be contractible.  The
-    # codes are the sums of one, two and three of a name's edge codes: the
-    # running codes after the loop's first and second edges that some order
-    # of the target's edges reaches, and the target's own codes.
+    # codes are the running codes after the loop's first, second and third
+    # edges, over every order of edge codes whose sum _CODE_TABLE names a target.
     names = _AREA_TYPES if target is None else (target,)
     codes = frozenset(
-        sum(edges)
-        for (i, j, k), name in _NAME_TABLE.items() if name in names
-        for r in (1, 2, 3)
-        for edges in itertools.combinations((1,) * i + (4,) * j + (16,) * k, r))
+        code
+        for edges in itertools.product((1, 4, 16, 64), repeat=3)
+        if _CODE_TABLE[sum(edges)][1] in names
+        for code in itertools.accumulate(edges))
     return codes, max(codes), target is ProperName.SPATIOLATERAL
 
 
@@ -617,7 +617,7 @@ def random_triangle(cfg: GeneratorConfig) -> DeSitterTriangle:
             kind = classify_triangle(*pts)
         except GeometryError:
             continue
-        return DeSitterTriangle(pts, kind.edges)
+        return _triangle(pts, kind)
     what = "buildable" if cfg.target is None else cfg.target.value
     raise ExhaustedAttemptsError(f"no {what} triangle in {cfg.max_attempts} attempts")
 

@@ -57,7 +57,8 @@ from .errors import (
     NotSpatiolateralError,
     NullEdgeError,
 )
-from .geodesics import DeSitterPoint, GeodesicSegment, SegmentKind, _proportional, _tangent, classify_segment
+from .geodesics import (_SEGMENTS, DeSitterPoint, GeodesicSegment, SegmentKind, _proportional,
+                        _segment, _tangent)
 from .minkowski import ZERO_EPS, CausalType, _cross, _dot, _normalized, causal_type
 
 if TYPE_CHECKING:
@@ -103,6 +104,18 @@ _NAME_TABLE = {
     (2, 0, 1): ProperName.BIMETRICAL_CHOROSCELES,
 }
 
+# The sum of a triple's three minkowski._edge_code codes, the keys of
+# geodesics._SEGMENTS (1 space-like, 4 time-like, 16 light-like, 64
+# impossible) -> its edge counts and name, as _NAME_TABLE gives them.  The
+# sum's base-4 digits below 64 are the counts, so an impossible edge is in
+# no count and a triple with one is named NONE.  Like _SEGMENTS it is keyed
+# by int, not by kind: an Enum key hashes in Python.
+_CODE_TABLE = {code: (counts, _NAME_TABLE.get(counts, ProperName.NONE))
+               for code in {a + b + c for a in _SEGMENTS for b in _SEGMENTS for c in _SEGMENTS}
+               for counts in [(code % 4, code // 4 % 4, code // 16 % 4)]}
+# Each kind's code, for a triangle made with no classify_triangle name.
+_KIND_CODES = {kind: code for code, (kind, _, _) in _SEGMENTS.items()}
+
 _AREA_TYPES = (ProperName.SPATIOLATERAL, ProperName.TEMPOLATERAL,
                ProperName.CHOROSCELES, ProperName.CHRONOSCELES)
 
@@ -121,6 +134,8 @@ class DeSitterTriangle:
     """One of the four null-free types: making one with another edge kind raises.
 
     tangents and normals are read-only arrays, derived from points on first read.
+    _name, its proper name, is classify_triangle's where build_triangle or the
+    sampler made it, and is derived from the edge kinds on first read otherwise.
     """
     points: tuple[DeSitterPoint, DeSitterPoint, DeSitterPoint]
     edges: tuple[GeodesicSegment, GeodesicSegment, GeodesicSegment]
@@ -132,6 +147,10 @@ class DeSitterTriangle:
                 raise ImpossibleEdgeError(f"edge opposite vertex {j + 1} admits no geodesic")
             if seg.kind is SegmentKind.NULL_LINE:
                 raise NullEdgeError(f"edge opposite vertex {j + 1} is a null line")
+
+    @functools.cached_property
+    def _name(self) -> ProperName:
+        return _CODE_TABLE[sum(_KIND_CODES[seg.kind] for seg in self.edges)][1]
 
     @functools.cached_property
     def tangents(self) -> np.ndarray:
@@ -199,7 +218,14 @@ def build_triangle(p1: DeSitterPoint, p2: DeSitterPoint, p3: DeSitterPoint) -> D
     and collinear vertex triples are rejected.
     """
     points = (p1, p2, p3)
-    return DeSitterTriangle(points, classify_triangle(*points).edges)
+    return _triangle(points, classify_triangle(*points))
+
+
+def _triangle(points, kind: TriangleClass) -> DeSitterTriangle:
+    # The triangle on a classified vertex triple, which keeps the class's name.
+    tri = DeSitterTriangle(points, kind.edges)
+    vars(tri)["_name"] = kind.proper_name  # where the cached_property keeps it
+    return tri
 
 
 def _normals(points) -> list[list[float]]:
@@ -213,12 +239,6 @@ def _normals(points) -> list[list[float]]:
     return [[-c for c in u] for u in raw] if flip else raw
 
 
-def _counts(edges) -> tuple[int, int, int]:
-    kinds = [e.kind for e in edges]
-    return (kinds.count(SegmentKind.ELLIPSE_PART), kinds.count(SegmentKind.HYPERBOLA_PART),
-            kinds.count(SegmentKind.NULL_LINE))
-
-
 def _contractible(points) -> bool:
     # S > 0 (module docstring); the sampler's oracle._kept_attempts sums S alike, per attempt.
     x0, x1, x2 = (p._x for p in points)
@@ -228,33 +248,38 @@ def _contractible(points) -> bool:
 def classify_triangle(p1: DeSitterPoint, p2: DeSitterPoint, p3: DeSitterPoint) -> TriangleClass:
     """Name a vertex triple from its edge kinds alone.
 
-    Works for all ten named types; no tangent or normal is computed.
-    Rejected as degenerate: the first coincident or antipodal vertex pair
-    in the order 1-2, 1-3, 2-3, or three vertices on one non-null
-    geodesic (null-edge families are legitimately coplanar and are not).
+    Works for all ten named types; no tangent or normal is computed.  The
+    edge counts and name are one _CODE_TABLE entry, that of the sum of the
+    three edges' minkowski._edge_code codes.  Rejected as degenerate: the
+    first coincident or antipodal vertex pair in the order 1-2, 1-3, 2-3,
+    or three vertices on one non-null geodesic (null-edge families are
+    legitimately coplanar and are not).
     """
     points = (p1, p2, p3)
-    edges = [None] * 3
+    edges, codes = [None] * 3, [0] * 3
     for m, i, j in ((2, 1, 2), (1, 1, 3), (0, 2, 3)):  # edge m joins vertices i and j
-        a, b = (points[n] for n in _others(m))
+        a, b = points[m - 2], points[m - 1]  # points[n] for n in _others(m)
         try:
-            edges[m] = classify_segment(a, b)
+            edges[m], codes[m] = _segment(a, b)
         except CoincidentPointsError:
             raise DegenerateTriangleError(f"vertices {i} and {j} are {_proportional(a, b)}") from None
     edges = tuple(edges)
-    i, j, k = _counts(edges)
-    name = _NAME_TABLE.get((i, j, k))
-    if name is None:  # every count triple summing to 3 is named; an impossible edge is in no count
-        return TriangleClass(TriangleKind.IMPOSSIBLE, (i, j, k), ProperName.NONE, None, edges)
-    if k == 0:
+    counts, name = _CODE_TABLE[sum(codes)]
+    if name is ProperName.NONE:
+        return TriangleClass(TriangleKind.IMPOSSIBLE, counts, name, None, edges)
+    if counts[2] == 0:  # no light-like edge
         _check_not_collinear(points)
     contractible = _contractible(points) if name is ProperName.SPATIOLATERAL else None
-    return TriangleClass(TriangleKind.PROPER_DE_SITTER, (i, j, k), name, contractible, edges)
+    return TriangleClass(TriangleKind.PROPER_DE_SITTER, counts, name, contractible, edges)
 
 
 def triangle_name(tri: DeSitterTriangle) -> ProperName:
-    """Proper name of a triangle: one of the four null-free types, the only ones made."""
-    return _NAME_TABLE[_counts(tri.edges)]
+    """Proper name of a triangle: one of the four null-free types, the only ones made.
+
+    It is the triangle's cached _name: classify_triangle's for a triangle
+    that build_triangle or the sampler made, so it is not counted again.
+    """
+    return tri._name
 
 
 def is_contractible(tri: DeSitterTriangle) -> bool:
@@ -270,7 +295,7 @@ def is_contractible(tri: DeSitterTriangle) -> bool:
 
 def _disk_name(tri: DeSitterTriangle) -> ProperName:
     # triangle_name of a triangle that bounds a disk; only three space-like edges may not.
-    name = triangle_name(tri)
+    name = tri._name
     if name is ProperName.SPATIOLATERAL and not _contractible(tri.points):
         raise NonContractibleError("triangle is non-contractible: it bounds no disk")
     return name

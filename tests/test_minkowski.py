@@ -188,6 +188,40 @@ class TestNormalize:
             lorentz_normalize(np.array(u))
 
 
+class TestThreeComponents:
+    """The public functions on mink_inner refuse an operand that does not
+    have three components with as_vec3's ValueError; they read only the
+    first three of a longer one before."""
+
+    SPACE, TIME = [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]
+    CALLS = {
+        "mink_inner": lambda bad: mink_inner(bad, TestThreeComponents.SPACE),
+        "mink_inner second": lambda bad: mink_inner(TestThreeComponents.SPACE, bad),
+        "causal_type": causal_type,
+        "pseudo_norm": pseudo_norm,
+        "pseudo_angle": lambda bad: pseudo_angle(bad, TestThreeComponents.SPACE),
+        "pseudo_angle second": lambda bad: pseudo_angle(TestThreeComponents.SPACE, bad),
+        "real_angle": lambda bad: real_angle(bad, TestThreeComponents.SPACE),
+        "same_time_cone": lambda bad: same_time_cone(bad, TestThreeComponents.TIME),
+        "same_time_cone second": lambda bad: same_time_cone(TestThreeComponents.TIME, bad),
+        "lorentz_normalize": lorentz_normalize,
+    }
+
+    @pytest.mark.parametrize("bad, shape", [
+        (np.array([0.0, 2.0, 1.0, 7.0]), (4,)),
+        ([0, 2, 1, 7], (4,)),
+        ([0.0, 1.0], (2,)),
+    ], ids=["array4", "list4", "list2"])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_refused(self, call, bad, shape):
+        with pytest.raises(ValueError, match=re.escape(f"expected 3 components, got shape {shape}")):
+            self.CALLS[call](bad)
+
+    def test_three_components_unchanged(self):
+        assert lorentz_normalize([0, 2, 0]).tolist() == [0.0, 1.0, 0.0]
+        assert mink_inner(np.array([1.0, 2.0, 3.0]), [1, 1, 1]) == 4.0
+
+
 class TestTimeCone:
     def test_same_and_opposite(self):
         assert same_time_cone(vec3(1, 0, 0), vec3(2, 1, 0))

@@ -12,9 +12,12 @@ in-process, and all are timed with `time.perf_counter`:
   `interior_angles` and `girard_area` on the document's points or
   triangle: each document's best of 20 calls;
 - `cli._document_points` on each parsed document (the dict the CLI gets
-  from `json.loads`), and `json.dumps` of the document's area report
-  (`cli._area_report`'s, with no oracle block): each document's best of
-  20 calls;
+  from `json.loads`), and the CLI's encoding of the document's area report
+  (`cli._area_report`'s, with no oracle block) and of its classify report
+  (`cli._classify_report`'s): each document's best of 20 calls.  The
+  encoder is `cli._encode` where the checkout has one, else `json.dumps`,
+  which the CLI called before it (the area row was named
+  `json.dumps (area report)` then);
 - one `integrate_area(n=64)` row per pool stratum (four area types x
   `u_max` 2 and 6, 64 documents each): `integrate_area(tri, 64)`, each
   document's best of 20 calls.  Spatiolateral edges are all ellipses and
@@ -216,7 +219,8 @@ def main() -> int:
     import dstrig
     import dstrig.oracle
     from dstrig.areas import girard_area, interior_angles
-    from dstrig.cli import _area_report, _document_points
+    import dstrig.cli
+    from dstrig.cli import _area_report, _classify_report, _document_points
     from dstrig.cli import main as cli_main
     from dstrig.geodesics import DeSitterPoint
     from dstrig.oracle import GeneratorConfig, integrate_area, random_triangle
@@ -238,7 +242,9 @@ def main() -> int:
     times = {name: [] for name in ("DeSitterPoint", "classify_triangle", "build_triangle",
                                    "tangents (first read)", "normals (first read)",
                                    "interior_angles", "girard_area",
-                                   "cli._document_points", "json.dumps (area report)")}
+                                   "cli._document_points", "cli encode (area report)",
+                                   "cli encode (classify report)")}
+    encode = getattr(dstrig.cli, "_encode", json.dumps)
     tris = []
     for rec in records:
         rows = [[float(x) for x in row] for row in rec["doc"]["vertices"]]
@@ -253,7 +259,8 @@ def main() -> int:
         times["interior_angles"].append(best_us(interior_angles, tri))
         times["girard_area"].append(best_us(girard_area, tri))
         times["cli._document_points"].append(best_us(_document_points, rec["doc"]))
-        times["json.dumps (area report)"].append(best_us(json.dumps, _area_report(points)[0]))
+        times["cli encode (area report)"].append(best_us(encode, _area_report(points)[0]))
+        times["cli encode (classify report)"].append(best_us(encode, _classify_report(points)))
         row = f"integrate_area(n=64) {rec['type']} u_max {float(rec['u_max']):g}"
         times.setdefault(row, []).append(best_us(integrate_area, tri, 64))
 
